@@ -41,6 +41,7 @@ int main(int argc, char** argv) {
     sweep.stats = &stats;
     sweep.progress = true;
     harness::ObsSession session(args);
+    args.reject_unknown();
     session.attach(sweep);
 
     std::cout << "# " << spec.figure << "\n";

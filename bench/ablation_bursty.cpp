@@ -48,6 +48,8 @@ int main(int argc, char** argv) {
     const auto means = harness::load_range(
         args.get_double("min-load", 0.2), args.get_double("max-load", 0.5),
         static_cast<unsigned>(args.get_uint("loads", 4)));
+    const unsigned jobs = harness::jobs_flag(args);
+    args.reject_unknown();
 
     std::cout << "# Extension — bursty on/off traffic (duty "
               << base.workload.bursty.duty_cycle << ", mean burst "
@@ -79,7 +81,7 @@ int main(int argc, char** argv) {
     std::vector<metrics::SimResult> results(grid.size());
     std::mutex progress_mu;
     util::parallel_for(
-        grid.size(), harness::jobs_flag(args), [&](std::size_t i) {
+        grid.size(), jobs, [&](std::size_t i) {
           const Cell& c = grid[i];
           config::SimConfig cfg = base;
           cfg.workload.process = traffic::parse_process(c.process);

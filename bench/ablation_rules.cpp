@@ -78,6 +78,8 @@ int main(int argc, char** argv) {
     const auto loads = harness::load_range(
         args.get_double("min-load", 0.3), args.get_double("max-load", 1.2),
         static_cast<unsigned>(args.get_uint("loads", 5)));
+    const unsigned jobs = harness::jobs_flag(args);
+    args.reject_unknown();
 
     std::cout << "# Ablation — ALO rule decomposition, uniform 16-flit\n";
     std::cout << "# expectation: " << spec.expectation << "\n";
@@ -102,7 +104,7 @@ int main(int argc, char** argv) {
     std::vector<metrics::SimResult> results(grid.size());
     std::mutex progress_mu;
     util::parallel_for(
-        grid.size(), harness::jobs_flag(args), [&](std::size_t i) {
+        grid.size(), jobs, [&](std::size_t i) {
           config::SimConfig cfg = base;
           cfg.workload.offered_flits_per_node_cycle = grid[i].offered;
           cfg.seed = util::derive_stream_seed(base.seed, i);

@@ -43,6 +43,8 @@ int main(int argc, char** argv) {
 
     const double low = args.get_double("low", 0.55);
     const double high = args.get_double("high", 1.2);
+    const unsigned jobs = harness::jobs_flag(args);
+    args.reject_unknown();
 
     std::cout << "# Ablation — VC count / buffer depth (uniform 16-flit); "
                  "accepted traffic at a moderate and a beyond-saturation "
@@ -81,7 +83,7 @@ int main(int argc, char** argv) {
     std::vector<metrics::SimResult> results(grid.size());
     std::mutex progress_mu;
     util::parallel_for(
-        grid.size(), harness::jobs_flag(args), [&](std::size_t i) {
+        grid.size(), jobs, [&](std::size_t i) {
           const Cell& c = grid[i];
           results[i] = run_point(base, c.vcs, c.buf, c.limiter, c.offered, i);
           const std::lock_guard<std::mutex> lock(progress_mu);

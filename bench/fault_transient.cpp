@@ -218,6 +218,7 @@ int run_demo(int argc, char** argv) {
   sweep.stats = &stats;
   sweep.progress = true;
   harness::ObsSession session(args);
+  args.reject_unknown();
   session.attach(sweep);
 
   std::cout << "# Degraded operation — " << cfg.sim.faults.size()

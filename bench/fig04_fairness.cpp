@@ -71,6 +71,7 @@ int main(int argc, char** argv) {
     // trading that unfairness for throughput; this figure uses the
     // faithful slow relaxation so the published behaviour is visible.
     cfg.sim.limiter.dril_relax_period = args.get_uint("dril-relax", 16384);
+    args.reject_unknown();
 
     std::cout << "# Figure 4 — per-node sent-message deviation (%), "
                  "uniform, 64-flit, offered "

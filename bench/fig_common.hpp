@@ -33,6 +33,7 @@
 //   --spatial-out PREFIX  per-channel/per-node heatmap CSVs from one
 //                         extra instrumented run (--spatial-load,
 //                         --spatial-limiter select the point)
+// Any other flag is rejected by name (exit 1) before anything runs.
 //
 // Output: a banner line, the expectation note from the paper, then CSV
 // on stdout; per-point progress/ETA and the sweep's wall-clock/points-
@@ -100,6 +101,7 @@ inline int run_figure(const FigureSpec& spec, int argc, char** argv) {
     sweep.stats = &stats;
     sweep.progress = true;
     harness::ObsSession session(args);
+    args.reject_unknown();
     session.attach(sweep);
 
     std::cout << "# " << spec.figure << " — "

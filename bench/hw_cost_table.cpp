@@ -16,6 +16,7 @@ using namespace wormsim;
 int main(int argc, char** argv) {
   try {
     const util::ArgParser args(argc, argv);
+    args.reject_unknown();  // takes no flags
     std::cout << "# Hardware cost per router (two-input-gate equivalents; "
                  "conventions in core/cost_model.hpp)\n";
     std::cout << "# paper expectation: ALO needs only some logic gates — "
@@ -36,7 +37,6 @@ int main(int argc, char** argv) {
                 c.adder_bits, c.total_gate_equivalents());
       }
     }
-    (void)args;
     return 0;
   } catch (const std::exception& e) {
     obs::logf(obs::LogLevel::Error, "error: %s\n", e.what());

@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
         args.get_double("burst-len", 800.0);
     const auto interval = args.get_uint("interval", 256);
     const auto cycles = args.get_uint("cycles", 20000);
+    args.reject_unknown();
 
     std::printf("%s\n", harness::describe(cfg).c_str());
     std::printf(

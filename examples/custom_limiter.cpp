@@ -72,6 +72,7 @@ int main(int argc, char** argv) {
     harness::apply_common_flags(cfg, args);
     harness::apply_scale_env(cfg);
     const double offered = args.get_double("offered", 1.0);
+    args.reject_unknown();
     cfg.workload.offered_flits_per_node_cycle = offered;
 
     std::printf("%s\n", harness::describe(cfg).c_str());

@@ -73,6 +73,8 @@ int main(int argc, char** argv) {
     harness::apply_common_flags(base, args);
     harness::apply_scale_env(base);
     const double offered = args.get_double("offered", 0.8);
+    const unsigned jobs = harness::jobs_flag(args);
+    args.reject_unknown();
 
     const topo::KAryNCube topo(base.k, base.n);
     util::Rng rng(base.seed);
@@ -92,7 +94,7 @@ int main(int argc, char** argv) {
     // both limiters see the identical workload at base.seed).
     std::vector<metrics::SimResult> sims(kinds.size() * 2);
     util::parallel_for(
-        sims.size(), harness::jobs_flag(args), [&](std::size_t i) {
+        sims.size(), jobs, [&](std::size_t i) {
           config::SimConfig cfg = base;
           cfg.workload.pattern = kinds[i / 2];
           cfg.workload.offered_flits_per_node_cycle = offered;

@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
     harness::apply_common_flags(cfg, args);
     cfg.workload.offered_flits_per_node_cycle =
         args.get_double("offered", 0.35);
+    args.reject_unknown();
 
     std::printf("%s\n", harness::describe(cfg).c_str());
 

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
     spec.stats = &stats;
     spec.progress = true;
     harness::ObsSession session(args);
+    args.reject_unknown();
     session.attach(spec);
 
     std::cout << harness::describe(base) << "\n";

@@ -12,16 +12,17 @@ status=0
 # The gate checker validates itself before it is trusted with any
 # real bench JSON.
 python3 tools/check_bench.py --self-test || status=1
-# TSan preflight over the shard-labelled tests: the sharded
-# evaluate/commit core must be provably race-free before its scaling
-# numbers mean anything. Builds a separate instrumented tree (slow the
-# first time, incremental after); WORMSIM_SKIP_TSAN_PREFLIGHT=1 skips,
-# e.g. on hosts without TSan runtime support.
+# TSan preflight over the parallel-labelled tests: the --jobs thread
+# pool, the parallel sweep engine and the multi-threaded tracer must be
+# provably race-free before any parallel sweep number means anything.
+# Builds a separate instrumented tree (slow the first time, incremental
+# after); WORMSIM_SKIP_TSAN_PREFLIGHT=1 skips, e.g. on hosts without
+# TSan runtime support.
 if [ "${WORMSIM_SKIP_TSAN_PREFLIGHT:-0}" != "1" ]; then
-  echo "===== tsan preflight (ctest -L shard; WORMSIM_SKIP_TSAN_PREFLIGHT=1 to skip)"
+  echo "===== tsan preflight (ctest -L parallel; WORMSIM_SKIP_TSAN_PREFLIGHT=1 to skip)"
   cmake -B build-tsan -S . -DWORMSIM_TSAN=ON >/dev/null \
     && cmake --build build-tsan -j >/dev/null \
-    && (cd build-tsan && ctest -L shard --output-on-failure) \
+    && (cd build-tsan && ctest -L parallel --output-on-failure) \
     || status=1
 fi
 for b in build/bench/*; do
@@ -45,15 +46,6 @@ for b in build/bench/*; do
            --spatial-load 1.0 --spatial-limiter alo
       "$b" --json bench_telemetry/fault_transient.json || status=1
       python3 tools/check_bench.py bench_telemetry/fault_transient.json \
-        || status=1
-      ;;
-    shard_scaling)
-      # Sharded-core scaling: human-readable shard sweep, then the
-      # gated JSON (single-shard overhead always; multi-shard speedup
-      # on multi-core hosts) plus the 32k-node scale demo.
-      "$b"
-      "$b" --json bench_telemetry/BENCH_shard.json || status=1
-      python3 tools/check_bench.py bench_telemetry/BENCH_shard.json \
         || status=1
       ;;
     micro_mechanism)

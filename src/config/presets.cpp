@@ -122,11 +122,6 @@ void validate(const SimConfig& cfg) {
           std::to_string(longest) + " flits)");
     }
   }
-  if (cfg.sim.shards != 1 && cfg.sim.core == sim::SimCore::Dense) {
-    throw std::invalid_argument(
-        "shards != 1 requires the active core (the dense reference core "
-        "stays single-threaded)");
-  }
   // NetworkParams and routing constraints are validated by their
   // constructors; trigger them early for a clear error site.
   const topo::KAryNCube topo(cfg.k, cfg.n);

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "fault/schedule.hpp"
 #include "obs/log.hpp"
@@ -94,28 +93,6 @@ config::SimConfig point_config(const SweepSpec& spec, const GridPoint& p,
   return cfg;
 }
 
-/// Guard against --jobs x --shards oversubscription: `jobs` concurrent
-/// simulations each spinning up a shard crew must fit within the
-/// machine's hardware threads, or every crew barrier degenerates into a
-/// scheduler fight. Returns the (possibly clamped) per-simulation shard
-/// count and warns once when the request was reduced. Shard counts only
-/// shrink here, never grow, and the sharded core is bit-exact at any
-/// shard count, so clamping cannot change results.
-unsigned effective_shards(const SweepSpec& spec, unsigned jobs) {
-  const unsigned requested = spec.base.sim.shards;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned eff =
-      util::ThreadPool::clamp_shards_for_jobs(requested, jobs, hw);
-  const unsigned resolved = requested == 0 ? hw : requested;
-  if (eff != resolved) {
-    obs::logf(obs::LogLevel::Warn,
-              "clamping shards %u -> %u: %u jobs x %u shards would "
-              "oversubscribe %u hardware threads\n",
-              resolved, eff, jobs, resolved, hw);
-  }
-  return eff;
-}
-
 class SweepTimer {
  public:
   SweepTimer(metrics::SweepStats* stats, unsigned jobs,
@@ -144,7 +121,6 @@ class SweepTimer {
 std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
   const std::vector<GridPoint> grid = flatten_grid(spec);
   const unsigned jobs = util::ThreadPool::resolve_jobs(spec.jobs);
-  const unsigned shards = effective_shards(spec, jobs);
   const SweepTimer timer(spec.stats, jobs, grid.size(), grid.size());
 
   std::vector<SweepPoint> points(grid.size());
@@ -153,8 +129,7 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
   config::RunHooks hooks;
   hooks.tracer = spec.tracer;
   util::parallel_for(grid.size(), jobs, [&](std::size_t i) {
-    config::SimConfig cfg = point_config(spec, grid[i], i);
-    cfg.sim.shards = shards;
+    const config::SimConfig cfg = point_config(spec, grid[i], i);
     if (spec.tracer) {
       spec.tracer->begin_point(static_cast<std::uint32_t>(i),
                                point_label(grid[i]));
@@ -213,7 +188,6 @@ std::vector<ReplicatedPoint> run_replicated_sweep(const SweepSpec& spec,
   const std::uint64_t total =
       static_cast<std::uint64_t>(grid.size()) * replications;
   const unsigned jobs = util::ThreadPool::resolve_jobs(spec.jobs);
-  const unsigned shards = effective_shards(spec, jobs);
   const SweepTimer timer(spec.stats, jobs, grid.size(), total);
 
   // Every (point, replication) simulation is one task. Results land in
@@ -228,8 +202,7 @@ std::vector<ReplicatedPoint> run_replicated_sweep(const SweepSpec& spec,
   hooks.tracer = spec.tracer;
   util::parallel_for(total, jobs, [&](std::size_t task) {
     const GridPoint& p = grid[task / replications];
-    config::SimConfig cfg = point_config(spec, p, task);
-    cfg.sim.shards = shards;
+    const config::SimConfig cfg = point_config(spec, p, task);
     if (spec.tracer) {
       spec.tracer->begin_point(
           static_cast<std::uint32_t>(task),
@@ -327,8 +300,6 @@ void apply_common_flags(config::SimConfig& cfg, const util::ArgParser& args) {
       "credit-delay", cfg.sim.flow.credit_return_delay));
   cfg.sim.detection.threshold = static_cast<std::uint32_t>(
       args.get_uint("deadlock-threshold", cfg.sim.detection.threshold));
-  cfg.sim.shards =
-      static_cast<unsigned>(args.get_uint("shards", cfg.sim.shards));
   cfg.protocol.warmup = args.get_uint("warmup", cfg.protocol.warmup);
   cfg.protocol.measure = args.get_uint("measure", cfg.protocol.measure);
   cfg.protocol.drain_max = args.get_uint("drain", cfg.protocol.drain_max);
@@ -386,14 +357,6 @@ std::string describe(const config::SimConfig& cfg) {
     if (cfg.sim.flow.scheme == sim::FlowControl::Credit) {
       os << " (credit-delay=" << cfg.sim.flow.credit_return_delay << ")";
     }
-  }
-  // And for sharding: 1 (the sequential path) is silent; 0 means "one
-  // per hardware thread" and is reported verbatim. The sweep harness
-  // may still clamp this down when jobs x shards would oversubscribe
-  // the machine, so the banner flags the value as a request.
-  if (cfg.sim.shards != 1) {
-    os << ", shards=" << cfg.sim.shards
-       << " (clamped if jobs x shards exceeds hardware threads)";
   }
   const config::MemoryFootprint mem = config::estimate_memory(cfg);
   os << "\n# memory: " << std::fixed << std::setprecision(1)

@@ -113,9 +113,8 @@ void emit_online(util::JsonWriter& w, const metrics::OnlineStats& online) {
 
 /// Wall-clock-dependent diagnostics, quarantined under "perf" so the
 /// rest of a record is reproducible bit-for-bit for a fixed seed.
-/// Shard count and the memory estimate live here too: they vary with
-/// the execution strategy, never the simulated results, so consumers
-/// that strip "perf" still see byte-identical records across --shards.
+/// The memory estimate lives here too: it describes the host-side
+/// footprint, never the simulated results.
 /// `online` (nullable) contributes the phase-profiler attribution.
 void emit_perf(util::JsonWriter& w, const config::SimConfig& cfg,
                const metrics::SimResult& r,
@@ -128,12 +127,6 @@ void emit_perf(util::JsonWriter& w, const config::SimConfig& cfg,
   w.field("avg_active_links", r.avg_active_links);
   w.field("avg_active_nodes", r.avg_active_nodes);
   w.field("route_memo_hit_rate", r.route_memo_hit_rate);
-  w.key("shards");
-  w.begin_object();
-  w.field("count", static_cast<std::uint64_t>(cfg.sim.shards));
-  w.field("commit_decisions", r.commit_decisions);
-  w.field("commit_conflicts", r.commit_conflicts);
-  w.end_object();
   const config::MemoryFootprint mem = config::estimate_memory(cfg);
   w.key("memory");
   w.begin_object();
@@ -346,10 +339,12 @@ ObsSession::ObsSession(const util::ArgParser& args)
     const std::string v = args.get_string("profile", "true");
     profile_period_ = v == "true" ? 64 : std::stoull(v);
   }
+  // Read even when no tracer is built, so the flag always counts as
+  // known to ArgParser::reject_unknown.
+  const auto capacity = static_cast<std::size_t>(
+      args.get_uint("trace-capacity", std::size_t{1} << 16));
   if (!trace_path_.empty() || !metrics_path_.empty()) {
-    tracer_ = std::make_unique<obs::Tracer>(
-        static_cast<std::size_t>(args.get_uint(
-            "trace-capacity", std::size_t{1} << 16)));
+    tracer_ = std::make_unique<obs::Tracer>(capacity);
   }
 }
 

@@ -49,7 +49,7 @@
 
 namespace wormsim::harness {
 
-inline constexpr std::string_view kTelemetrySchema = "wormsim.telemetry/2";
+inline constexpr std::string_view kTelemetrySchema = "wormsim.telemetry/3";
 inline constexpr std::string_view kTimeseriesSchema = "wormsim.timeseries/1";
 
 /// One "point" JSONL record per sweep point (index order), then one

@@ -93,11 +93,6 @@ struct SimResult {
   double avg_active_links = 0.0;  // mean occupied network links / cycle
   double avg_active_nodes = 0.0;  // mean active-set nodes / cycle (active core)
   double route_memo_hit_rate = 0.0;  // blocked-header re-routes avoided
-  // Sharded evaluate/commit speculation (zero on the sequential path):
-  // decisions replayed by the commit phases, and how many an earlier
-  // commit invalidated (re-run inline).
-  std::uint64_t commit_decisions = 0;
-  std::uint64_t commit_conflicts = 0;
 
   // Fault injection (all zero on healthy runs; also excluded from sweep
   // CSVs, which never carry fault columns)

@@ -22,14 +22,6 @@ enum class Phase : std::uint8_t {
   Route,
   Transmit,
   Inject,
-  // Sharded evaluate/commit sub-phases: on a multi-shard simulator the
-  // profiled cycle runs the split route/transmit pipeline, and the time
-  // lands in these buckets instead of Route/Transmit. Appended after
-  // the classic phases so existing telemetry field order is preserved.
-  RouteEval,
-  RouteCommit,
-  TransmitEval,
-  TransmitCommit,
   kCount
 };
 
@@ -45,10 +37,6 @@ constexpr std::string_view phase_name(Phase p) noexcept {
     case Phase::Route: return "route";
     case Phase::Transmit: return "transmit";
     case Phase::Inject: return "inject";
-    case Phase::RouteEval: return "route_eval";
-    case Phase::RouteCommit: return "route_commit";
-    case Phase::TransmitEval: return "transmit_eval";
-    case Phase::TransmitCommit: return "transmit_commit";
     case Phase::kCount: break;
   }
   return "?";

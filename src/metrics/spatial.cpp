@@ -26,24 +26,6 @@ double SpatialMetrics::mean_busy_vcs(std::uint32_t link) const noexcept {
                  : 0.0;
 }
 
-void SpatialMetrics::merge(const SpatialMetrics& other) noexcept {
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const NodeCounters& o = other.nodes_[i];
-    NodeCounters& n = nodes_[i];
-    n.injected += o.injected;
-    n.ejected_flits += o.ejected_flits;
-    n.queue_sum += o.queue_sum;
-    n.queue_samples += o.queue_samples;
-    if (o.queue_max > n.queue_max) n.queue_max = o.queue_max;
-  }
-  for (std::size_t i = 0; i < link_flits_.size(); ++i) {
-    link_flits_[i] += other.link_flits_[i];
-  }
-  for (std::size_t i = 0; i < occ_hist_.size(); ++i) {
-    occ_hist_[i] += other.occ_hist_[i];
-  }
-}
-
 void SpatialMetrics::reset() noexcept {
   nodes_.assign(nodes_.size(), NodeCounters{});
   link_flits_.assign(link_flits_.size(), 0);

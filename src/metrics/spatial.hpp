@@ -82,13 +82,6 @@ class SpatialMetrics {
   /// Mean allocated VCs on `link` over all occupancy samples.
   double mean_busy_vcs(std::uint32_t link) const noexcept;
 
-  /// Fold another identically-shaped instance into this one: counters
-  /// and sample sums add, queue_max takes the max. Every operation is
-  /// associative and commutative, so partial observers (e.g. one per
-  /// simulation shard over disjoint nodes/links) can be merged in any
-  /// order and always reproduce the single sequential observer.
-  void merge(const SpatialMetrics& other) noexcept;
-
   void reset() noexcept;
 
   // --- CSV exporters ---------------------------------------------------

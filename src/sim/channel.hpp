@@ -66,14 +66,20 @@ struct VcState {
 
 /// Fixed-delay link pipeline: at most one flit enters per cycle, so a
 /// ring of `delay + 1` entries always suffices.
+///
+/// Entries store only the low 16 bits of their arrival cycle. An entry
+/// is pushed at `now + delay` and popped once due, so while it is queued
+/// it is never more than kMaxDelay cycles from the current cycle; the
+/// wrap-safe signed difference in due() is therefore exact across the
+/// 16-bit wrap (any distance below 2^15 would do).
 class InFlightQueue {
  public:
   static constexpr unsigned kMaxDelay = 7;
 
   struct Entry {
-    Cycle arrival = 0;
-    std::uint8_t vc = 0;
     MsgId msg = kNoMsg;
+    std::uint16_t arrival = 0;  // low 16 bits of the arrival cycle
+    std::uint8_t vc = 0;
   };
 
   bool empty() const noexcept { return count_ == 0; }
@@ -81,8 +87,19 @@ class InFlightQueue {
 
   void push(Cycle arrival, std::uint8_t vc, MsgId msg) noexcept {
     assert(count_ < kMaxDelay + 1);
-    ring_[(head_ + count_) % (kMaxDelay + 1)] = Entry{arrival, vc, msg};
+    ring_[(head_ + count_) % (kMaxDelay + 1)] =
+        Entry{msg, static_cast<std::uint16_t>(arrival), vc};
     ++count_;
+  }
+
+  /// True when the front entry has arrived by cycle `now`.
+  bool due(Cycle now) const noexcept {
+    if (count_ == 0) return false;
+    const auto ahead = static_cast<std::int16_t>(
+        static_cast<std::uint16_t>(ring_[head_].arrival -
+                                   static_cast<std::uint16_t>(now)));
+    assert(ahead <= static_cast<std::int16_t>(kMaxDelay));
+    return ahead <= 0;
   }
 
   const Entry& front() const noexcept {
@@ -116,24 +133,30 @@ class InFlightQueue {
   }
 
  private:
-  Entry ring_[kMaxDelay + 1];
   std::uint8_t head_ = 0;
   std::uint8_t count_ = 0;
+  Entry ring_[kMaxDelay + 1];
 };
 
 /// One unidirectional physical channel (or injection channel). VC
 /// storage lives in the Network's flat array; the Link carries topology
-/// endpoints, arbitration state and the in-flight pipeline.
+/// endpoints, arbitration state and the in-flight pipeline. Arrivals and
+/// transmit load this record for every active link every cycle, so the
+/// fields they read come first and the record stays small.
 struct Link {
-  NodeId src = topo::kInvalidNode;  // kInvalidNode for injection links
-  NodeId dst = topo::kInvalidNode;
-  ChannelId src_channel = 0;  // output-channel index at src (network links)
-
-  InFlightQueue in_flight{};
   std::uint8_t rr_next = 0;          // round-robin VC arbitration pointer
   std::uint8_t active_vc_mask = 0;   // bit v set iff VC v has a tenant
+  ChannelId src_channel = 0;  // output-channel index at src (network links)
+  InFlightQueue in_flight{};
   std::uint64_t flits_carried = 0;   // cumulative utilization counter
+  NodeId src = topo::kInvalidNode;  // kInvalidNode for injection links
+  NodeId dst = topo::kInvalidNode;
 };
+// At scale arrivals and transmit load this record for nearly every
+// network link every cycle, so its size is their per-link memory
+// traffic. The 8-byte in-flight entries keep it at 88 bytes; keep it
+// within 96.
+static_assert(sizeof(Link) <= 96, "Link grew: keep the link array compact");
 
 /// Ejection port: consumes one flit per cycle from the bound VC.
 struct EjectPort {

@@ -172,28 +172,14 @@ class Network final : public core::ChannelStatus {
   /// empty buffer (so the simulator can enroll it for routing).
   template <typename OnNewHeader>
   void process_arrivals(LinkId link_id, Cycle now, OnNewHeader&& on_header) {
-    if (process_arrivals_sharded(link_id, now,
-                                 std::forward<OnNewHeader>(on_header))) {
-      arrival_links_.adjust_size(-1);
-    }
-  }
-
-  /// process_arrivals for the sharded core: when the pipeline drains it
-  /// clears the link's pending-arrival bit without touching the set's
-  /// shared size counter (each word is owned by one shard; the counter
-  /// is not). Returns true iff the bit was cleared; the caller batches
-  /// the count back in via `adjust_arrival_links` at the barrier.
-  template <typename OnNewHeader>
-  bool process_arrivals_sharded(LinkId link_id, Cycle now,
-                                OnNewHeader&& on_header) {
     // Only network links have in-flight pipelines (injection writes
     // buffers directly), so the VC row lookup can be hoisted.
     assert(link_id < num_net_links_);
     Link& l = links_[link_id];
     VcState* const row =
         vcs_.data() + static_cast<std::size_t>(link_id) * params_.num_vcs;
-    while (!l.in_flight.empty() && l.in_flight.front().arrival <= now) {
-      const auto entry = l.in_flight.front();
+    while (l.in_flight.due(now)) {
+      const InFlightQueue::Entry entry = l.in_flight.front();
       VcState& v = row[entry.vc];
       assert(v.msg == entry.msg);
       if (v.in_count == 0) {
@@ -204,17 +190,21 @@ class Network final : public core::ChannelStatus {
       v.last_activity = now;
       l.in_flight.pop();
     }
-    if (l.in_flight.empty()) {
-      return arrival_links_.erase_unsized(link_id);
-    }
-    return false;
+    if (l.in_flight.empty()) arrival_links_.erase(link_id);
   }
 
-  /// Fold the per-shard pending-arrival erase deltas back into the
-  /// arrival set's size at the per-cycle barrier.
-  void adjust_arrival_links(std::ptrdiff_t delta) noexcept {
-    arrival_links_.adjust_size(delta);
+  /// Cache hint for the per-cycle loops over the link sets: start
+  /// loading `link`'s record and VC row while an earlier link is being
+  /// processed. At scale these arrays outgrow the private caches, and
+  /// the sets' ascending-with-gaps visit order defeats the hardware
+  /// prefetchers.
+  void prefetch_link(LinkId link) const noexcept {
+    __builtin_prefetch(&links_[link]);
+    const VcState* row =
+        vcs_.data() + static_cast<std::size_t>(link) * params_.num_vcs;
+    for (unsigned v = 0; v < params_.num_vcs; ++v) __builtin_prefetch(row + v);
   }
+
   /// Free one VC unconditionally (deadlock absorption).
   void force_free(VcRef ref) noexcept;
 

@@ -111,48 +111,6 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
       vc_node_[net_.vc_flat_index({l, static_cast<std::uint8_t>(vc)})] = dst;
     }
   }
-  // Sharded core: resolve the shard count (0 = one per hardware
-  // thread), clamp to the number of 64-node bitmap words so every
-  // shard owns at least one word, and build the contiguous word
-  // partition of the node and net-link bitmaps. shards_eff_ == 1
-  // leaves the sequential path untouched (no crew, no lanes).
-  if (cfg_.shards != 1 && !active) {
-    throw std::invalid_argument(
-        "--shards > 1 requires the active core (the dense reference "
-        "core stays single-threaded)");
-  }
-  const unsigned shards_req =
-      cfg_.shards == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                       : cfg_.shards;
-  const auto node_words =
-      static_cast<unsigned>(std::max<std::size_t>(1, gen_dense_.word_count()));
-  shards_eff_ = active ? std::min(shards_req, node_words) : 1u;
-  gen_heaps_.resize(shards_eff_);
-  if (shards_eff_ > 1) {
-    crew_ = std::make_unique<util::ShardCrew>(shards_eff_);
-    lanes_.resize(shards_eff_);
-    const std::size_t nw = gen_dense_.word_count();
-    const std::size_t lw = net_.arrival_links().word_count();
-    node_word_lo_.resize(shards_eff_ + 1);
-    link_word_lo_.resize(shards_eff_ + 1);
-    word_shard_.resize(nw);
-    for (unsigned s = 0; s < shards_eff_; ++s) {
-      const auto [n_lo, n_hi] = util::ShardCrew::slice(nw, s, shards_eff_);
-      const auto [l_lo, l_hi] = util::ShardCrew::slice(lw, s, shards_eff_);
-      node_word_lo_[s] = n_lo;
-      node_word_lo_[s + 1] = n_hi;
-      link_word_lo_[s] = l_lo;
-      link_word_lo_[s + 1] = l_hi;
-      for (std::size_t w = n_lo; w < n_hi; ++w) word_shard_[w] = s;
-    }
-    for (ShardLane& lane : lanes_) lane.fc_row.resize(topo_.num_channels());
-    // Conflict stamps for the route/transmit evaluate-commit protocol.
-    // kStampNever, not 0: cycle 0 is a real simulated cycle and a zero
-    // init would mark everything dirty on the first commit.
-    route_slot_stamp_.assign(net_.num_vc_slots(), kStampNever);
-    route_node_stamp_.assign(topo_.num_nodes(), kStampNever);
-    transmit_link_stamp_.assign(net_.num_links(), kStampNever);
-  }
 }
 
 std::size_t Simulator::route_memo_entry_bytes() noexcept {
@@ -222,20 +180,6 @@ void Simulator::step() {
   }
   if (online_ && online_->profile_due(t)) {
     run_phases_profiled(t);
-  } else if (use_sharded_step()) {
-    // Sharded cycle: generate/arrivals/eject fan out across the crew
-    // (their per-element work is element-local); route and transmit
-    // fan out as a read-only evaluate pass whose speculative decisions
-    // a serial commit replays in sequential arbitration order (stale
-    // ones detected by write-stamps and re-run inline). Inject stays
-    // sequential — one global allocator and FIFO fairness accounting.
-    if (faults_ && faults_->due(t)) apply_faults(t);
-    phase_generate_sharded(t);
-    phase_arrivals_sharded(t);
-    phase_eject_sharded(t);
-    phase_route_sharded(t);
-    phase_transmit_sharded(t);
-    phase_inject(t);
   } else {
     if (faults_ && faults_->due(t)) apply_faults(t);
     phase_generate(t);
@@ -253,17 +197,13 @@ void Simulator::step() {
     collector_.on_queue_sample(total);
     if (timeseries_) timeseries_->on_queue_sample(t, total);
     if (spatial_) {
-      if (use_sharded_step()) {
-        sample_spatial_sharded(t);
-      } else {
-        for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
-          spatial_->on_queue_sample(node, queues_[node].size());
-        }
-        for (LinkId l = 0; l < net_.num_net_links(); ++l) {
-          spatial_->on_link_occupancy_sample(
-              l,
-              static_cast<unsigned>(std::popcount(net_.link(l).active_vc_mask)));
-        }
+      for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
+        spatial_->on_queue_sample(node, queues_[node].size());
+      }
+      for (LinkId l = 0; l < net_.num_net_links(); ++l) {
+        spatial_->on_link_occupancy_sample(
+            l,
+            static_cast<unsigned>(std::popcount(net_.link(l).active_vc_mask)));
       }
     }
 #ifndef NDEBUG
@@ -285,24 +225,11 @@ void Simulator::run_phases_profiled(Cycle t) {
   prof.time(metrics::Phase::Fault, [&] {
     if (faults_ && faults_->due(t)) apply_faults(t);
   });
-  if (use_sharded_step()) {
-    // Sharded profiled cycle: time the same phases the unprofiled
-    // sharded step runs, with route/transmit split into their
-    // evaluate/commit sub-phases so speculation cost is attributable.
-    prof.time(metrics::Phase::Generate, [&] { phase_generate_sharded(t); });
-    prof.time(metrics::Phase::Arrivals, [&] { phase_arrivals_sharded(t); });
-    prof.time(metrics::Phase::Eject, [&] { phase_eject_sharded(t); });
-    prof.time(metrics::Phase::RouteEval, [&] { route_evaluate(t); });
-    prof.time(metrics::Phase::RouteCommit, [&] { route_commit(t); });
-    prof.time(metrics::Phase::TransmitEval, [&] { transmit_evaluate(t); });
-    prof.time(metrics::Phase::TransmitCommit, [&] { transmit_commit(t); });
-  } else {
-    prof.time(metrics::Phase::Generate, [&] { phase_generate(t); });
-    prof.time(metrics::Phase::Arrivals, [&] { phase_arrivals(t); });
-    prof.time(metrics::Phase::Eject, [&] { phase_eject(t); });
-    prof.time(metrics::Phase::Route, [&] { phase_route(t); });
-    prof.time(metrics::Phase::Transmit, [&] { phase_transmit(t); });
-  }
+  prof.time(metrics::Phase::Generate, [&] { phase_generate(t); });
+  prof.time(metrics::Phase::Arrivals, [&] { phase_arrivals(t); });
+  prof.time(metrics::Phase::Eject, [&] { phase_eject(t); });
+  prof.time(metrics::Phase::Route, [&] { phase_route(t); });
+  prof.time(metrics::Phase::Transmit, [&] { phase_transmit(t); });
   prof.time(metrics::Phase::Inject, [&] { phase_inject(t); });
   prof.count_sample();
 }
@@ -316,37 +243,11 @@ metrics::WindowSample Simulator::online_sample() {
   const std::uint8_t vc_mask =
       static_cast<std::uint8_t>((1u << vcs) - 1u);
   std::uint64_t free_vcs = 0;
-  if (crew_) {
-    // Per-shard partial sums over the owned node ranges (read-only,
-    // per-lane scratch rows), folded in shard order. Integer addition
-    // is exactly associative, so this equals the serial scan.
-    const NodeId nodes = topo_.num_nodes();
-    crew_->run([&](unsigned sh) {
-      ShardLane& lane = lanes_[sh];
-      const auto lo = static_cast<NodeId>(node_word_lo_[sh] * 64);
-      const auto hi = static_cast<NodeId>(
-          std::min<std::size_t>(node_word_lo_[sh + 1] * 64, nodes));
-      std::uint64_t sum = 0;
-      for (NodeId node = lo; node < hi; ++node) {
-        const std::uint8_t* row = fc_status_row_into(node, lane.fc_row.data());
-        for (unsigned c = 0; c < chans; ++c) {
-          sum += static_cast<unsigned>(std::popcount(
-              static_cast<std::uint8_t>(row[c] & vc_mask)));
-        }
-      }
-      lane.free_vcs = sum;
-    });
-    for (unsigned sh = 0; sh < shards_eff_; ++sh) {
-      free_vcs += lanes_[sh].free_vcs;
-      lanes_[sh].free_vcs = 0;
-    }
-  } else {
-    for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
-      const std::uint8_t* row = fc_status_row(node);
-      for (unsigned c = 0; c < chans; ++c) {
-        free_vcs += static_cast<unsigned>(std::popcount(
-            static_cast<std::uint8_t>(row[c] & vc_mask)));
-      }
+  for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
+    const std::uint8_t* row = fc_status_row(node);
+    for (unsigned c = 0; c < chans; ++c) {
+      free_vcs += static_cast<unsigned>(std::popcount(
+          static_cast<std::uint8_t>(row[c] & vc_mask)));
     }
   }
   s.free_vcs = free_vcs;
@@ -387,39 +288,7 @@ void Simulator::poll_and_reschedule(NodeId node, Cycle t) {
     gen_where_[node] = GenSub::EveryCycle;
   } else {
     gen_dense_.erase(node);
-    // Always the owner shard's heap, so the heap partition stays
-    // coherent when sequential and sharded cycles interleave (profiled
-    // cycles, observer attach/detach).
-    gen_heaps_[shard_of_node(node)].push({hint, node});
-    gen_where_[node] = GenSub::Timed;
-  }
-}
-
-void Simulator::poll_and_reschedule_sharded(NodeId node, Cycle t,
-                                            unsigned s) {
-  ShardLane& lane = lanes_[s];
-  lane.visited += 1;
-  // Same dead-source rule as poll_node, but generated messages are
-  // parked in the shard mailbox: enqueue_source touches cross-shard
-  // state (counters, the inject set, the collector), so the commit
-  // replays it under the barrier.
-  if (!(faults_ && faults_->mask().node_dead(node))) {
-    lane.gen_buf.clear();
-    workload_->poll(node, t, lane.gen_buf);
-    for (const auto& g : lane.gen_buf) {
-      lane.gen_events.push_back({node, g.dst, g.length_flits});
-    }
-  }
-  const std::uint64_t hint = workload_->next_poll(node, t);
-  if (hint == traffic::kNeverPoll) {
-    lane.gen_dense_delta -= gen_dense_.erase_unsized(node) ? 1 : 0;
-    gen_where_[node] = GenSub::None;
-  } else if (hint <= t + 1) {
-    lane.gen_dense_delta += gen_dense_.insert_unsized(node) ? 1 : 0;
-    gen_where_[node] = GenSub::EveryCycle;
-  } else {
-    lane.gen_dense_delta -= gen_dense_.erase_unsized(node) ? 1 : 0;
-    gen_heaps_[s].push({hint, node});
+    gen_heap_.push({hint, node});
     gen_where_[node] = GenSub::Timed;
   }
 }
@@ -437,7 +306,7 @@ void Simulator::phase_generate(Cycle t) {
   // node from the next cycle on, exactly as the dense core would.
   if (workload_->mutation_epoch() != gen_epoch_) {
     gen_epoch_ = workload_->mutation_epoch();
-    for (GenHeap& heap : gen_heaps_) heap = {};
+    gen_heap_ = {};
     for (NodeId node = 0; node < nodes; ++node) {
       gen_dense_.insert(node);
       gen_where_[node] = GenSub::EveryCycle;
@@ -447,68 +316,15 @@ void Simulator::phase_generate(Cycle t) {
   // subscription exclusivity, not results: a heap pop may re-subscribe
   // its node into gen_dense_, which must not be re-visited this cycle —
   // per-node generator state is independent, so cross-node poll order
-  // itself is free (which is also why draining the per-shard heaps one
-  // after another is equivalent to a single global heap: "due" is a
-  // per-node property).
+  // itself is free.
   gen_dense_.for_each(
       [&](std::size_t node) { poll_and_reschedule(static_cast<NodeId>(node), t); });
-  for (GenHeap& heap : gen_heaps_) {
-    while (!heap.empty() && heap.top().first <= t) {
-      const NodeId node = heap.top().second;
-      heap.pop();
-      assert(gen_where_[node] == GenSub::Timed);
-      poll_and_reschedule(node, t);
-    }
+  while (!gen_heap_.empty() && gen_heap_.top().first <= t) {
+    const NodeId node = gen_heap_.top().second;
+    gen_heap_.pop();
+    assert(gen_where_[node] == GenSub::Timed);
+    poll_and_reschedule(node, t);
   }
-}
-
-void Simulator::phase_generate_sharded(Cycle t) {
-  if (!workload_) return;
-  // The epoch refill is rare (a workload mutation) and touches every
-  // node's subscription: run it sequentially before the fan-out.
-  if (workload_->mutation_epoch() != gen_epoch_) {
-    gen_epoch_ = workload_->mutation_epoch();
-    for (GenHeap& heap : gen_heaps_) heap = {};
-    const NodeId nodes = topo_.num_nodes();
-    for (NodeId node = 0; node < nodes; ++node) {
-      gen_dense_.insert(node);
-      gen_where_[node] = GenSub::EveryCycle;
-    }
-  }
-  // Fan out: each shard polls the dense subscribers in its node-word
-  // range, then its own due timed nodes. All mutated state is
-  // shard-local (per-node workload state, gen_where_, owned bitmap
-  // words, the shard heap, the mailbox).
-  crew_->run([&](unsigned s) {
-    gen_dense_.for_each_in_words(
-        node_word_lo_[s], node_word_lo_[s + 1], [&](std::size_t node) {
-          poll_and_reschedule_sharded(static_cast<NodeId>(node), t, s);
-        });
-    GenHeap& heap = gen_heaps_[s];
-    while (!heap.empty() && heap.top().first <= t) {
-      const NodeId node = heap.top().second;
-      heap.pop();
-      assert(gen_where_[node] == GenSub::Timed);
-      poll_and_reschedule_sharded(node, t, s);
-    }
-  });
-  // Commit: replay the parked generations in shard order. Cross-node
-  // enqueue order is commutative (per-node queues, summed counters),
-  // and per-node order is preserved — each node generated in exactly
-  // one shard — so this equals the sequential core's state exactly.
-  std::ptrdiff_t dense_delta = 0;
-  for (unsigned s = 0; s < shards_eff_; ++s) {
-    ShardLane& lane = lanes_[s];
-    scan_.scan_visited += lane.visited;
-    lane.visited = 0;
-    dense_delta += lane.gen_dense_delta;
-    lane.gen_dense_delta = 0;
-    for (const GenEvent& g : lane.gen_events) {
-      enqueue_source(g.node, g.dst, g.length, t);
-    }
-    lane.gen_events.clear();
-  }
-  gen_dense_.adjust_size(dense_delta);
 }
 
 // --- Arrivals ---------------------------------------------------------
@@ -525,49 +341,14 @@ void Simulator::phase_arrivals(Cycle t) {
     return;
   }
   scan_.scan_visited += net_.arrival_links().size();
-  net_.arrival_links().for_each([&](std::size_t l) {
+  // Prefetching the next link's record is a pure cache hint (see
+  // Network::prefetch_link); it never changes what is visited.
+  const LinkId links = net_.num_net_links();
+  net_.arrival_links().for_each_with_next([&](std::size_t l, std::size_t next) {
+    if (next < links) net_.prefetch_link(static_cast<LinkId>(next));
     net_.process_arrivals(static_cast<LinkId>(l), t,
                           [this](VcRef ref) { enroll_for_routing(ref); });
   });
-}
-
-void Simulator::phase_arrivals_sharded(Cycle t) {
-  // The sequential core charges the pre-iteration set size; compute it
-  // before the erase deltas land.
-  scan_.scan_visited += net_.arrival_links().size();
-  crew_->run([&](unsigned s) {
-    ShardLane& lane = lanes_[s];
-    net_.arrival_links().for_each_in_words(
-        link_word_lo_[s], link_word_lo_[s + 1], [&](std::size_t l) {
-          // All VcState/in-flight mutation is local to the link, and
-          // each link has exactly one owner. New headers are parked in
-          // the mailbox; concatenating the mailboxes in shard order
-          // reproduces the sequential enrollment order, because
-          // for_each visits links ascending and the shard ranges are
-          // ascending and disjoint.
-          const bool erased = net_.process_arrivals_sharded(
-              static_cast<LinkId>(l), t, [&](VcRef ref) {
-                VcState& v = net_.vc(ref);
-                if (!v.pending_route) {
-                  v.pending_route = true;
-                  lane.enrolls.push_back(
-                      {ref, v.msg,
-                       static_cast<std::uint32_t>(net_.vc_flat_index(ref))});
-                }
-              });
-          lane.arrival_delta -= erased ? 1 : 0;
-        });
-  });
-  std::ptrdiff_t delta = 0;
-  for (unsigned s = 0; s < shards_eff_; ++s) {
-    ShardLane& lane = lanes_[s];
-    delta += lane.arrival_delta;
-    lane.arrival_delta = 0;
-    pending_route_.insert(pending_route_.end(), lane.enrolls.begin(),
-                          lane.enrolls.end());
-    lane.enrolls.clear();
-  }
-  net_.adjust_arrival_links(delta);
 }
 
 void Simulator::enroll_for_routing(VcRef ref) {
@@ -638,123 +419,6 @@ void Simulator::phase_eject(Cycle t) {
   });
 }
 
-void Simulator::eject_node_sharded(NodeId node, Cycle t, unsigned s) {
-  ShardLane& lane = lanes_[s];
-  const unsigned ports = net_.params().eje_channels;
-  for (unsigned p = 0; p < ports; ++p) {
-    EjectPort& port = net_.eject_port(node, p);
-    if (!port.busy()) continue;
-    VcState& u = net_.vc(port.src);
-    if (u.buffered() == 0) continue;
-    // The upstream VC may live on a link word another shard owns, but
-    // no other shard touches it this phase: eject is the only writer of
-    // VcStates here and each VC feeds at most one ejection port.
-    Message& m = pool_[port.msg];
-    ++u.out_count;
-    --u.occupancy;
-    u.last_activity = t;
-    m.last_progress = t;
-    // Per-flit counting hooks are additive over the cycle, so the lane
-    // batches one count per shard (merged at the barrier) and the
-    // spatial per-node counter — owned by this shard — lands inline.
-    ++lane.ejected_flits;
-    if (spatial_) spatial_->on_ejected_flit(node);
-    EjectEvent ev;
-    ev.src = port.src;
-    ev.msg = port.msg;
-    ev.credit = !net_.is_injection(port.src.link);
-    if (ev.credit) {
-      ev.slot = static_cast<std::uint32_t>(net_.vc_flat_index(port.src));
-    }
-    ev.completed = u.out_count == m.length;
-    if (ev.completed) {
-      u.clear();
-      port.msg = kNoMsg;
-      port.src = VcRef{};
-    }
-    // Only events with order-sensitive commit work are parked: credit
-    // returns (when the scheme consumes them) and tail completions.
-    if ((ev.credit && fc_tracks_) || ev.completed) lane.ejects.push_back(ev);
-  }
-}
-
-void Simulator::phase_eject_sharded(Cycle t) {
-  scan_.scan_visited += eject_nodes_.size();
-  const unsigned ports = net_.params().eje_channels;
-  crew_->run([&](unsigned s) {
-    ShardLane& lane = lanes_[s];
-    eject_nodes_.for_each_in_words(
-        node_word_lo_[s], node_word_lo_[s + 1], [&](std::size_t node) {
-          eject_node_sharded(static_cast<NodeId>(node), t, s);
-          bool any_busy = false;
-          for (unsigned p = 0; p < ports; ++p) {
-            any_busy |=
-                net_.eject_port(static_cast<NodeId>(node), p).busy();
-          }
-          if (!any_busy) {
-            lane.eject_delta -= eject_nodes_.erase_unsized(node) ? 1 : 0;
-          }
-        });
-  });
-  // Replay in shard order == ascending node order == the sequential
-  // core's event order: credit returns, then (for tails) tenancy
-  // release and delivery. deliver() feeds the latency Welford
-  // accumulator and recycles pool ids, both of which are
-  // order-sensitive — the ordered replay is what keeps them exact. The
-  // counting hooks (collector/timeseries/online flit counts) are
-  // additive within the cycle, so they land as one batch per lane.
-  std::ptrdiff_t delta = 0;
-  for (unsigned s = 0; s < shards_eff_; ++s) {
-    ShardLane& lane = lanes_[s];
-    delta += lane.eject_delta;
-    lane.eject_delta = 0;
-    if (lane.ejected_flits != 0) {
-      const auto count = static_cast<std::uint32_t>(lane.ejected_flits);
-      lane.ejected_flits = 0;
-      collector_.on_flits_ejected(t, count);
-      if (timeseries_) timeseries_->on_flits_ejected(t, count);
-      if (online_) online_->on_flits_ejected(count);
-    }
-    for (const EjectEvent& ev : lane.ejects) {
-      if (ev.credit) fc_on_drained(ev.slot, t);
-      if (ev.completed) {
-        net_.set_active(ev.src, false);
-        deliver(ev.msg, t);
-      }
-    }
-    lane.ejects.clear();
-  }
-  eject_nodes_.adjust_size(delta);
-}
-
-// --- Sharded spatial sampling -----------------------------------------
-
-void Simulator::sample_spatial_sharded(Cycle t) {
-  (void)t;
-  // Every sample is an element-local store into the sampled node's or
-  // link's own spatial rows, and each element has exactly one owner —
-  // no mailboxes needed, and per-element results match the serial
-  // sweep bit for bit.
-  const std::size_t nodes = topo_.num_nodes();
-  const std::size_t links = net_.num_net_links();
-  crew_->run([&](unsigned s) {
-    const std::size_t n_lo = node_word_lo_[s] * 64;
-    const std::size_t n_hi = std::min(node_word_lo_[s + 1] * 64, nodes);
-    for (std::size_t node = n_lo; node < n_hi; ++node) {
-      spatial_->on_queue_sample(static_cast<NodeId>(node),
-                                queues_[node].size());
-    }
-    const std::size_t l_lo = link_word_lo_[s] * 64;
-    const std::size_t l_hi = std::min(link_word_lo_[s + 1] * 64, links);
-    for (std::size_t l = l_lo; l < l_hi; ++l) {
-      spatial_->on_link_occupancy_sample(
-          static_cast<LinkId>(l),
-          static_cast<unsigned>(std::popcount(
-              net_.link(static_cast<LinkId>(l)).active_vc_mask)));
-    }
-  });
-}
-
 // --- Routing ----------------------------------------------------------
 
 bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
@@ -815,8 +479,6 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
       eject_nodes_.insert(node);
       m.last_progress = t;
       v.pending_route = false;
-      stamp_route_slot(slot, t);
-      stamp_route_node(node, t);
       pending_route_[i] = pending_route_.back();
       pending_route_.pop_back();
       return true;
@@ -910,11 +572,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
         memo->no_detect_before = earliest;
       }
     }
-    // Retry next cycle. The stamp covers the memo/probed writes above:
-    // a duplicate entry for this slot (stale enrollment followed by a
-    // fresh one) must not replay a decision computed before them.
-    stamp_route_slot(slot, t);
-    return false;
+    return false;  // retry next cycle
   }
   ++alloc_rr_[node];
   const VcRef out{net_.net_link(node, pick->channel), pick->vc};
@@ -928,8 +586,6 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   m.entered_network = true;
   m.last_progress = t;
   v.pending_route = false;
-  stamp_route_slot(slot, t);
-  stamp_route_node(node, t);
   pending_route_[i] = pending_route_.back();
   pending_route_.pop_back();
   return true;
@@ -940,324 +596,15 @@ void Simulator::phase_route(Cycle t) {
   const bool detect_on = cfg_.detection.enabled;
   const Cycle threshold = cfg_.detection.threshold;
   for (std::size_t i = 0; i < pending_route_.size();) {
+    // Entries index memo and VC records scattered over arrays far larger
+    // than the private caches: start loading two entries ahead.
+    if (i + 2 < pending_route_.size()) {
+      const PendingRoute& ahead = pending_route_[i + 2];
+      if (memo_on_) __builtin_prefetch(&route_memo_[ahead.slot]);
+      __builtin_prefetch(&net_.vc(ahead.ref));
+    }
     if (!route_entry(i, t, routing_delay, detect_on, threshold)) ++i;
   }
-}
-
-// --- Sharded routing: speculative evaluate + ordered commit -----------
-
-void Simulator::route_evaluate_entry(std::size_t i, Cycle t,
-                                     Cycle routing_delay, bool detect_on,
-                                     Cycle threshold, ShardLane& lane) {
-  const PendingRoute e = pending_route_[i];
-  RouteDecision& d = route_dec_[i];
-  d.evals = 0;
-  d.hits = 0;
-  d.fresh_route = false;
-  d.write_epoch = false;
-  d.tenancy_reset = false;
-  d.write_ndb = false;
-  d.probe = false;
-  // Mirror of route_entry, step for step, but read-only w.r.t. shared
-  // state: every store route_entry would perform is recorded as a
-  // write intent in the decision instead. Divergence between the two
-  // bodies is a correctness bug the lock-step suites catch.
-  if (memo_on_) {
-    const RouteMemo& pm = route_memo_[e.slot];
-    if (pm.msg == e.msg && t < pm.no_detect_before &&
-        candidate_epoch_sum(vc_node_[e.slot], pm.cand_mask) == pm.epoch_sum) {
-      d.kind = RouteDecKind::Park;
-      d.hits = 1;
-      return;
-    }
-  }
-  const VcRef ref = e.ref;
-  const VcState& v = net_.vc(ref);
-  if (!v.pending_route) {
-    d.kind = RouteDecKind::Stale;
-    return;
-  }
-  if (t < v.header_arrival + routing_delay) {
-    d.kind = RouteDecKind::Wait;
-    return;
-  }
-  const std::size_t slot = e.slot;
-  const NodeId node = vc_node_[slot];
-
-  const RouteMemo* memo = nullptr;
-  const routing::RouteResult* route = &lane.route_scratch;
-  std::uint64_t epoch_sum = 0;
-  bool still_blocked = false;
-  // memo->no_detect_before as the detection ladder would read it: the
-  // sequential body zeroes it on tenancy reset before the ladder runs.
-  Cycle ndb_now = 0;
-  if (memo_on_ && route_memo_[slot].msg == v.msg) {
-    memo = &route_memo_[slot];
-    d.hits = 1;
-    route = &memo->route;
-    epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
-    still_blocked = epoch_sum == memo->epoch_sum;
-    ndb_now = memo->no_detect_before;
-  } else {
-    const Message& m = pool_[v.msg];
-    if (node == m.dst) {
-      d.msg = v.msg;
-      const int port = net_.find_free_eject_port(node);
-      if (port < 0) {
-        d.kind = RouteDecKind::AtDestWait;
-        return;
-      }
-      d.kind = RouteDecKind::AtDestBind;
-      d.port = port;
-      return;
-    }
-    if (memo_on_) {
-      memo = &route_memo_[slot];
-      if (memo->dst == m.dst) {
-        d.hits = 1;
-        route = &memo->route;
-        epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
-        still_blocked = epoch_sum == memo->epoch_sum;
-      } else {
-        d.evals = 1;
-        route_lookup(node, m.dst, lane.route_scratch);
-        d.fresh_route = true;
-        d.dst = m.dst;
-        d.cand_mask = candidate_channel_mask(lane.route_scratch);
-        epoch_sum = candidate_epoch_sum(node, d.cand_mask);
-        // The sequential body compares against the kNoEpoch it just
-        // stored — real epoch sums never equal the sentinel.
-        still_blocked = epoch_sum == kNoEpoch;
-      }
-    } else {
-      d.evals = 1;
-      route_lookup(node, m.dst, lane.route_scratch);
-    }
-  }
-  if (probe_enabled_ && !v.probed) {
-    d.probe = true;
-    const auto cond =
-        static_dispatch_on_
-            ? core::evaluate_alo_row(
-                  fc_status_row_into(node, lane.fc_row.data()),
-                  net_.params().num_vcs, route->useful_phys_mask)
-            : core::evaluate_alo(fc_channel_status(), node,
-                                 route->useful_phys_mask);
-    d.probe_a = cond.all_useful_partially_free;
-    d.probe_b = cond.any_useful_completely_free;
-  }
-  std::optional<routing::Pick> pick;
-  if (!still_blocked && fc_admit(v.msg_length, net_.params().buf_flits)) {
-    if (static_dispatch_on_) {
-      pick = selector_.select(*route, net_.free_mask_row(node),
-                              alloc_rr_[node]);
-    } else {
-      const NodeFreeVcView view(net_, node);
-      pick = selector_.select(*route, view, alloc_rr_[node]);
-    }
-  }
-  if (!pick) {
-    d.kind = RouteDecKind::Blocked;
-    d.msg = v.msg;
-    if (memo != nullptr) {
-      if (!still_blocked) {
-        d.write_epoch = true;
-        d.epoch_sum = epoch_sum;
-      }
-      if (memo->msg != v.msg) d.tenancy_reset = true;
-    }
-    if (!detect_on || net_.is_injection(ref.link)) {
-      if (memo != nullptr) {
-        d.write_ndb = true;
-        d.ndb = kForever;
-      }
-    } else if (t - v.header_arrival < threshold) {
-      if (memo != nullptr) {
-        d.write_ndb = true;
-        d.ndb = v.header_arrival + threshold;
-      }
-    } else if (memo == nullptr || t >= (d.tenancy_reset ? 0 : ndb_now)) {
-      const Message& m = pool_[v.msg];
-      Cycle earliest = 0;
-      if (t - m.last_progress < threshold) {
-        if (memo != nullptr) {
-          d.write_ndb = true;
-          d.ndb = m.last_progress + threshold;
-        }
-      } else if (requested_channels_frozen(node, t, *route, &earliest)) {
-        d.kind = RouteDecKind::Absorb;
-      } else if (memo != nullptr) {
-        d.write_ndb = true;
-        d.ndb = earliest;
-      }
-    }
-  } else {
-    d.kind = RouteDecKind::Alloc;
-    d.msg = v.msg;
-    d.channel = pick->channel;
-    d.vc = pick->vc;
-  }
-  // The scratch route survives only until this lane's next entry: keep
-  // a copy when the commit must install it into the memo.
-  if (d.fresh_route) d.route = lane.route_scratch;
-}
-
-void Simulator::route_evaluate(Cycle t) {
-  const std::size_t n = pending_route_.size();
-  route_dec_.resize(n);
-  if (n == 0) return;
-  const Cycle routing_delay = cfg_.routing_delay;
-  const bool detect_on = cfg_.detection.enabled;
-  const Cycle threshold = cfg_.detection.threshold;
-  crew_->run([&](unsigned s) {
-    const auto [lo, hi] = util::ShardCrew::slice(n, s, shards_eff_);
-    ShardLane& lane = lanes_[s];
-    for (std::size_t i = lo; i < hi; ++i) {
-      route_evaluate_entry(i, t, routing_delay, detect_on, threshold, lane);
-    }
-  });
-}
-
-void Simulator::route_commit(Cycle t) {
-  const Cycle routing_delay = cfg_.routing_delay;
-  const bool detect_on = cfg_.detection.enabled;
-  const Cycle threshold = cfg_.detection.threshold;
-  for (std::size_t i = 0; i < pending_route_.size();) {
-    const PendingRoute e = pending_route_[i];
-    const RouteDecision& d = route_dec_[i];
-    ++scan_.commit_decisions;
-    // A decision is valid iff no earlier commit touched its inputs:
-    // its slot (memo, VcState, worm teardown walking through it) or
-    // its routing node (free masks, epochs, alloc_rr_, ejection ports,
-    // out-VC activity, credit registers). Stamps are conservative —
-    // a false positive just re-runs the sequential body inline.
-    if (route_slot_stamp_[e.slot] == t ||
-        route_node_stamp_[vc_node_[e.slot]] == t) {
-      ++scan_.commit_conflicts;
-      if (route_entry(i, t, routing_delay, detect_on, threshold)) {
-        if (i + 1 != route_dec_.size()) {
-          route_dec_[i] = std::move(route_dec_.back());
-        }
-        route_dec_.pop_back();
-      } else {
-        ++i;
-      }
-      continue;
-    }
-    bool removed = false;
-    switch (d.kind) {
-      case RouteDecKind::Park:
-        scan_.route_memo_hits += d.hits;
-        break;
-      case RouteDecKind::Wait:
-        break;
-      case RouteDecKind::Stale:
-        pending_route_[i] = pending_route_.back();
-        pending_route_.pop_back();
-        removed = true;
-        break;
-      case RouteDecKind::AtDestWait:
-        pool_[d.msg].at_destination = true;
-        break;
-      case RouteDecKind::AtDestBind: {
-        Message& m = pool_[d.msg];
-        m.at_destination = true;
-        const NodeId node = vc_node_[e.slot];
-        net_.bind_eject(e.ref, node, static_cast<unsigned>(d.port), d.msg);
-        eject_nodes_.insert(node);
-        m.last_progress = t;
-        net_.vc(e.ref).pending_route = false;
-        stamp_route_slot(e.slot, t);
-        stamp_route_node(node, t);
-        pending_route_[i] = pending_route_.back();
-        pending_route_.pop_back();
-        removed = true;
-        break;
-      }
-      case RouteDecKind::Blocked:
-      case RouteDecKind::Absorb: {
-        scan_.route_evals += d.evals;
-        scan_.route_memo_hits += d.hits;
-        if (memo_on_) {
-          RouteMemo& memo = route_memo_[e.slot];
-          if (d.fresh_route) {
-            memo.route = d.route;
-            memo.dst = d.dst;
-            memo.epoch_sum = kNoEpoch;
-            memo.cand_mask = d.cand_mask;
-          }
-          if (d.write_epoch) memo.epoch_sum = d.epoch_sum;
-          if (d.tenancy_reset) {
-            memo.msg = d.msg;
-            memo.no_detect_before = 0;
-          }
-          if (d.write_ndb) memo.no_detect_before = d.ndb;
-        }
-        if (d.probe) {
-          net_.vc(e.ref).probed = true;
-          collector_.on_probe(t, d.probe_a, d.probe_b);
-        }
-        if (d.kind == RouteDecKind::Absorb) {
-          // teardown_worm stamps every slot and source node the walk
-          // releases, which is what invalidates later decisions that
-          // saw the worm's channels as held.
-          absorb_deadlocked(d.msg, t);
-          pending_route_[i] = pending_route_.back();
-          pending_route_.pop_back();
-          removed = true;
-        } else {
-          stamp_route_slot(e.slot, t);
-        }
-        break;
-      }
-      case RouteDecKind::Alloc: {
-        scan_.route_evals += d.evals;
-        scan_.route_memo_hits += d.hits;
-        const NodeId node = vc_node_[e.slot];
-        if (memo_on_) {
-          RouteMemo& memo = route_memo_[e.slot];
-          if (d.fresh_route) {
-            memo.route = d.route;
-            memo.dst = d.dst;
-            memo.epoch_sum = kNoEpoch;
-            memo.cand_mask = d.cand_mask;
-          }
-          memo.msg = kNoMsg;
-        }
-        if (d.probe) {
-          net_.vc(e.ref).probed = true;
-          collector_.on_probe(t, d.probe_a, d.probe_b);
-        }
-        ++alloc_rr_[node];
-        const VcRef out{net_.net_link(node, d.channel), d.vc};
-        net_.allocate_out_vc(e.ref, out, d.msg, t);
-        Message& m = pool_[d.msg];
-        m.head = out;
-        m.entered_network = true;
-        m.last_progress = t;
-        net_.vc(e.ref).pending_route = false;
-        stamp_route_slot(e.slot, t);
-        stamp_route_node(node, t);
-        pending_route_[i] = pending_route_.back();
-        pending_route_.pop_back();
-        removed = true;
-        break;
-      }
-    }
-    if (removed) {
-      if (i + 1 != route_dec_.size()) {
-        route_dec_[i] = std::move(route_dec_.back());
-      }
-      route_dec_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-}
-
-void Simulator::phase_route_sharded(Cycle t) {
-  route_evaluate(t);
-  route_commit(t);
 }
 
 // --- Transmission -----------------------------------------------------
@@ -1298,10 +645,6 @@ void Simulator::transmit_link(LinkId l, Cycle t, unsigned vcs, unsigned cap) {
     }
     pool_[msg].last_progress = t;
     link.rr_next = vcn + 1u == vcs ? 0 : static_cast<std::uint8_t>(vcn + 1u);
-    // Every upstream-side effect of this send (drained buffer, freed
-    // tail, returned credit) lives on up.link: stamp it so a later
-    // speculative decision that read that state pre-send re-runs.
-    stamp_transmit_link(up.link, t);
     break;  // one flit per physical link per cycle
   }
 }
@@ -1316,98 +659,11 @@ void Simulator::phase_transmit(Cycle t) {
     return;
   }
   scan_.scan_visited += net_.tenant_links().size();
-  net_.tenant_links().for_each([&](std::size_t l) {
+  const LinkId links = net_.num_net_links();
+  net_.tenant_links().for_each_with_next([&](std::size_t l, std::size_t next) {
+    if (next < links) net_.prefetch_link(static_cast<LinkId>(next));
     transmit_link(static_cast<LinkId>(l), t, vcs, cap);
   });
-}
-
-// --- Sharded transmission: speculative evaluate + ordered commit ------
-
-int Simulator::evaluate_transmit_link(LinkId l, unsigned vcs, unsigned cap) {
-  // Read-only twin of transmit_link's arbitration scan: same rotation,
-  // same gate order, but the winning VC is returned instead of sent.
-  const Link& link = net_.link(l);
-  if (link.active_vc_mask == 0) return -1;
-  const VcState* const row = net_.vc_row(l);
-  const std::size_t slot_base = static_cast<std::size_t>(l) * vcs;
-  std::uint8_t vcn = link.rr_next;
-  for (unsigned j = 0; j < vcs; ++j, vcn = vcn + 1u == vcs ? 0 : vcn + 1u) {
-    if (!(link.active_vc_mask & (1u << vcn))) continue;
-    const VcState& w = row[vcn];
-    if (w.occupancy >= cap) continue;
-    if (!w.upstream.valid()) continue;
-    const VcState& u = net_.vc(w.upstream);
-    if (u.buffered() == 0) continue;
-    if (!fc_may_send(slot_base + vcn, w.occupancy, cap)) continue;
-    return vcn;
-  }
-  return -1;
-}
-
-void Simulator::transmit_evaluate(Cycle t) {
-  (void)t;
-  const unsigned vcs = net_.params().num_vcs;
-  const unsigned cap = net_.params().buf_flits;
-  scan_.scan_visited += net_.tenant_links().size();
-  crew_->run([&](unsigned s) {
-    ShardLane& lane = lanes_[s];
-    net_.tenant_links().for_each_in_words(
-        link_word_lo_[s], link_word_lo_[s + 1], [&](std::size_t l) {
-          // A no-send verdict (-1) is recorded too: an earlier commit
-          // can drain this link's upstream or return a credit, turning
-          // no-send into send — the stamp check catches exactly that.
-          lane.xmits.push_back(
-              {static_cast<LinkId>(l),
-               static_cast<std::int16_t>(evaluate_transmit_link(
-                   static_cast<LinkId>(l), vcs, cap))});
-        });
-  });
-}
-
-void Simulator::transmit_commit(Cycle t) {
-  const unsigned vcs = net_.params().num_vcs;
-  const unsigned cap = net_.params().buf_flits;
-  // Lanes in shard order = ascending link order = the sequential scan
-  // order. A send's only cross-link side effects land on its upstream
-  // link (drained buffer, freed tail, credit return), so one stamp per
-  // send is the exact conflict footprint.
-  for (unsigned s = 0; s < shards_eff_; ++s) {
-    ShardLane& lane = lanes_[s];
-    for (const TransmitDecision& d : lane.xmits) {
-      ++scan_.commit_decisions;
-      if (transmit_link_stamp_[d.link] == t) {
-        ++scan_.commit_conflicts;
-        transmit_link(d.link, t, vcs, cap);
-        continue;
-      }
-      if (d.vcn < 0) continue;
-      Link& link = net_.link(d.link);
-      VcState& w = net_.vc_row(d.link)[d.vcn];
-      const VcRef up = w.upstream;  // cleared when the tail leaves
-      const MsgId msg = w.msg;
-      assert(net_.vc(up).out_kind == VcState::OutKind::Vc &&
-             net_.vc(up).out ==
-                 (VcRef{d.link, static_cast<std::uint8_t>(d.vcn)}));
-      net_.transmit_flit(up, w.msg_length, t);
-      fc_on_sent(static_cast<std::size_t>(d.link) * vcs +
-                     static_cast<std::size_t>(d.vcn),
-                 t);
-      if (!net_.is_injection(up.link)) {
-        fc_on_drained(net_.vc_flat_index(up), t);
-      }
-      pool_[msg].last_progress = t;
-      link.rr_next = static_cast<unsigned>(d.vcn) + 1u == vcs
-                         ? 0
-                         : static_cast<std::uint8_t>(d.vcn + 1);
-      stamp_transmit_link(up.link, t);
-    }
-    lane.xmits.clear();
-  }
-}
-
-void Simulator::phase_transmit_sharded(Cycle t) {
-  transmit_evaluate(t);
-  transmit_commit(t);
 }
 
 // --- Injection --------------------------------------------------------
@@ -1573,7 +829,13 @@ void Simulator::phase_inject(Cycle t) {
   }
   const unsigned inj = net_.params().inj_channels;
   scan_.scan_visited += inject_nodes_.size();
-  inject_nodes_.for_each([&](std::size_t n) {
+  const NodeId nodes = topo_.num_nodes();
+  inject_nodes_.for_each_with_next([&](std::size_t n, std::size_t next) {
+    if (next < nodes) {  // cache hint, as in phase_arrivals
+      const VcState* row = net_.inj_vc_row(static_cast<NodeId>(next));
+      for (unsigned i = 0; i < inj; ++i) __builtin_prefetch(row + i);
+      __builtin_prefetch(&queues_[next]);
+    }
     const auto node = static_cast<NodeId>(n);
     inject_node(node, t);
     // Retire once fully idle: no injection tenancy to stream, nothing
@@ -1628,9 +890,6 @@ void Simulator::teardown_worm(MsgId id, Cycle t) {
     assert(port.msg == id);
     port.msg = kNoMsg;
     port.src = VcRef{};
-    // A freed ejection port changes what at-destination headers at this
-    // node can bind this cycle.
-    stamp_route_node(net_.link(m.head.link).dst, t);
   }
   VcRef cur = m.head;
   while (cur.valid()) {
@@ -1641,13 +900,6 @@ void Simulator::teardown_worm(MsgId id, Cycle t) {
     // The slot's buffered and in-flight flits just vanished: restore
     // its full credit stock and invalidate returns still on the wire.
     fc_on_reset(net_.vc_flat_index(cur));
-    // The walk frees this slot (its own pending entry turns stale) and
-    // flips free masks, epochs and credit registers of the source
-    // node's status rows — invalidate decisions keyed on either.
-    stamp_route_slot(net_.vc_flat_index(cur), t);
-    if (!net_.is_injection(cur.link)) {
-      stamp_route_node(net_.link(cur.link).src, t);
-    }
     if (tracer_) {
       tracer_->record(t, obs::EventKind::VcRelease, cur.link, cur.vc, 0, id);
     }
@@ -1937,10 +1189,8 @@ bool Simulator::check_active_sets(std::string* why) const {
       dense_n += in_dense;
       timed_n += gen_where_[node] == GenSub::Timed;
     }
-    std::size_t heap_n = 0;
-    for (const GenHeap& heap : gen_heaps_) heap_n += heap.size();
-    if (timed_n != heap_n) {
-      return fail("gen heaps hold duplicate or orphan subscriptions");
+    if (timed_n != gen_heap_.size()) {
+      return fail("gen heap holds duplicate or orphan subscriptions");
     }
     if (dense_n + timed_n > topo_.num_nodes()) {
       return fail("duplicate generation subscription");
@@ -2103,8 +1353,6 @@ metrics::SimResult Simulator::run(const RunProtocol& protocol) {
   r.avg_active_links = window.avg_active_links();
   r.avg_active_nodes = window.avg_active_nodes();
   r.route_memo_hit_rate = window.route_memo_hit_rate();
-  r.commit_decisions = window.commit_decisions;
-  r.commit_conflicts = window.commit_conflicts;
   return r;
 }
 

@@ -57,7 +57,6 @@
 #include "sim/message.hpp"
 #include "sim/network.hpp"
 #include "traffic/workload.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wormsim::sim {
 
@@ -111,20 +110,12 @@ struct SimulatorConfig {
   FlowControlConfig flow{};
   SimCore core = SimCore::Active;
   FastPathConfig fastpath{};
-  /// Shard the single simulation across threads (active core only):
-  /// the node/link bitmaps are partitioned into contiguous 64-bit-word
-  /// ranges, one per shard. Generate/arrivals/eject run shard-parallel
-  /// with their side effects drained through per-shard mailboxes at a
-  /// deterministic barrier; route and transmit run as a shard-parallel
-  /// read-only *evaluate* pass over per-shard decision lanes followed
-  /// by a serial *commit* replay in ascending shard order, with
-  /// link-epoch/stamp conflict detection falling back to inline
-  /// re-evaluation — results are bit-exact vs `shards = 1` at any
-  /// count. 1 = the unmodified sequential path; 0 = one shard per
-  /// hardware thread. The effective count is clamped to the number of
-  /// 64-node bitmap words, so small networks silently degenerate to
-  /// sequential execution.
-  unsigned shards = 1;
+  /// Threads per simulation: always 1 (parallelism lives in the sweep
+  /// harness's --jobs). A read-only constant, not a setting — kept so
+  /// that code written against the former thread-count field, such as
+  /// perfbench's requires-guarded request_shards(), still compiles and
+  /// sees that the request cannot be honoured.
+  static constexpr unsigned shards = 1;
   std::uint64_t seed = 1;
 };
 
@@ -141,8 +132,6 @@ struct CoreScanStats {
   std::uint64_t active_nodes_sum = 0;  // injection-active nodes, per cycle
   std::uint64_t route_evals = 0;       // routing-function/LUT evaluations
   std::uint64_t route_memo_hits = 0;   // blocked-header re-routes avoided
-  std::uint64_t commit_decisions = 0;  // speculative decisions replayed
-  std::uint64_t commit_conflicts = 0;  // decisions invalidated -> re-run
 
   /// Fraction of dense scan work skipped (0 for the dense core).
   double skipped_scan_ratio() const noexcept {
@@ -168,13 +157,6 @@ struct CoreScanStats {
                        static_cast<double>(asked)
                  : 0.0;
   }
-  /// Fraction of sharded evaluate decisions an earlier commit
-  /// invalidated (0 on the sequential path, which never speculates).
-  double commit_conflict_rate() const noexcept {
-    return commit_decisions ? static_cast<double>(commit_conflicts) /
-                                  static_cast<double>(commit_decisions)
-                            : 0.0;
-  }
   /// Counter deltas since `earlier` (per-run windows inside one
   /// simulator lifetime).
   CoreScanStats since(const CoreScanStats& earlier) const noexcept {
@@ -186,8 +168,6 @@ struct CoreScanStats {
     d.active_nodes_sum = active_nodes_sum - earlier.active_nodes_sum;
     d.route_evals = route_evals - earlier.route_evals;
     d.route_memo_hits = route_memo_hits - earlier.route_memo_hits;
-    d.commit_decisions = commit_decisions - earlier.commit_decisions;
-    d.commit_conflicts = commit_conflicts - earlier.commit_conflicts;
     return d;
   }
 };
@@ -287,8 +267,6 @@ class Simulator {
   const SimulatorConfig& config() const noexcept { return cfg_; }
 
   SimCore core() const noexcept { return cfg_.core; }
-  /// Effective shard count after clamping (1 = sequential path).
-  unsigned shards() const noexcept { return shards_eff_; }
   /// Bytes per VC slot consumed by the blocked-header route memo
   /// (sizeof of a private struct, exported for memory-footprint math).
   static std::size_t route_memo_entry_bytes() noexcept;
@@ -364,38 +342,6 @@ class Simulator {
   void phase_route(Cycle t);
   void phase_transmit(Cycle t);
   void phase_inject(Cycle t);
-
-  // Shard-parallel forms of the phases (see the "sharded core" section
-  // below). Generate/arrivals/eject have exclusively element-local
-  // per-element work and park cross-shard side effects in mailboxes.
-  // Route and transmit arbitrate shared resources (free-VC masks,
-  // ejection ports, the one-flit-per-link budget) whose outcome depends
-  // on global visit order, so they split into a shard-parallel
-  // *evaluate* pass — read-only w.r.t. shared state, one speculative
-  // decision per work item — and a serial *commit* replay in ascending
-  // shard order (= ascending id order = the sequential arbitration
-  // order). A commit that mutates state stamps the slots/nodes/links it
-  // touched; a later decision whose inputs carry this cycle's stamp is
-  // invalidated and falls back to inline re-evaluation, which keeps
-  // results bit-exact vs `shards = 1`. Inject stays sequential (one
-  // global message-pool allocator and FIFO fairness accounting).
-  void phase_generate_sharded(Cycle t);
-  void phase_arrivals_sharded(Cycle t);
-  void phase_eject_sharded(Cycle t);
-  void phase_route_sharded(Cycle t);     // route_evaluate + route_commit
-  void phase_transmit_sharded(Cycle t);  // transmit_evaluate + _commit
-  void route_evaluate(Cycle t);
-  void route_commit(Cycle t);
-  void transmit_evaluate(Cycle t);
-  void transmit_commit(Cycle t);
-  /// True when this step may take the sharded path: more than one
-  /// effective shard and no tracer attached (the tracer records
-  /// per-event inside what would be the parallel region; rather than
-  /// buffering that stream too, traced runs take the sequential path —
-  /// observation must not change results anyway).
-  bool use_sharded_step() const noexcept {
-    return crew_ != nullptr && tracer_ == nullptr;
-  }
   /// The step() phase sequence with each phase timed into the attached
   /// OnlineStats' profiler (taken only on sampled cycles).
   void run_phases_profiled(Cycle t);
@@ -403,8 +349,6 @@ class Simulator {
   /// (in-flight flits, blocked headers, free-VC occupancy from the
   /// limiter-visible status registers, queue depth, credit messages).
   metrics::WindowSample online_sample();
-
-  struct ShardLane;  // defined below with the sharded-core state
 
   // Per-element phase bodies shared by both cores (the cores differ
   // only in which elements they visit).
@@ -417,23 +361,8 @@ class Simulator {
   /// finish (parked check through allocation). Returns true when the
   /// entry was resolved and swap-removed from pending_route_ (the
   /// caller must then re-examine index i), false when it stays pending.
-  /// Also serves as the commit phase's inline fallback for invalidated
-  /// decisions — it stamps every slot/node it mutates.
   bool route_entry(std::size_t i, Cycle t, Cycle routing_delay,
                    bool detect_on, Cycle threshold);
-  /// Speculative read-only twin of route_entry: computes entry i's
-  /// decision into route_dec_[i], using only lane-local scratch.
-  void route_evaluate_entry(std::size_t i, Cycle t, Cycle routing_delay,
-                            bool detect_on, Cycle threshold,
-                            ShardLane& lane);
-  /// Read-only twin of transmit_link's arbitration scan: the VC index
-  /// that would send a flit across link l this cycle, or -1.
-  int evaluate_transmit_link(LinkId l, unsigned vcs, unsigned cap);
-  /// The kQueueSamplePeriod spatial sweep (per-node queue depths +
-  /// per-VC link occupancy histogram), fanned out across the crew over
-  /// the node/link ranges each shard owns — every sample is an
-  /// element-local write into the shard's own rows.
-  void sample_spatial_sharded(Cycle t);
 
   /// Source-queue push shared by push_message and phase_generate:
   /// maintains the queue total, conservation counter and the
@@ -446,15 +375,6 @@ class Simulator {
   /// sources until a workload mutation bumps the epoch).
   void poll_node(NodeId node, Cycle t);
   void poll_and_reschedule(NodeId node, Cycle t);
-  /// Sharded poll: identical rescheduling logic, but generated messages
-  /// are parked in shard `s`'s mailbox (enqueue_source replays them at
-  /// the barrier) and set mutations use the unsized bitmap ops with a
-  /// per-shard size delta.
-  void poll_and_reschedule_sharded(NodeId node, Cycle t, unsigned s);
-  /// Sharded eject_node: flit movement on the (exclusively owned) VC
-  /// and ejection-port state happens inline; credits, metrics hooks and
-  /// delivery are parked in the mailbox for ordered replay.
-  void eject_node_sharded(NodeId node, Cycle t, unsigned s);
 
   /// FC3D condition: every VC the routing function offered has shown no
   /// flow-control activity for the detection threshold. On failure,
@@ -470,14 +390,6 @@ class Simulator {
   /// routing function otherwise. Counts into scan_.route_evals.
   void route_at(NodeId node, NodeId dst, routing::RouteResult& out) {
     ++scan_.route_evals;
-    route_lookup(node, dst, out);
-  }
-
-  /// route_at without the counter bump: the shard-parallel evaluate
-  /// pass calls this (counting into its per-decision delta instead, so
-  /// a conflicted decision's discarded work never skews route_evals).
-  void route_lookup(NodeId node, NodeId dst,
-                    routing::RouteResult& out) const {
     if (lut_) {
       lut_->route(node, dst, out);
     } else {
@@ -576,22 +488,14 @@ class Simulator {
   /// claimability is a tenancy property in every scheme, which is what
   /// keeps the route memo's epoch keys exact.
   const std::uint8_t* fc_status_row(NodeId node) {
-    return fc_status_row_into(node, fc_row_buf_.data());
-  }
-  /// fc_status_row writing into a caller-supplied scratch buffer of
-  /// num_channels bytes — the reentrant form the shard-parallel
-  /// evaluate pass uses with its per-lane scratch (the shared
-  /// fc_row_buf_ would race across shards).
-  const std::uint8_t* fc_status_row_into(NodeId node,
-                                         std::uint8_t* buf) const {
     if (!credit_) return net_.free_mask_row(node);
     const unsigned chans = topo_.num_channels();
     const unsigned vcs = net_.params().num_vcs;
     credit_->filter_free_row(
         net_.free_mask_row(node),
         static_cast<std::size_t>(net_.net_link(node, 0)) * vcs, chans, vcs,
-        buf);
-    return buf;
+        fc_row_buf_.data());
+    return fc_row_buf_.data();
   }
   /// ChannelStatus the virtual limiter path reads (same filtering).
   const core::ChannelStatus& fc_channel_status() const noexcept {
@@ -741,149 +645,18 @@ class Simulator {
                                   // pending recovery (lazily pruned)
 
   // Generation scheduling (active core): a node is subscribed in
-  // exactly one place — gen_dense_ (poll every cycle), its owner
-  // shard's timed heap (poll at the hinted cycle) or nowhere (rate-0
-  // source). gen_where_ tracks which, for O(1) transitions and
-  // coherence checks. The heap is partitioned by node ownership — one
-  // heap per shard, gen_heaps_[0] being the whole heap when sequential
-  // — so each shard pops its own due nodes with no shared state; the
-  // due set is identical to a single heap's because "due" is a
-  // per-node property (top <= t per heap).
+  // exactly one place — gen_dense_ (poll every cycle), the timed heap
+  // (poll at the hinted cycle) or nowhere (rate-0 source). gen_where_
+  // tracks which, for O(1) transitions and coherence checks.
   enum class GenSub : std::uint8_t { None, EveryCycle, Timed };
   using GenHeap =
       std::priority_queue<std::pair<Cycle, NodeId>,
                           std::vector<std::pair<Cycle, NodeId>>,
                           std::greater<>>;
   util::ActiveSet gen_dense_;
-  std::vector<GenHeap> gen_heaps_;  // one per shard; [0] when sequential
+  GenHeap gen_heap_;
   std::vector<GenSub> gen_where_;
   std::uint64_t gen_epoch_ = ~std::uint64_t{0};  // forces initial refill
-
-  // --- Sharded core (see DESIGN.md "Sharded simulation core") ----------
-  // Ownership: shard s owns the contiguous 64-bit-word ranges
-  // node_words [node_word_lo_[s], node_word_lo_[s+1]) and net-link
-  // words [link_word_lo_[s], link_word_lo_[s+1]) of every bitmap. A
-  // word is only ever mutated by its owner inside a parallel phase, so
-  // bitmap RMW is race-free; the sets' shared size counters are
-  // reconciled from per-lane deltas at the barrier.
-  /// One deferred eject event per ejected flit: credits, metrics and
-  /// (for tail flits) tenancy release + delivery, replayed in shard
-  /// order — which equals the sequential core's ascending-node order.
-  struct EjectEvent {
-    VcRef src;
-    MsgId msg = kNoMsg;
-    std::uint32_t slot = 0;   // valid iff credit
-    bool credit = false;      // non-injection source: fc_on_drained
-    bool completed = false;   // tail ejected: release + deliver
-  };
-  /// One deferred generated message (enqueue_source replayed in shard
-  /// order; per-node FIFO order is preserved because each node is
-  /// polled once per cycle by exactly one shard).
-  struct GenEvent {
-    NodeId node = 0;
-    NodeId dst = 0;
-    std::uint32_t length = 0;
-  };
-
-  // --- Route/transmit evaluate-commit decisions ------------------------
-  /// How a pending_route_ entry resolved in the evaluate pass. The
-  /// commit replay applies the recorded outcome verbatim unless a
-  /// stamp shows an earlier commit touched the entry's inputs.
-  enum class RouteDecKind : std::uint8_t {
-    Park,        // parked check failed: count a memo hit, keep entry
-    Stale,       // tenancy ended elsewhere: drop entry
-    Wait,        // routing delay not elapsed: keep entry
-    AtDestWait,  // at destination, no free ejection port: keep entry
-    AtDestBind,  // at destination: bind ejection port, drop entry
-    Blocked,     // no VC claimable: memo/probe updates, keep entry
-    Absorb,      // FC3D deadlock detection fired: absorb, drop entry
-    Alloc,       // claimed an output VC: allocate, drop entry
-  };
-  /// One speculative per-entry decision, index-aligned with
-  /// pending_route_. Memo side effects are carried as explicit
-  /// write-intent flags so the commit performs exactly the sequential
-  /// path's stores, in its order.
-  struct RouteDecision {
-    RouteDecKind kind = RouteDecKind::Wait;
-    std::uint8_t evals = 0;        // scan_.route_evals delta
-    std::uint8_t hits = 0;         // scan_.route_memo_hits delta
-    std::uint8_t vc = 0;           // Alloc: picked VC
-    bool fresh_route = false;      // memo: store route/dst/cand_mask
-    bool write_epoch = false;      // memo: store epoch_sum
-    bool tenancy_reset = false;    // memo: store msg, clear ndb
-    bool write_ndb = false;        // memo: store ndb
-    bool probe = false;            // Figure-2 probe fired this entry
-    bool probe_a = false;
-    bool probe_b = false;
-    int port = -1;                 // AtDestBind: ejection port
-    ChannelId channel = 0;         // Alloc: picked channel
-    MsgId msg = kNoMsg;
-    NodeId dst = topo::kInvalidNode;   // fresh_route: route key
-    std::uint32_t cand_mask = 0;       // fresh_route: epoch footprint
-    std::uint64_t epoch_sum = 0;       // write_epoch payload
-    Cycle ndb = 0;                     // write_ndb payload
-    routing::RouteResult route;        // valid iff fresh_route
-  };
-  /// One per-link transmit decision: the VC whose flit advances across
-  /// `link` this cycle (vcn == -1: arbitration found nothing to send —
-  /// still recorded, because an earlier commit can free budget that
-  /// flips no-send into send, which the stamp check catches).
-  struct TransmitDecision {
-    LinkId link = 0;
-    std::int16_t vcn = -1;
-  };
-  /// Per-shard mailbox. Written by exactly one shard between barriers,
-  /// drained by the sequential commit that follows. Padded to a cache
-  /// line so neighboring lanes don't false-share.
-  struct alignas(64) ShardLane {
-    std::vector<GenEvent> gen_events;
-    std::vector<PendingRoute> enrolls;
-    std::vector<EjectEvent> ejects;
-    std::vector<TransmitDecision> xmits;   // transmit_evaluate output
-    util::SmallVector<traffic::GeneratedMessage, 8> gen_buf;
-    routing::RouteResult route_scratch;    // route_evaluate_entry scratch
-    std::vector<std::uint8_t> fc_row;      // fc_status_row_into scratch
-    std::uint64_t visited = 0;             // scan_visited delta
-    std::uint64_t ejected_flits = 0;       // batched per-cycle flit count
-    std::uint64_t free_vcs = 0;            // online_sample partial sum
-    std::ptrdiff_t gen_dense_delta = 0;    // unsized insert/erase balance
-    std::ptrdiff_t arrival_delta = 0;
-    std::ptrdiff_t eject_delta = 0;
-  };
-  std::vector<ShardLane> lanes_;
-  std::unique_ptr<util::ShardCrew> crew_;  // null when shards_eff_ == 1
-  unsigned shards_eff_ = 1;
-  std::vector<std::size_t> node_word_lo_;  // size shards_eff_+1
-  std::vector<std::size_t> link_word_lo_;  // size shards_eff_+1
-  std::vector<std::uint32_t> word_shard_;  // node word -> owning shard
-
-  unsigned shard_of_node(NodeId node) const noexcept {
-    return shards_eff_ == 1 ? 0u : word_shard_[node >> 6];
-  }
-
-  // --- Evaluate/commit conflict detection (multi-shard only) -----------
-  // Write-stamps at the granularity of a decision's input footprint: a
-  // commit that mutates a VC slot stamps it, one that changes a node's
-  // arbitration state (free masks, epochs, alloc_rr_, ejection ports,
-  // out-VC activity) stamps the node, and a flit send stamps the
-  // upstream link. A decision whose own stamps carry the current cycle
-  // was computed against pre-commit state and re-runs inline. Stamps
-  // init to kStampNever, NOT 0 — cycle 0 is a real simulated cycle.
-  static constexpr Cycle kStampNever = ~Cycle{0};
-  std::vector<RouteDecision> route_dec_;     // index-aligned w/ pending_route_
-  std::vector<Cycle> route_slot_stamp_;      // per VC slot (flat index)
-  std::vector<Cycle> route_node_stamp_;      // per node
-  std::vector<Cycle> transmit_link_stamp_;   // per link (incl. injection)
-
-  void stamp_route_slot(std::size_t slot, Cycle t) noexcept {
-    if (!route_slot_stamp_.empty()) route_slot_stamp_[slot] = t;
-  }
-  void stamp_route_node(NodeId node, Cycle t) noexcept {
-    if (!route_node_stamp_.empty()) route_node_stamp_[node] = t;
-  }
-  void stamp_transmit_link(LinkId l, Cycle t) noexcept {
-    if (!transmit_link_stamp_.empty()) transmit_link_stamp_[l] = t;
-  }
 
   CoreScanStats scan_;
   std::size_t queue_total_ = 0;         // sum of queues_[*].size()

@@ -58,47 +58,6 @@ class ActiveSet {
     w &= ~bit;
   }
 
-  // --- sharded access -----------------------------------------------
-  //
-  // The sharded simulator core partitions the bitmap into contiguous
-  // word ranges, one per shard, so each word is mutated by exactly one
-  // thread. The shared `count_` would still be a data race, so shards
-  // use the *_unsized mutators (which report whether membership
-  // changed) and the owner folds the per-shard deltas back in with
-  // `adjust_size` at the barrier. The sequential mutators above are
-  // untouched — the single-shard path pays nothing for this.
-
-  /// Set bit `i` without updating size(); true if `i` was absent.
-  bool insert_unsized(std::size_t i) noexcept {
-    assert(i < capacity_);
-    std::uint64_t& w = words_[i >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-    const bool changed = !(w & bit);
-    w |= bit;
-    return changed;
-  }
-
-  /// Clear bit `i` without updating size(); true if `i` was present.
-  bool erase_unsized(std::size_t i) noexcept {
-    assert(i < capacity_);
-    std::uint64_t& w = words_[i >> 6];
-    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
-    const bool changed = !!(w & bit);
-    w &= ~bit;
-    return changed;
-  }
-
-  /// Fold a batch of *_unsized membership changes back into size().
-  void adjust_size(std::ptrdiff_t delta) noexcept {
-    assert(delta >= 0 ||
-           count_ >= static_cast<std::size_t>(-delta));
-    count_ = static_cast<std::size_t>(
-        static_cast<std::ptrdiff_t>(count_) + delta);
-  }
-
-  /// Number of 64-bit words backing the bitmap (shard partitioning).
-  std::size_t word_count() const noexcept { return words_.size(); }
-
   void clear() noexcept {
     words_.assign(words_.size(), 0);
     count_ = 0;
@@ -113,24 +72,42 @@ class ActiveSet {
   /// phase loops need (activations always target a *later* phase).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for_each_in_words(0, words_.size(), fn);
-  }
-
-  /// for_each restricted to words [w_lo, w_hi) — i.e. members in
-  /// [w_lo*64, w_hi*64). Same snapshot semantics as for_each. Shards
-  /// iterate disjoint word ranges concurrently; that is race-free as
-  /// long as every concurrent mutation stays within the mutating
-  /// shard's own range.
-  template <typename Fn>
-  void for_each_in_words(std::size_t w_lo, std::size_t w_hi,
-                         Fn&& fn) const {
-    assert(w_lo <= w_hi && w_hi <= words_.size());
-    for (std::size_t w = w_lo; w < w_hi; ++w) {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
       std::uint64_t bits = words_[w];  // snapshot
       while (bits) {
         const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
         bits &= bits - 1;
         fn(w * 64 + b);
+      }
+    }
+  }
+
+  /// for_each whose callback also receives the member that follows the
+  /// visited one (capacity() after the last), so it can prefetch that
+  /// member's data. Same visits and snapshot semantics as for_each; the
+  /// look-ahead is only a hint — a later word is peeked at before it is
+  /// reached, so it may name a member the real visit will skip.
+  template <typename Fn>
+  void for_each_with_next(Fn&& fn) const {
+    const std::size_t n = words_.size();
+    for (std::size_t w = 0; w < n; ++w) {
+      std::uint64_t bits = words_[w];  // snapshot
+      while (bits) {
+        const unsigned b = static_cast<unsigned>(std::countr_zero(bits));
+        bits &= bits - 1;
+        std::size_t next = capacity_;
+        if (bits) {
+          next = w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+        } else {
+          for (std::size_t v = w + 1; v < n; ++v) {
+            if (words_[v]) {
+              next = v * 64 +
+                     static_cast<unsigned>(std::countr_zero(words_[v]));
+              break;
+            }
+          }
+        }
+        fn(w * 64 + b, next);
       }
     }
   }

@@ -110,4 +110,16 @@ std::vector<std::string> ArgParser::unused() const {
   return out;
 }
 
+void ArgParser::reject_unknown() const {
+  const std::vector<std::string> unknown = unused();
+  if (unknown.empty()) return;
+  std::string msg = unknown.size() == 1 ? "unknown flag" : "unknown flags";
+  for (std::size_t i = 0; i < unknown.size(); ++i) {
+    msg += (i == 0 ? " --" : ", --") + unknown[i];
+  }
+  throw std::invalid_argument(
+      msg + (unknown.size() == 1 ? ": not a flag " : ": not flags ") +
+      "this program reads");
+}
+
 }  // namespace wormsim::util

@@ -1,7 +1,8 @@
 // Tiny argv parser shared by the examples and bench harnesses.
 //
-// Accepts "--key=value", "--key value" and bare "--flag" forms. Unknown
-// keys are collected so harnesses can reject typos.
+// Accepts "--key=value", "--key value" and bare "--flag" forms. Every
+// main reads all the flags it knows and then calls reject_unknown(), so
+// a typo or a retired flag fails loudly instead of running defaults.
 #pragma once
 
 #include <map>
@@ -34,6 +35,10 @@ class ArgParser {
   /// Keys that were consumed by none of the get_* calls; call at the end
   /// of argument handling to diagnose typos.
   std::vector<std::string> unused() const;
+
+  /// Throw std::invalid_argument naming every flag in unused(). Call
+  /// once, after every flag the program accepts has been read.
+  void reject_unknown() const;
 
   const std::string& program() const noexcept { return program_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace wormsim::util {
 
@@ -97,101 +96,6 @@ void ThreadPool::wait() {
     std::exception_ptr err = first_error_;
     first_error_ = nullptr;
     std::rethrow_exception(err);
-  }
-}
-
-// --- ShardCrew ---------------------------------------------------------
-
-namespace {
-// One crew per thread may be mid-run at a time; the flag catches both
-// self-nesting and cross-crew nesting from inside a shard body.
-thread_local bool tls_in_shard_body = false;
-}  // namespace
-
-ShardCrew::ShardCrew(unsigned shards)
-    : errors_(shards == 0 ? 1 : shards), shards_(shards == 0 ? 1 : shards) {
-  workers_.reserve(shards_ - 1);
-  for (unsigned s = 1; s < shards_; ++s) {
-    workers_.emplace_back([this, s] { worker_loop(s); });
-  }
-}
-
-ShardCrew::~ShardCrew() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  start_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ShardCrew::run_shard(unsigned shard) {
-  tls_in_shard_body = true;
-  try {
-    (*body_)(shard);
-  } catch (...) {
-    errors_[shard] = std::current_exception();
-  }
-  tls_in_shard_body = false;
-}
-
-void ShardCrew::worker_loop(unsigned shard) {
-  std::unique_lock<std::mutex> lock(mu_);
-  std::uint64_t seen = 0;
-  for (;;) {
-    start_.wait(lock,
-                [&] { return stopping_ || generation_ != seen; });
-    if (stopping_) return;
-    seen = generation_;
-    lock.unlock();
-    run_shard(shard);
-    lock.lock();
-    if (--remaining_ == 0) done_.notify_all();
-  }
-}
-
-void ShardCrew::run(const Body& body) {
-  if (tls_in_shard_body) {
-    throw std::logic_error(
-        "ShardCrew::run called from inside a shard body (nested "
-        "fork/join regions are not supported)");
-  }
-  if (shards_ == 1) {
-    // No workers, no barrier: plain inline call, exceptions propagate
-    // naturally.
-    tls_in_shard_body = true;
-    try {
-      body(0);
-    } catch (...) {
-      tls_in_shard_body = false;
-      throw;
-    }
-    tls_in_shard_body = false;
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    body_ = &body;
-    remaining_ = shards_;
-    ++generation_;
-  }
-  start_.notify_all();
-  run_shard(0);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (--remaining_ > 0) {
-      done_.wait(lock, [this] { return remaining_ == 0; });
-    }
-    body_ = nullptr;
-  }
-  // Join barrier passed: every shard's writes (including error slots)
-  // are visible. Report the lowest shard's failure for determinism.
-  for (unsigned s = 0; s < shards_; ++s) {
-    if (errors_[s]) {
-      std::exception_ptr err = errors_[s];
-      for (unsigned k = s; k < shards_; ++k) errors_[k] = nullptr;
-      std::rethrow_exception(err);
-    }
   }
 }
 

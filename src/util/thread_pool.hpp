@@ -20,12 +20,9 @@
 //    std::thread::hardware_concurrency().
 #pragma once
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
-#include <utility>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -67,20 +64,6 @@ class ThreadPool {
     return requested == 0 ? default_jobs() : requested;
   }
 
-  /// Largest shard count that keeps `jobs` concurrent simulations, each
-  /// running `shards` crew lanes, within `hardware` threads. `shards`
-  /// follows the SimulatorConfig convention (0 = one per hardware
-  /// thread); the result is always >= 1 and never larger than the
-  /// (resolved) request — oversubscription clamps, it never grows.
-  static unsigned clamp_shards_for_jobs(unsigned shards, unsigned jobs,
-                                        unsigned hardware) noexcept {
-    const unsigned hw = std::max(1u, hardware);
-    const unsigned j = std::max(1u, jobs);
-    const unsigned eff = shards == 0 ? hw : shards;
-    if (static_cast<unsigned long long>(j) * eff <= hw) return eff;
-    return std::max(1u, hw / j);
-  }
-
  private:
   void worker_loop(std::size_t self);
   /// Pop a task for worker `self`: own deque first (front), then steal
@@ -105,75 +88,5 @@ class ThreadPool {
 /// exception.
 void parallel_for(std::size_t n, unsigned jobs,
                   const std::function<void(std::size_t)>& body);
-
-/// Persistent fork/join crew for the sharded simulation core: a fixed
-/// set of `shards` lanes that all execute the same body once per
-/// `run()` call, with a barrier on entry and exit.
-///
-/// Why not ThreadPool + submit/wait? The simulator crosses this
-/// barrier up to three times per simulated cycle, so the crew keeps
-/// `shards - 1` dedicated workers parked on a condition variable and
-/// reuses them for every run — no allocation, no queue traffic, no
-/// thread churn on the per-cycle path. The *calling* thread executes
-/// shard 0, so `ShardCrew(1)` spawns no threads at all and `run()`
-/// degenerates to a plain inline call.
-///
-/// Semantics callers rely on:
-///  - `run(body)` returns only after every shard finished (join
-///    barrier), so the caller may freely read anything the shards
-///    wrote — the barrier publishes it.
-///  - If shards throw, the exception from the LOWEST shard id is
-///    rethrown (deterministic under contention); the others are
-///    dropped. The crew stays usable afterwards.
-///  - Re-entrant use (calling `run()` from inside a body, on any
-///    ShardCrew) throws std::logic_error: shard bodies must never
-///    nest fork/join regions, that way deadlock lies.
-class ShardCrew {
- public:
-  using Body = std::function<void(unsigned shard)>;
-
-  /// `shards >= 1`; spawns `shards - 1` worker threads.
-  explicit ShardCrew(unsigned shards);
-  ~ShardCrew();
-
-  ShardCrew(const ShardCrew&) = delete;
-  ShardCrew& operator=(const ShardCrew&) = delete;
-
-  /// Execute `body(s)` once for every shard s in [0, shards()); shard 0
-  /// runs on the calling thread. Blocks until all shards finished, then
-  /// rethrows the lowest-shard exception if any shard threw.
-  void run(const Body& body);
-
-  unsigned shards() const noexcept { return shards_; }
-
-  /// The contiguous index range shard `shard` owns when `total` items
-  /// are split across `shards` lanes: sizes differ by at most one and
-  /// lower shards take the remainder, so the split is deterministic.
-  /// Returns {begin, end}.
-  static std::pair<std::size_t, std::size_t> slice(std::size_t total,
-                                                   unsigned shard,
-                                                   unsigned shards) {
-    const std::size_t base = total / shards;
-    const std::size_t rem = total % shards;
-    const std::size_t lo =
-        shard * base + std::min<std::size_t>(shard, rem);
-    return {lo, lo + base + (shard < rem ? 1 : 0)};
-  }
-
- private:
-  void worker_loop(unsigned shard);
-  void run_shard(unsigned shard);
-
-  mutable std::mutex mu_;
-  std::condition_variable start_;  // workers wait for a new generation
-  std::condition_variable done_;   // caller waits for remaining_ == 0
-  const Body* body_ = nullptr;     // valid while a generation is live
-  std::uint64_t generation_ = 0;   // bumped once per run()
-  unsigned remaining_ = 0;         // shards still inside the body
-  bool stopping_ = false;
-  std::vector<std::exception_ptr> errors_;  // slot per shard
-  unsigned shards_ = 1;
-  std::vector<std::thread> workers_;
-};
 
 }  // namespace wormsim::util

@@ -17,9 +17,7 @@
 #include "config/presets.hpp"
 #include "harness/sweep.hpp"
 #include "harness/telemetry.hpp"
-#include "metrics/spatial.hpp"
 #include "util/json.hpp"
-#include "util/rng.hpp"
 
 namespace wormsim::harness {
 namespace {
@@ -95,84 +93,6 @@ TEST(OnlineSweep, TelemetryAndTimeseriesDeterministicAcrossJobCounts) {
     EXPECT_EQ(strip_volatile(serial[i]), strip_volatile(parallel[i]))
         << "record " << i;
   }
-}
-
-/// `wormsim.timeseries/1` byte-identity across the shards x jobs
-/// matrix: the sharded core samples OnlineStats through per-lane
-/// integer partial sums and batched ejection counts, and spatial
-/// metrics through an element-local parallel sweep — all folded in
-/// associative operations — so the serialized stream must not differ
-/// by a single byte from the sequential sampler's. The shard axis runs
-/// through run_experiment directly (the sweep harness clamps shard
-/// requests on small hosts); the jobs axis runs through run_sweep, and
-/// the two are cross-checked against each other.
-TEST(OnlineSweep, TimeseriesByteIdenticalAcrossShardsAndJobs) {
-  config::SimConfig base = online_base();
-  base.k = 16;  // 256 nodes: genuine 2- and 4-way shard partitions
-  SweepSpec spec;
-  spec.base = base;
-  spec.limiters = {core::LimiterKind::None, core::LimiterKind::ALO};
-  spec.offered_loads = {0.1, 1.2};
-  spec.online = true;
-  spec.online_config.window_cycles = 128;
-
-  const topo::KAryNCube topo(base.k, base.n);
-  std::string timeseries[2], node_csv[2], channel_csv[2];
-  const unsigned shard_counts[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    std::vector<SweepPoint> points;
-    metrics::SpatialMetrics spatial(
-        topo.num_nodes(), topo.num_nodes() * topo.num_channels(),
-        base.sim.net.num_vcs);
-    std::uint64_t stream = 0;
-    std::uint64_t cycles = 0;
-    for (const auto limiter : spec.limiters) {
-      for (const double offered : spec.offered_loads) {
-        config::SimConfig cfg = base;
-        cfg.sim.limiter.kind = limiter;
-        cfg.workload.offered_flits_per_node_cycle = offered;
-        cfg.seed = util::derive_stream_seed(base.seed, stream++);
-        cfg.sim.shards = shard_counts[i];
-        auto online = std::make_shared<metrics::OnlineStats>(
-            topo.num_nodes(), spec.online_config);
-        config::RunHooks hooks;
-        hooks.online = online.get();
-        hooks.spatial = &spatial;
-        const metrics::SimResult r = config::run_experiment(cfg, hooks);
-        cycles += r.total_cycles;
-        points.push_back(SweepPoint{limiter, offered, r, online});
-      }
-    }
-    std::ostringstream ts, nodes, channels;
-    write_sweep_timeseries(ts, spec, points);
-    spatial.write_node_csv(nodes, topo, cycles);
-    spatial.write_channel_csv(channels, topo, cycles);
-    timeseries[i] = ts.str();
-    node_csv[i] = nodes.str();
-    channel_csv[i] = channels.str();
-  }
-  EXPECT_EQ(timeseries[0], timeseries[1]);
-  EXPECT_EQ(node_csv[0], node_csv[1]);
-  EXPECT_EQ(channel_csv[0], channel_csv[1]);
-
-  // Jobs axis via the harness, with a sharded base request (the
-  // oversubscription clamp may shrink it — bit-exactness at any shard
-  // count means the stream still cannot change).
-  std::string by_jobs[2];
-  const unsigned job_counts[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    SweepSpec s = spec;
-    s.base.sim.shards = 2;
-    s.jobs = job_counts[i];
-    const auto points = run_sweep(s);
-    std::ostringstream ts;
-    write_sweep_timeseries(ts, s, points);
-    by_jobs[i] = ts.str();
-  }
-  EXPECT_EQ(by_jobs[0], by_jobs[1]);
-  // The two halves of the matrix agree with each other too: same grid,
-  // same seeds, so the streams must be the same bytes.
-  EXPECT_EQ(by_jobs[0], timeseries[0]);
 }
 
 TEST(OnlineSweep, PointRecordsCarryHistogramAndVerdict) {

@@ -153,42 +153,38 @@ TEST(LogHistogram, ForEachBucketVisitsInOrder) {
   EXPECT_EQ(total, 7u);
 }
 
-/// The sharded simulation core folds per-lane partial contributions
-/// into one OnlineStats in ascending shard order: ejected-flit counts
-/// arrive as one batch per lane instead of one call per flit, and the
-/// window-close free-VC scan sums per-lane integer subtotals. Both are
-/// plain integer addition, so any lane order and any batching must
-/// reproduce the sequential per-event feed bit for bit — the property
-/// the `wormsim.timeseries/1` byte-identity across shard counts rests
-/// on.
+/// Partial contributions fold into one OnlineStats exactly: ejected-flit
+/// counts fed as one batch per partition instead of one call per flit,
+/// and a window-close free-VC total summed from per-partition integer
+/// subtotals. Both are plain integer addition, so any partition order
+/// and any batching must reproduce the per-event feed bit for bit.
 TEST(OnlineStats, PerShardFoldIsOrderIndependentAndMatchesSequential) {
   OnlineConfig cfg;
   cfg.window_cycles = 64;
-  constexpr unsigned kShards = 4;
+  constexpr unsigned kParts = 4;
   OnlineStats sequential(64, cfg);
   OnlineStats ascending(64, cfg);
   OnlineStats descending(64, cfg);
   util::Rng rng(0xF01DF01D);
 
   for (Cycle t = 0; t < 5 * cfg.window_cycles; ++t) {
-    // Per-lane ejected-flit batches for this cycle.
-    std::uint64_t lane_ejected[kShards];
-    for (auto& n : lane_ejected) n = rng.below(6);
+    // Per-partition ejected-flit batches for this cycle.
+    std::uint64_t part_ejected[kParts];
+    for (auto& n : part_ejected) n = rng.below(6);
     // Sequential sees one hook call per flit, in node order; the
-    // sharded folds see one batch per lane, in opposite lane orders.
-    for (unsigned s = 0; s < kShards; ++s) {
-      for (std::uint64_t f = 0; f < lane_ejected[s]; ++f) {
+    // batched folds see one count per partition, in opposite orders.
+    for (unsigned s = 0; s < kParts; ++s) {
+      for (std::uint64_t f = 0; f < part_ejected[s]; ++f) {
         sequential.on_flits_ejected(1);
       }
     }
-    for (unsigned s = 0; s < kShards; ++s) {
-      if (lane_ejected[s]) ascending.on_flits_ejected(lane_ejected[s]);
+    for (unsigned s = 0; s < kParts; ++s) {
+      if (part_ejected[s]) ascending.on_flits_ejected(part_ejected[s]);
     }
-    for (unsigned s = kShards; s-- > 0;) {
-      if (lane_ejected[s]) descending.on_flits_ejected(lane_ejected[s]);
+    for (unsigned s = kParts; s-- > 0;) {
+      if (part_ejected[s]) descending.on_flits_ejected(part_ejected[s]);
     }
-    // Deliveries and generation are replayed in deterministic order by
-    // the commit phase, so all three see the identical stream.
+    // Deliveries and generation reach all three in the same order.
     const std::uint64_t gen = rng.below(4);
     const bool delivered = rng.below(3) == 0;
     const Cycle latency = 20 + rng.below(200);
@@ -197,12 +193,12 @@ TEST(OnlineStats, PerShardFoldIsOrderIndependentAndMatchesSequential) {
       if (delivered) o->on_delivered(latency, true);
     }
     if (sequential.window_closes(t)) {
-      // Free-VC subtotals per lane, summed in opposite orders.
-      std::uint64_t lane_free[kShards];
-      for (auto& n : lane_free) n = rng.below(100);
+      // Free-VC subtotals per partition, summed in opposite orders.
+      std::uint64_t part_free[kParts];
+      for (auto& n : part_free) n = rng.below(100);
       WindowSample up{}, down{};
-      for (unsigned s = 0; s < kShards; ++s) up.free_vcs += lane_free[s];
-      for (unsigned s = kShards; s-- > 0;) down.free_vcs += lane_free[s];
+      for (unsigned s = 0; s < kParts; ++s) up.free_vcs += part_free[s];
+      for (unsigned s = kParts; s-- > 0;) down.free_vcs += part_free[s];
       up.total_vcs = down.total_vcs = 512;
       up.in_flight_flits = down.in_flight_flits = rng.below(1000);
       sequential.close_window(t, up);

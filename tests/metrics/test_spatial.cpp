@@ -66,100 +66,6 @@ TEST(SpatialMetrics, ResetClearsEverything) {
   EXPECT_DOUBLE_EQ(sm.mean_busy_vcs(3), 0.0);
 }
 
-/// Property behind the sharded sampler: feeding events through N
-/// partial observers and merging them — in ANY merge order — must be
-/// indistinguishable from one sequential observer seeing every event.
-/// Counters and sums are associative/commutative; queue_max is a max.
-TEST(SpatialMetrics, MergeIsOrderIndependentAndEqualsSequential) {
-  constexpr std::uint32_t kNodes = 8, kLinks = 16;
-  constexpr unsigned kVcs = 3, kShards = 4;
-  // Deterministic event stream from a hand-rolled LCG (no global RNG).
-  std::uint64_t state = 0x5EED5EED12345ull;
-  const auto next = [&state] {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    return state >> 33;
-  };
-  SpatialMetrics sequential(kNodes, kLinks, kVcs);
-  std::vector<SpatialMetrics> parts;
-  for (unsigned s = 0; s < kShards; ++s) parts.emplace_back(kNodes, kLinks, kVcs);
-
-  for (int ev = 0; ev < 4000; ++ev) {
-    // Route each event to the shard owning its node/link, mirroring the
-    // simulator's disjoint ownership (though merge does not require it).
-    const std::uint32_t node = static_cast<std::uint32_t>(next() % kNodes);
-    const std::uint32_t link = static_cast<std::uint32_t>(next() % kLinks);
-    SpatialMetrics& node_part = parts[node % kShards];
-    SpatialMetrics& link_part = parts[link % kShards];
-    switch (next() % 4) {
-      case 0:
-        sequential.on_injected(node);
-        node_part.on_injected(node);
-        break;
-      case 1:
-        sequential.on_ejected_flit(node);
-        node_part.on_ejected_flit(node);
-        break;
-      case 2: {
-        const std::uint64_t depth = next() % 20;
-        sequential.on_queue_sample(node, depth);
-        node_part.on_queue_sample(node, depth);
-        break;
-      }
-      default: {
-        const unsigned busy = static_cast<unsigned>(next() % (kVcs + 1));
-        sequential.on_link_occupancy_sample(link, busy);
-        link_part.on_link_occupancy_sample(link, busy);
-        break;
-      }
-    }
-  }
-  for (std::uint32_t l = 0; l < kLinks; ++l) {
-    // Final link-flit copies live on exactly one shard; merge sums them.
-    const std::uint64_t flits = next() % 100000;
-    sequential.set_link_flits(l, flits);
-    parts[l % kShards].set_link_flits(l, flits);
-  }
-
-  const auto expect_equal = [&](const SpatialMetrics& got,
-                                const char* order) {
-    for (std::uint32_t n = 0; n < kNodes; ++n) {
-      ASSERT_EQ(got.node_injected(n), sequential.node_injected(n))
-          << order << " node " << n;
-      ASSERT_EQ(got.node_ejected_flits(n), sequential.node_ejected_flits(n))
-          << order << " node " << n;
-      ASSERT_DOUBLE_EQ(got.node_queue_avg(n), sequential.node_queue_avg(n))
-          << order << " node " << n;
-      ASSERT_EQ(got.node_queue_max(n), sequential.node_queue_max(n))
-          << order << " node " << n;
-    }
-    for (std::uint32_t l = 0; l < kLinks; ++l) {
-      ASSERT_EQ(got.link_flits(l), sequential.link_flits(l))
-          << order << " link " << l;
-      for (unsigned v = 0; v <= kVcs; ++v) {
-        ASSERT_EQ(got.occupancy_samples(l, v),
-                  sequential.occupancy_samples(l, v))
-            << order << " link " << l << " busy " << v;
-      }
-    }
-  };
-
-  // Ascending shard order (what the simulator's fold uses)...
-  SpatialMetrics asc(kNodes, kLinks, kVcs);
-  for (unsigned s = 0; s < kShards; ++s) asc.merge(parts[s]);
-  expect_equal(asc, "ascending");
-  // ...descending, and a tree-shaped ((0+2)+(3+1)) fold.
-  SpatialMetrics desc(kNodes, kLinks, kVcs);
-  for (unsigned s = kShards; s-- > 0;) desc.merge(parts[s]);
-  expect_equal(desc, "descending");
-  SpatialMetrics tree_a(kNodes, kLinks, kVcs), tree_b(kNodes, kLinks, kVcs);
-  tree_a.merge(parts[0]);
-  tree_a.merge(parts[2]);
-  tree_b.merge(parts[3]);
-  tree_b.merge(parts[1]);
-  tree_a.merge(tree_b);
-  expect_equal(tree_a, "tree");
-}
-
 TEST(SpatialMetrics, ChannelCsvShapeAndUtilization) {
   const topo::KAryNCube topo(4, 2);  // 16 nodes, 4 channels each
   SpatialMetrics sm(topo.num_nodes(),

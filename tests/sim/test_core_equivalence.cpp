@@ -566,110 +566,6 @@ INSTANTIATE_TEST_SUITE_P(Limiters, LockStep,
                                core::limiter_name(info.param));
                          });
 
-/// The sharded core's headline contract: the golden sweep CSV is
-/// byte-identical for every --shards x --jobs combination. At this
-/// 64-node scale the effective shard count clamps to the single bitmap
-/// word (the sharded machinery engages but degenerates to one lane);
-/// RealPartitionKeepsSweepCsvByteIdentical below covers true
-/// multi-lane execution.
-TEST(ShardEquivalence, GoldenSweepCsvByteIdenticalAcrossShardsAndJobs) {
-  harness::SweepSpec spec = golden_sweep_spec();
-  spec.base.sim.core = SimCore::Active;
-  for (const unsigned shards : {1u, 2u, 4u}) {
-    for (const unsigned jobs : {1u, 4u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " jobs=" + std::to_string(jobs));
-      spec.base.sim.shards = shards;
-      spec.jobs = jobs;
-      EXPECT_EQ(kWormholeGoldenCsv, sweep_csv(spec));
-    }
-  }
-}
-
-/// True multi-lane equivalence: a 16-ary 2-cube (256 nodes = 4 bitmap
-/// words) genuinely splits across 2 and 4 shards. The sweep CSV must
-/// match the sequential active core byte-for-byte, at a drained low
-/// load and an oversaturated point with deadlock recovery hot.
-TEST(ShardEquivalence, RealPartitionKeepsSweepCsvByteIdentical) {
-  harness::SweepSpec spec;
-  spec.base = equivalence_base();
-  spec.base.k = 16;  // 256 nodes
-  spec.base.sim.core = SimCore::Active;
-  spec.limiters = {core::LimiterKind::None, core::LimiterKind::ALO};
-  spec.offered_loads = {0.1, 1.0};
-  spec.jobs = 1;
-
-  spec.base.sim.shards = 1;
-  const std::string reference = sweep_csv(spec);
-  for (const unsigned shards : {2u, 4u}) {
-    for (const unsigned jobs : {1u, 4u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " jobs=" + std::to_string(jobs));
-      spec.base.sim.shards = shards;
-      spec.jobs = jobs;
-      EXPECT_EQ(reference, sweep_csv(spec));
-    }
-  }
-}
-
-/// Telemetry across shard counts: every record must be byte-identical
-/// once the volatile "perf" tail (which deliberately echoes the shard
-/// count and the memory estimate) is stripped — the same contract the
-/// --jobs determinism test enforces.
-TEST(ShardEquivalence, TelemetryByteIdenticalOutsidePerf) {
-  const auto serialize = [](unsigned shards) {
-    harness::SweepSpec spec;
-    spec.base = equivalence_base();
-    spec.base.k = 16;  // 256 nodes: real partitioning
-    spec.base.sim.core = SimCore::Active;
-    spec.base.sim.shards = shards;
-    spec.limiters = {core::LimiterKind::ALO};
-    spec.offered_loads = {0.1, 1.0};
-    spec.jobs = 1;
-    std::ostringstream out;
-    harness::write_sweep_telemetry(out, spec, harness::run_sweep(spec),
-                                   nullptr);
-    return out.str();
-  };
-  const auto lines_of = [](const std::string& s) {
-    std::vector<std::string> lines;
-    std::istringstream in(s);
-    for (std::string line; std::getline(in, line);) lines.push_back(line);
-    return lines;
-  };
-  const auto strip_perf = [](std::string line) {
-    const std::size_t pos = line.find(",\"perf\":");
-    if (pos != std::string::npos) line.resize(pos);
-    return line;
-  };
-  const auto seq = lines_of(serialize(1));
-  const auto sharded = lines_of(serialize(4));
-  ASSERT_EQ(seq.size(), sharded.size());
-  bool saw_shards_field = false;
-  bool saw_conflict_field = false;
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(strip_perf(seq[i]), strip_perf(sharded[i])) << "record " << i;
-    saw_shards_field |=
-        sharded[i].find("\"shards\":{\"count\":4") != std::string::npos;
-    saw_conflict_field |=
-        sharded[i].find("\"commit_conflicts\":") != std::string::npos;
-  }
-  // And the perf section does report the execution strategy, including
-  // the evaluate/commit speculation counters.
-  EXPECT_TRUE(saw_shards_field);
-  EXPECT_TRUE(saw_conflict_field);
-}
-
-/// The dense reference core stays single-threaded by design; asking it
-/// to shard must be rejected up front, not silently ignored.
-TEST(ShardEquivalence, DenseCoreRejectsSharding) {
-  config::SimConfig cfg = equivalence_base();
-  cfg.sim.core = SimCore::Dense;
-  cfg.sim.shards = 2;
-  EXPECT_THROW(config::validate(cfg), std::invalid_argument);
-  EXPECT_THROW((void)config::build_simulator(cfg), std::invalid_argument);
-}
-
 /// The fault subsystem at rest must be invisible: a sweep whose base
 /// config carries an empty schedule (no FaultManager at all) and one
 /// whose schedule only fires beyond the run horizon (manager wired in,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+
 namespace wormsim::sim {
 namespace {
 
@@ -196,6 +199,46 @@ TEST(InFlightQueueTest, DropMessageKeepsOthersInOrder) {
 TEST(InFlightQueueTest, DropOnEmptyIsZero) {
   InFlightQueue q;
   EXPECT_EQ(q.drop_message(1), 0u);
+}
+
+/// Entries keep only the low 16 bits of their arrival cycle. Drive one
+/// link pipeline the way the simulator does (arrivals drain due flits,
+/// then at most one flit enters with arrival = now + delay) across the
+/// 65,535 -> 65,536 wrap and a later one, and check every pop and every
+/// due() verdict against a 64-bit reference queue.
+TEST(InFlightQueueTest, ArrivalWrapMatches64BitReference) {
+  struct Ref {
+    Cycle arrival;
+    MsgId msg;
+  };
+  for (const unsigned delay : {1u, 2u, 4u, 7u}) {
+    for (const Cycle start : {Cycle{65536 - 40}, Cycle{3 * 65536 - 40}}) {
+      SCOPED_TRACE("delay=" + std::to_string(delay) +
+                   " start=" + std::to_string(start));
+      InFlightQueue q;
+      std::deque<Ref> ref;
+      MsgId next_msg = 0;
+      for (Cycle now = start; now < start + 80; ++now) {
+        while (!ref.empty() && ref.front().arrival <= now) {
+          ASSERT_TRUE(q.due(now)) << "now=" << now;
+          EXPECT_EQ(q.front().msg, ref.front().msg) << "now=" << now;
+          EXPECT_EQ(q.front().arrival,
+                    static_cast<std::uint16_t>(ref.front().arrival));
+          q.pop();
+          ref.pop_front();
+        }
+        ASSERT_FALSE(q.due(now)) << "now=" << now;
+        ASSERT_EQ(q.size(), ref.size());
+        // Leave a gap every fifth cycle so the ring also sees partial
+        // occupancy straddling the wrap.
+        if (now % 5 != 0) {
+          q.push(now + delay, static_cast<std::uint8_t>(now % 3), next_msg);
+          ref.push_back({now + delay, next_msg});
+          ++next_msg;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -290,80 +290,6 @@ TEST(RouteMemo, KillRestoreThroughRepeatedDeadlockEpisodes) {
   EXPECT_EQ(memo_off->scan_stats().route_memo_hits, 0u);
 }
 
-/// The memo under the shard-parallel evaluate/commit core: past
-/// saturation on a network wide enough for genuine 2- and 4-way word
-/// partitions, most route decisions are memo tenancy hits evaluated
-/// speculatively against pre-cycle state, and earlier commits routinely
-/// dirty them (a teardown or allocation at the same node mid-cycle).
-/// The commit phase must detect each conflict, discard the memoized
-/// decision, and re-run the entry inline — with results bit-identical
-/// to the sequential core at every cycle, which is exactly what a stale
-/// speculative memo hit surviving to commit would break.
-TEST(RouteMemo, ShardedCommitConflictsReplayMemoizedRoutesExactly) {
-  const topo::KAryNCube topo(16, 2);  // 256 nodes = 4 ownership words
-  const auto make = [&](unsigned shards) {
-    SimulatorConfig cfg = default_config();
-    cfg.core = SimCore::Active;
-    cfg.fastpath.route_memo = true;
-    cfg.limiter.kind = core::LimiterKind::None;
-    cfg.net.num_vcs = 1;  // deadlocks repeatedly past saturation
-    cfg.shards = shards;
-    traffic::WorkloadConfig wcfg;
-    wcfg.offered_flits_per_node_cycle = 1.2;
-    wcfg.length.fixed = 16;
-    auto workload = std::make_unique<traffic::Workload>(topo, wcfg, 99);
-    return std::make_unique<Simulator>(topo, cfg, std::move(workload));
-  };
-  auto seq = make(1);
-  auto two = make(2);
-  auto four = make(4);
-
-  for (int block = 0; block < 60; ++block) {
-    for (int i = 0; i < 10; ++i) {
-      seq->step();
-      two->step();
-      four->step();
-    }
-    const Cycle at = seq->cycle();
-    for (const Simulator* other : {two.get(), four.get()}) {
-      const Network& a = seq->network();
-      const Network& b = other->network();
-      for (LinkId l = 0; l < a.num_links(); ++l) {
-        ASSERT_EQ(a.link(l).active_vc_mask, b.link(l).active_vc_mask)
-            << "link " << l << " cycle " << at;
-        for (unsigned v = 0; v < a.vcs_on(l); ++v) {
-          const VcRef ref{l, static_cast<std::uint8_t>(v)};
-          ASSERT_EQ(a.vc(ref).msg, b.vc(ref).msg)
-              << "vc " << l << "/" << v << " cycle " << at;
-          ASSERT_EQ(a.vc(ref).occupancy, b.vc(ref).occupancy)
-              << "vc " << l << "/" << v << " cycle " << at;
-          ASSERT_EQ(a.vc(ref).last_activity, b.vc(ref).last_activity)
-              << "vc " << l << "/" << v << " cycle " << at;
-        }
-      }
-      ASSERT_EQ(seq->total_delivered(), other->total_delivered())
-          << "cycle " << at;
-      ASSERT_EQ(seq->total_deadlock_detections(),
-                other->total_deadlock_detections())
-          << "cycle " << at;
-    }
-  }
-  // The run exercised exactly the interaction under test: deadlocks
-  // fired, route queries were answered from the memo, and the commit
-  // phase hit real conflicts that forced inline re-evaluation. The
-  // sequential core never speculates, so its conflict count pins the
-  // counter's zero baseline.
-  EXPECT_GT(seq->total_deadlock_detections(), 0u);
-  EXPECT_GT(seq->scan_stats().route_memo_hits, 0u);
-  EXPECT_EQ(seq->scan_stats().commit_decisions, 0u);
-  EXPECT_EQ(seq->scan_stats().commit_conflicts, 0u);
-  for (const Simulator* sharded : {two.get(), four.get()}) {
-    EXPECT_GT(sharded->scan_stats().route_memo_hits, 0u);
-    EXPECT_GT(sharded->scan_stats().commit_decisions, 0u);
-    EXPECT_GT(sharded->scan_stats().commit_conflicts, 0u);
-  }
-}
-
 /// Memo accounting: hits only ever come from headers that blocked at
 /// least once, so a message crossing an otherwise empty network
 /// reports none even with the memo enabled.

@@ -2,6 +2,9 @@
 // documented model (3 cycles per hop + ejection binding + length).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "sim_test_util.hpp"
 
 namespace wormsim::sim {
@@ -34,6 +37,29 @@ TEST(SingleMessage, ExactLatencyOneHop) {
   const auto r = sim->collector().finish(16);
   EXPECT_DOUBLE_EQ(r.latency_mean,
                    static_cast<double>(ideal_latency(*sim, 0, dst, 16)));
+}
+
+/// In-flight entries store their arrival cycle modulo 2^16: a message
+/// injected a few cycles before 65,536 crosses that wrap on every hop
+/// and must still see the closed-form latency, at every link delay.
+TEST(SingleMessage, ExactLatencyAcrossSixteenBitCycleWrap) {
+  for (const unsigned delay : {1u, 2u, 4u, 7u}) {
+    SCOPED_TRACE("link_delay=" + std::to_string(delay));
+    auto cfg = default_config();
+    cfg.net.link_delay = delay;
+    cfg.net.buf_flits = std::max(4u, delay + 1);  // no credit stalls
+    auto sim = make_sim(4, 2, cfg);
+    sim->step_cycles(65530);
+    const topo::NodeId src = 0;
+    const topo::NodeId dst = 10;  // (2, 2): four hops away
+    ASSERT_EQ(sim->topology().distance(src, dst), 4u);
+    ASSERT_TRUE(sim->push_message(src, dst, 16));
+    ASSERT_TRUE(run_until_delivered(*sim, 1, 1000));
+    ASSERT_GT(sim->cycle(), 65536u);
+    const auto r = sim->collector().finish(16);
+    EXPECT_DOUBLE_EQ(r.latency_mean,
+                     static_cast<double>(ideal_latency(*sim, src, dst, 16)));
+  }
 }
 
 struct LatencyCase {

@@ -97,6 +97,44 @@ TEST(ActiveSet, InsertIntoLaterWordIsVisitedSamePass) {
   EXPECT_EQ(visited, (std::vector<std::size_t>{3, 200}));
 }
 
+TEST(ActiveSet, ForEachWithNextNamesTheFollowingMember) {
+  ActiveSet s(400);
+  const std::vector<std::size_t> members = {0, 5, 63, 64, 200, 399};
+  for (const std::size_t i : members) s.insert(i);
+  std::vector<std::size_t> seen, nexts;
+  s.for_each_with_next([&](std::size_t i, std::size_t next) {
+    seen.push_back(i);
+    nexts.push_back(next);
+  });
+  EXPECT_EQ(seen, members);
+  // The successor, across empty words too; capacity() after the last.
+  EXPECT_EQ(nexts, (std::vector<std::size_t>{5, 63, 64, 200, 399, 400}));
+}
+
+TEST(ActiveSet, ForEachWithNextVisitsLikeForEachUnderMutation) {
+  // Same callback mutations (erase self, erase a later member, insert a
+  // later one) must produce the same visit sequence in both walks.
+  const auto walk = [](bool with_next) {
+    ActiveSet s(300);
+    for (const std::size_t i : {3u, 10u, 70u, 130u, 250u}) s.insert(i);
+    std::vector<std::size_t> seen;
+    const auto body = [&](std::size_t i) {
+      seen.push_back(i);
+      s.erase(i);
+      if (i == 10) s.erase(130);
+      if (i == 70) s.insert(260);
+    };
+    if (with_next) {
+      s.for_each_with_next([&](std::size_t i, std::size_t) { body(i); });
+    } else {
+      s.for_each(body);
+    }
+    return seen;
+  };
+  EXPECT_EQ(walk(true), walk(false));
+  EXPECT_EQ(walk(true), (std::vector<std::size_t>{3, 10, 70, 250, 260}));
+}
+
 TEST(ActiveSet, ClearAndReset) {
   ActiveSet s(64);
   s.insert(1);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace wormsim::util {
 namespace {
 
@@ -78,6 +80,38 @@ TEST(Cli, UnusedDetectsTypos) {
   const auto unused = args.unused();
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0], "kk");
+}
+
+TEST(Cli, RejectUnknownNamesEveryUnreadFlag) {
+  auto typo = parse({"prog", "--job", "4", "--loads=2"});
+  (void)typo.get_uint("loads", 7);
+  try {
+    typo.reject_unknown();
+    FAIL() << "a typo'd flag was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown flag --job: not a flag this program reads");
+  }
+
+  auto two = parse({"prog", "--shards", "4", "--jbos=1"});
+  try {
+    two.reject_unknown();
+    FAIL() << "unknown flags were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown flags --jbos, --shards: not flags this program reads");
+  }
+}
+
+TEST(Cli, RejectUnknownAcceptsEveryReadFlag) {
+  // has() counts as a read too (the bare --profile / --paper forms).
+  auto args = parse({"prog", "--k=8", "--paper", "--offered", "0.5"});
+  (void)args.get_uint("k", 0);
+  (void)args.has("paper");
+  (void)args.get_double("offered", 0.0);
+  EXPECT_NO_THROW(args.reject_unknown());
+  auto none = parse({"prog", "positional"});
+  EXPECT_NO_THROW(none.reject_unknown());
 }
 
 }  // namespace

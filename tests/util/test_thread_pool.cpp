@@ -133,28 +133,6 @@ TEST(ThreadPool, DefaultJobsHonoursEnvOverride) {
   }
 }
 
-TEST(ThreadPool, ClampShardsForJobsGuardsOversubscription) {
-  // Fits: jobs x shards <= hardware passes the request through.
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(4, 2, 8), 4u);
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(8, 1, 8), 8u);
-  // Oversubscribed: clamp to hardware / jobs, never grow.
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(8, 2, 8), 4u);
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(4, 4, 8), 2u);
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(3, 3, 8), 2u);
-  // shards == 0 means "one per hardware thread"; any parallel sweep on
-  // top of that must shrink the crews to fit.
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(0, 1, 8), 8u);
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(0, 4, 8), 2u);
-  // Floor of 1 even when jobs alone exceed the machine, and degenerate
-  // hardware/jobs inputs are treated as 1.
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(4, 16, 8), 1u);
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(4, 16, 1), 1u);
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(4, 0, 4), 4u);
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(0, 0, 0), 1u);
-  // The sequential request (shards == 1) is always left alone.
-  EXPECT_EQ(ThreadPool::clamp_shards_for_jobs(1, 64, 2), 1u);
-}
-
 TEST(ThreadPool, Jobs1DegeneratesToSerialOnCallingThread) {
   ScopedJobsEnv env("1");
   ASSERT_EQ(ThreadPool::default_jobs(), 1u);
@@ -195,119 +173,6 @@ TEST(ParallelFor, ZeroAndSingleElementRunInline) {
   std::thread::id id;
   parallel_for(1, 4, [&](std::size_t) { id = std::this_thread::get_id(); });
   EXPECT_EQ(id, std::this_thread::get_id());
-}
-
-TEST(ShardCrew, SliceIsAPartitionWithBalancedSizes) {
-  for (std::size_t total : {0u, 1u, 7u, 64u, 513u}) {
-    for (unsigned shards : {1u, 2u, 3u, 8u}) {
-      std::size_t expect_lo = 0;
-      for (unsigned s = 0; s < shards; ++s) {
-        const auto [lo, hi] = ShardCrew::slice(total, s, shards);
-        EXPECT_EQ(lo, expect_lo);  // contiguous, no gap, no overlap
-        EXPECT_GE(hi, lo);
-        EXPECT_LE(hi - lo, total / shards + 1);  // sizes differ by <= 1
-        expect_lo = hi;
-      }
-      EXPECT_EQ(expect_lo, total);  // covers everything
-    }
-  }
-}
-
-TEST(ShardCrew, EveryShardRunsOnceAndShard0OnCaller) {
-  ShardCrew crew(4);
-  ASSERT_EQ(crew.shards(), 4u);
-  std::vector<std::atomic<int>> runs(4);
-  std::thread::id shard0_id;
-  crew.run([&](unsigned s) {
-    runs[s].fetch_add(1, std::memory_order_relaxed);
-    if (s == 0) shard0_id = std::this_thread::get_id();
-  });
-  for (auto& r : runs) EXPECT_EQ(r.load(), 1);
-  EXPECT_EQ(shard0_id, std::this_thread::get_id());
-}
-
-TEST(ShardCrew, DeterministicSliceWritesUnderContention) {
-  // Hammer the per-cycle pattern: each shard repeatedly fills its slice
-  // of a shared vector while siblings do the same next door. Any
-  // off-by-one in the split, or a join barrier that lets the caller
-  // read early, shows up as a wrong or torn value.
-  constexpr std::size_t kTotal = 1013;  // prime: uneven slices
-  ShardCrew crew(4);
-  std::vector<std::uint64_t> data(kTotal);
-  for (int round = 0; round < 200; ++round) {
-    crew.run([&](unsigned s) {
-      const auto [lo, hi] = ShardCrew::slice(kTotal, s, 4);
-      for (std::size_t i = lo; i < hi; ++i) {
-        data[i] = static_cast<std::uint64_t>(round) * kTotal + i;
-      }
-    });
-    // The join barrier published every shard's writes.
-    for (std::size_t i = 0; i < kTotal; ++i) {
-      ASSERT_EQ(data[i], static_cast<std::uint64_t>(round) * kTotal + i)
-          << "round " << round << " index " << i;
-    }
-  }
-}
-
-TEST(ShardCrew, RethrowsLowestShardExceptionAndStaysUsable) {
-  ShardCrew crew(4);
-  std::atomic<int> ran{0};
-  try {
-    crew.run([&](unsigned s) {
-      ++ran;
-      if (s == 1) throw std::runtime_error("shard 1");
-      if (s == 3) throw std::runtime_error("shard 3");
-    });
-    FAIL() << "run() should have rethrown";
-  } catch (const std::runtime_error& e) {
-    // Deterministic choice: the LOWEST failing shard wins, regardless
-    // of which thread threw first in wall-clock order.
-    EXPECT_STREQ(e.what(), "shard 1");
-  }
-  EXPECT_EQ(ran.load(), 4);  // an exception cancels no sibling shard
-  // Error slots were cleared: the crew remains usable afterwards.
-  crew.run([&](unsigned) { ++ran; });
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ShardCrew, NestedRunIsRejected) {
-  ShardCrew outer(2);
-  ShardCrew inner(2);
-  // Self-nesting and cross-crew nesting both deadlock if allowed; the
-  // crew must refuse with logic_error from inside any shard body.
-  EXPECT_THROW(
-      outer.run([&](unsigned) { outer.run([](unsigned) {}); }),
-      std::logic_error);
-  EXPECT_THROW(
-      outer.run([&](unsigned) { inner.run([](unsigned) {}); }),
-      std::logic_error);
-  // And single-shard crews enforce the same rule on their inline path.
-  ShardCrew solo(1);
-  EXPECT_THROW(solo.run([&](unsigned) { solo.run([](unsigned) {}); }),
-               std::logic_error);
-  // All three crews are intact after the rejection.
-  int ok = 0;
-  outer.run([&](unsigned s) {
-    if (s == 0) ++ok;
-  });
-  solo.run([&](unsigned) { ++ok; });
-  EXPECT_EQ(ok, 2);
-}
-
-TEST(ShardCrew, SingleShardRunsInlineWithNaturalExceptions) {
-  ShardCrew crew(1);
-  std::thread::id id;
-  crew.run([&](unsigned s) {
-    EXPECT_EQ(s, 0u);
-    id = std::this_thread::get_id();
-  });
-  EXPECT_EQ(id, std::this_thread::get_id());
-  EXPECT_THROW(crew.run([](unsigned) { throw std::runtime_error("x"); }),
-               std::runtime_error);
-  // Usable after the inline throw, and the tls nesting flag was reset.
-  int calls = 0;
-  crew.run([&](unsigned) { ++calls; });
-  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace

@@ -207,11 +207,12 @@ def self_test():
     del missing_field["points"][0]["recovery_cycles"]
     rc |= _expect(missing_field, 1, "criteria field missing from point")
 
-    # Conditional gates (e.g. shard_scaling's multishard_speedup_min,
-    # emitted only on multi-core hosts): when both the criteria key and
-    # the per-point field are absent, the gate is simply off and the
-    # file passes; re-adding just the key re-arms it, so a producer that
-    # emits the criterion without the measurements fails loudly.
+    # Conditional gates (a producer may emit a criterion only where it
+    # can be measured, e.g. only on multi-core hosts): when both the
+    # criteria key and the per-point field are absent, the gate is
+    # simply off and the file passes; re-adding just the key re-arms
+    # it, so a producer that emits the criterion without the
+    # measurements fails loudly.
     conditional = variant()
     for p in conditional["points"]:
         del p["ratio"]
