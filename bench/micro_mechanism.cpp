@@ -150,6 +150,27 @@ BENCHMARK(BM_RoutingFunction)
     ->Arg(static_cast<int>(routing::Algorithm::DOR))
     ->Arg(static_cast<int>(routing::Algorithm::Duato));
 
+/// The active core's route query: the closed-form 4-byte code, expanded
+/// into the same RouteResult BM_RoutingFunction produces.
+void BM_RouteCode(benchmark::State& state) {
+  const topo::KAryNCube topo(8, 3);
+  const auto algo = static_cast<routing::Algorithm>(state.range(0));
+  const routing::RouteCoder coder(topo);
+  routing::RouteResult out;
+  util::Rng rng(5);
+  for (auto _ : state) {
+    const auto src = static_cast<topo::NodeId>(rng.below(512));
+    auto dst = static_cast<topo::NodeId>(rng.below(512));
+    if (dst == src) dst = (dst + 1) % 512;
+    routing::expand(coder.code(src, dst), algo, 3, out);
+    benchmark::DoNotOptimize(out.useful_phys_mask);
+  }
+}
+BENCHMARK(BM_RouteCode)
+    ->Arg(static_cast<int>(routing::Algorithm::TFAR))
+    ->Arg(static_cast<int>(routing::Algorithm::DOR))
+    ->Arg(static_cast<int>(routing::Algorithm::Duato));
+
 void BM_SimulatorCycle(benchmark::State& state) {
   // Whole-simulator throughput: node-cycles per second on the
   // configured cube size (range(0) = n) under the selected core
@@ -328,8 +349,8 @@ int run_hotpath_json(const char* path) {
   // The two acceptance points: the lowest-load fig05 point (where
   // skipping idle work should dominate) and the oversaturated end of
   // the sweep (where nothing is idle, so the gains must come from the
-  // routing LUT, the blocked-header route memo and the devirtualized
-  // selection/limiter dispatch).
+  // closed-form route codes, the blocked-header route memo and the
+  // devirtualized selection/limiter dispatch).
   const double loads[] = {0.1, 1.2};
 
   std::ostream* os = &std::cout;
@@ -382,7 +403,7 @@ int run_hotpath_json(const char* path) {
                  "(active skip ratio %.3f, fc-virtual %+.2f%%)\n",
                  offered, speedup, active.scan_skip_ratio, fc_overhead_pct);
     // Acceptance gates: >= 2x at the low-load point (active-set
-    // skipping), >= 1.5x at saturation (routing LUT, blocked-header
+    // skipping), >= 1.5x at saturation (route codes, blocked-header
     // route memo and devirtualized dispatch), and the flow-control
     // interface costs the fast path at most 3%.
     if (i == 0 && speedup < 2.0) ok = false;

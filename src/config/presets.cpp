@@ -61,20 +61,22 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
   f.network_bytes = links * sizeof(sim::Link) +
                     slots * sizeof(sim::VcState) +
                     nodes * net.eje_channels * sizeof(sim::EjectPort);
-  // Tabulated routing: one packed 4-byte entry per (node, dst) pair.
-  // Above kMaxEntries the LUT silently degrades to passthrough (no
-  // allocation), and validate() rejects fault schedules there.
-  const bool active = cfg.sim.core == sim::SimCore::Active;
-  if ((active && cfg.sim.fastpath.routing_lut) || !cfg.sim.faults.empty()) {
-    if (nodes * nodes <= routing::RoutingLut::kMaxEntries) {
-      f.lut_bytes = nodes * nodes * 4;
-    }
+  // Tabulated routing, built only for fault reconfiguration: one
+  // RouteCode per (node, dst) pair. Above kMaxEntries the LUT would
+  // degrade to passthrough (no allocation), and validate() rejects
+  // fault schedules there. Healthy networks route in closed form.
+  if (!cfg.sim.faults.empty() &&
+      nodes * nodes <= routing::RoutingLut::kMaxEntries) {
+    f.lut_bytes = nodes * nodes * sizeof(routing::RouteCode);
   }
   // SoA status rows: per-net-link free/admissible masks and epoch
-  // counters, plus the per-slot slot->router map and route memo.
+  // counters, the per-slot slot->router map and route memo, and the
+  // route coder's per-node coordinates.
   f.status_bytes = net_links * (sizeof(std::uint8_t) * 2 +
                                 sizeof(std::uint64_t)) +
-                   slots * sizeof(topo::NodeId);
+                   slots * sizeof(topo::NodeId) +
+                   nodes * cfg.n * sizeof(std::uint16_t);
+  const bool active = cfg.sim.core == sim::SimCore::Active;
   if (active && cfg.sim.fastpath.route_memo) {
     f.status_bytes += slots * sim::Simulator::route_memo_entry_bytes();
   }

@@ -1,5 +1,6 @@
 #include "routing/routing.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -141,6 +142,20 @@ class DuatoRouting final : public RoutingFunction {
 };
 
 }  // namespace
+
+RouteCoder::RouteCoder(const KAryNCube& topo)
+    : n_(topo.dims()),
+      k_(static_cast<int>(topo.radix())),
+      coords_(std::size_t{topo.num_nodes()} * topo.dims()),
+      dirs_(topo.radix()) {
+  for (NodeId node = 0; node < topo.num_nodes(); ++node) {
+    const topo::Coords c = topo.coords_of(node);
+    std::copy_n(c.begin(), n_, &coords_[std::size_t{node} * n_]);
+  }
+  for (unsigned off = 0; off < topo.radix(); ++off) {
+    dirs_[off] = topo.dim_route(0, static_cast<std::uint16_t>(off)).dirs_mask;
+  }
+}
 
 std::unique_ptr<RoutingFunction> make_routing(Algorithm a,
                                               const KAryNCube& topo,

@@ -27,9 +27,9 @@ void RoutingLut::tabulate() {
   RouteResult r;
   for (NodeId here = 0; here < nodes_; ++here) {
     for (NodeId dst = 0; dst < nodes_; ++dst) {
-      Entry& e = entries_[static_cast<std::size_t>(here) * nodes_ + dst];
+      RouteCode& e = entries_[static_cast<std::size_t>(here) * nodes_ + dst];
       if (here == dst) {
-        e = Entry{};
+        e = RouteCode{};
         continue;  // route() precondition: here != dst
       }
       fn_->route(here, dst, r);
@@ -111,7 +111,7 @@ void RoutingLut::rebuild(const topo::FaultMask* faults) {
       frontier.swap(next);
     }
     for (NodeId here = 0; here < nodes_; ++here) {
-      Entry& e = entries_[static_cast<std::size_t>(here) * nodes_ + dst];
+      RouteCode& e = entries_[static_cast<std::size_t>(here) * nodes_ + dst];
       e.det_channel = 0;
       e.det_class = 0;
       std::uint32_t useful = 0;
@@ -126,38 +126,6 @@ void RoutingLut::rebuild(const topo::FaultMask* faults) {
         }
       }
       e.useful = static_cast<std::uint16_t>(useful);  // 0 = unreachable
-    }
-  }
-}
-
-void RoutingLut::expand(const Entry& e, RouteResult& out) const {
-  out.clear();
-  const std::uint32_t mask = e.useful;
-  out.useful_phys_mask = mask;
-  const std::uint32_t all_vcs = (1u << num_vcs_) - 1u;
-  switch (algo_) {
-    case Algorithm::TFAR: {
-      for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-        const auto c = static_cast<ChannelId>(
-            __builtin_ctz(m));  // ascending channel order
-        out.candidates.push_back({c, all_vcs, /*escape=*/false});
-      }
-      break;
-    }
-    case Algorithm::DOR: {
-      const std::uint32_t vcs = e.det_class == 0 ? 0b1u : (all_vcs & ~0b1u);
-      out.candidates.push_back({e.det_channel, vcs, /*escape=*/false});
-      break;
-    }
-    case Algorithm::Duato: {
-      const std::uint32_t adaptive = all_vcs & ~0b11u;
-      for (std::uint32_t m = mask; m != 0; m &= m - 1) {
-        const auto c = static_cast<ChannelId>(__builtin_ctz(m));
-        out.candidates.push_back({c, adaptive, /*escape=*/false});
-      }
-      const std::uint32_t esc_vcs = e.det_class == 0 ? 0b01u : 0b10u;
-      out.candidates.push_back({e.det_channel, esc_vcs, /*escape=*/true});
-      break;
     }
   }
 }

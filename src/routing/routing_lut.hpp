@@ -1,21 +1,14 @@
-// Precomputed routing lookup table.
+// Precomputed routing lookup table, for fault reconfiguration.
 //
 // All shipped routing functions are *static*: the candidate list and the
 // useful-physical-channel mask depend only on (here, dst), never on
-// channel status. That makes the whole routing function tabulable at
-// network-construction time. The table stores one compact 4-byte entry
-// per (here, dst) pair — the useful mask plus the deterministic
-// dimension-order hop (channel + dateline class) — and re-expands it
-// into the exact RouteResult the wrapped function would have produced,
-// in the same candidate order:
-//
-//   * TFAR  — one candidate per set bit of the useful mask, ascending
-//             channel order, all VCs usable.
-//   * DOR   — the single stored deterministic hop with its dateline
-//             class mask.
-//   * Duato — adaptive candidates as TFAR (VCs 2..V-1), then the stored
-//             deterministic hop as the escape candidate (VC 0 or 1 by
-//             dateline class).
+// channel status. On a healthy torus RouteCoder computes every route's
+// 4-byte RouteCode in closed form, so the simulator needs no table. A
+// faulty network has no closed form: rebuild() re-derives the routes by
+// BFS over the alive graph, and this table stores one RouteCode per
+// (here, dst) pair, tabulated from the wrapped function at
+// construction and expanded by routing::expand() into the exact
+// RouteResult the function would have produced.
 //
 // Networks too large to tabulate (> max_entries (here, dst) pairs) fall
 // back to calling the wrapped function — route() is then a passthrough,
@@ -59,7 +52,12 @@ class RoutingLut {
       fn_->route(here, dst, out);
       return;
     }
-    expand(entries_[static_cast<std::size_t>(here) * nodes_ + dst], out);
+    expand(code(here, dst), algo_, num_vcs_, out);
+  }
+
+  /// The stored code of (here, dst). Precondition: tabulated().
+  RouteCode code(topo::NodeId here, topo::NodeId dst) const noexcept {
+    return entries_[static_cast<std::size_t>(here) * nodes_ + dst];
   }
 
   Algorithm algorithm() const noexcept { return algo_; }
@@ -79,25 +77,18 @@ class RoutingLut {
   bool reachable(topo::NodeId here, topo::NodeId dst) const noexcept {
     if (here == dst) return true;
     if (entries_.empty()) return true;
-    return entries_[static_cast<std::size_t>(here) * nodes_ + dst].useful != 0;
+    return code(here, dst).useful != 0;
   }
 
  private:
-  struct Entry {
-    std::uint16_t useful = 0;      // useful physical channel mask
-    std::uint8_t det_channel = 0;  // DOR hop channel (DOR/Duato escape)
-    std::uint8_t det_class = 0;    // its dateline VC class (0 or 1)
-  };
-
   void tabulate();
-  void expand(const Entry& e, RouteResult& out) const;
 
   const RoutingFunction* fn_;
   const topo::KAryNCube* topo_;
   Algorithm algo_;
   unsigned num_vcs_;
   topo::NodeId nodes_;
-  std::vector<Entry> entries_;
+  std::vector<RouteCode> entries_;
 };
 
 }  // namespace wormsim::routing

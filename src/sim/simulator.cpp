@@ -42,6 +42,7 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
       routing_(routing::make_routing(cfg.algorithm, topo_, cfg.net.num_vcs)),
       selector_(cfg.selection),
       limiter_(core::make_limiter(cfg.limiter, topo_.num_nodes())),
+      coder_(topo_),
       workload_(std::move(workload)),
       recovery_(topo_.num_nodes()),
       collector_(topo_.num_nodes(), 0, kForever),
@@ -59,9 +60,6 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
   // reference virtual-dispatch implementation so that the byte-identity
   // tests double as a differential check of these optimizations.
   const bool active = cfg_.core == SimCore::Active;
-  if (active && cfg_.fastpath.routing_lut) {
-    lut_ = std::make_unique<routing::RoutingLut>(*routing_, topo_);
-  }
   if (!cfg_.faults.empty()) {
     fault::validate(cfg_.faults, topo_);
     if (cfg_.algorithm != routing::Algorithm::TFAR) {
@@ -72,11 +70,9 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
     // Reconfiguration routes around failures by rebuilding the LUT, so
     // the table must exist in either core — the dense core included,
     // or the two cores would diverge the moment a fault fires. The LUT
-    // is bit-identical to the wrapped function, so forcing it here
+    // is bit-identical to the wrapped function, so building it here
     // cannot perturb pre-fault behavior.
-    if (!lut_) {
-      lut_ = std::make_unique<routing::RoutingLut>(*routing_, topo_);
-    }
+    lut_ = std::make_unique<routing::RoutingLut>(*routing_, topo_);
     if (!lut_->tabulated()) {
       throw std::invalid_argument(
           "fault schedules need a tabulable network (too many nodes for "
@@ -460,13 +456,11 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   // transit this tenancy: its retries touch neither the Message
   // record nor the destination check (both settled on first sight).
   RouteMemo* memo = nullptr;
-  const routing::RouteResult* route = &route_buf_;
   std::uint64_t epoch_sum = 0;
   bool still_blocked = false;
   if (memo_on_ && route_memo_[slot].msg == v.msg) {
     memo = &route_memo_[slot];
     ++scan_.route_memo_hits;
-    route = &memo->route;
     epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
     still_blocked = epoch_sum == memo->epoch_sum;
   } else {
@@ -488,27 +482,36 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
       if (memo->dst == m.dst) {
         ++scan_.route_memo_hits;
       } else {
-        route_at(node, m.dst, memo->route);
+        memo->code = route_code(node, m.dst);
         memo->dst = m.dst;
         memo->epoch_sum = kNoEpoch;
-        memo->cand_mask = candidate_channel_mask(memo->route);
+        memo->cand_mask = routing::candidate_mask(memo->code, cfg_.algorithm);
       }
-      route = &memo->route;
       epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
       still_blocked = epoch_sum == memo->epoch_sum;
     } else {
       route_at(node, m.dst, route_buf_);
     }
   }
+  // A memoized header holds only its route code: expand it into
+  // route_buf_ the first time this visit reads candidates.
+  bool expanded = memo == nullptr;
+  const auto route = [&]() -> const routing::RouteResult& {
+    if (!expanded) {
+      expand_route(memo->code, route_buf_);
+      expanded = true;
+    }
+    return route_buf_;
+  };
   if (probe_enabled_ && !v.probed) {
     v.probed = true;
+    const std::uint32_t useful =
+        memo != nullptr ? memo->code.useful : route_buf_.useful_phys_mask;
     const auto cond =
         static_dispatch_on_
             ? core::evaluate_alo_row(fc_status_row(node),
-                                     net_.params().num_vcs,
-                                     route->useful_phys_mask)
-            : core::evaluate_alo(fc_channel_status(), node,
-                                 route->useful_phys_mask);
+                                     net_.params().num_vcs, useful)
+            : core::evaluate_alo(fc_channel_status(), node, useful);
     collector_.on_probe(t, cond.all_useful_partially_free,
                         cond.any_useful_completely_free);
     if (tracer_) {
@@ -525,11 +528,11 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   // admission verdict is a constant of the tenancy).
   if (!still_blocked && fc_admit(v.msg_length, net_.params().buf_flits)) {
     if (static_dispatch_on_) {
-      pick = selector_.select(*route, net_.free_mask_row(node),
+      pick = selector_.select(route(), net_.free_mask_row(node),
                               alloc_rr_[node]);
     } else {
       const NodeFreeVcView view(net_, node);
-      pick = selector_.select(*route, view, alloc_rr_[node]);
+      pick = selector_.select(route(), view, alloc_rr_[node]);
     }
   }
   if (!pick) {
@@ -563,7 +566,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
         if (memo != nullptr) {
           memo->no_detect_before = m.last_progress + threshold;
         }
-      } else if (requested_channels_frozen(node, t, *route, &earliest)) {
+      } else if (requested_channels_frozen(node, t, route(), &earliest)) {
         absorb_deadlocked(v.msg, t);
         pending_route_[i] = pending_route_.back();
         pending_route_.pop_back();
@@ -742,8 +745,8 @@ void Simulator::inject_node(NodeId node, Cycle t) {
     req.queue_len = queues_[node].size();
     // Gate decision. With static dispatch the limiter resolved to its
     // concrete type once per simulator: None and DRIL never read the
-    // route, so the routing step is skipped entirely; ALO and LF route
-    // through the LUT and evaluate on the contiguous free-mask row.
+    // route, so the routing step is skipped entirely; ALO and LF expand
+    // the route code and evaluate on the contiguous free-mask row.
     // Custom limiters (LimiterFast::Virtual) take the interface path.
     bool allowed;
     if (static_dispatch_on_ && limiter_fast_ != LimiterFast::Virtual) {

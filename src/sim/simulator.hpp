@@ -73,9 +73,6 @@ std::string_view sim_core_name(SimCore core) noexcept;
 /// of the optimizations. Results are bit-identical for every toggle
 /// combination; the switches exist for that test and for perf triage.
 struct FastPathConfig {
-  /// Tabulate the routing function per (node, dst) at construction and
-  /// answer cycle-loop route queries from the table.
-  bool routing_lut = true;
   /// Blocked headers cache their candidate list and skip both re-route
   /// and re-selection until the free-VC mask of some candidate link
   /// changes (per-link epoch counters).
@@ -103,7 +100,8 @@ struct SimulatorConfig {
   /// Deterministic fault schedule (empty = no fault subsystem at all:
   /// the cycle loop's only cost is one branch on a null manager).
   /// Non-empty schedules require TFAR routing and a tabulable network —
-  /// reconfiguration routes around failures by rebuilding the LUT.
+  /// reconfiguration routes around failures by rebuilding a routing
+  /// LUT, which only these runs build.
   fault::FaultSchedule faults{};
   /// Flow-control scheme gating flit advance and VC admission
   /// (default: the paper's wormhole model).
@@ -386,14 +384,25 @@ class Simulator {
                                  const routing::RouteResult& route,
                                  Cycle* earliest) const;
 
-  /// Route query shared by both cores: LUT when tabulated, virtual
-  /// routing function otherwise. Counts into scan_.route_evals.
-  void route_at(NodeId node, NodeId dst, routing::RouteResult& out) {
+  /// Route code: the fault LUT when present, the closed-form coder
+  /// otherwise. Counts into scan_.route_evals.
+  routing::RouteCode route_code(NodeId node, NodeId dst) {
     ++scan_.route_evals;
-    if (lut_) {
-      lut_->route(node, dst, out);
-    } else {
+    return lut_ ? lut_->code(node, dst) : coder_.code(node, dst);
+  }
+  void expand_route(routing::RouteCode code,
+                    routing::RouteResult& out) const {
+    routing::expand(code, cfg_.algorithm, net_.params().num_vcs, out);
+  }
+  /// Route query shared by both cores. On a healthy network the dense
+  /// core calls the virtual routing function: the reference that the
+  /// active core's closed-form codes are differentially tested against.
+  void route_at(NodeId node, NodeId dst, routing::RouteResult& out) {
+    if (cfg_.core == SimCore::Dense && !lut_) {
+      ++scan_.route_evals;
       routing_->route(node, dst, out);
+    } else {
+      expand_route(route_code(node, dst), out);
     }
   }
 
@@ -412,14 +421,6 @@ class Simulator {
       sum += row[std::countr_zero(m)];
     }
     return sum;
-  }
-
-  /// Union of a route's candidate physical channels as a bitmask.
-  static std::uint32_t candidate_channel_mask(
-      const routing::RouteResult& route) {
-    std::uint32_t mask = 0;
-    for (const auto& cand : route.candidates) mask |= 1u << cand.channel;
-    return mask;
   }
 
   /// Map the installed limiter to its enum-tagged fast-dispatch case
@@ -543,11 +544,11 @@ class Simulator {
   std::unique_ptr<routing::RoutingFunction> routing_;
   routing::Selector selector_;
   std::unique_ptr<core::InjectionLimiter> limiter_;
-  /// Tabulated routing (active core with fastpath.routing_lut; null
-  /// otherwise — route_at falls back to the virtual function). Always
-  /// built, in either core, when a fault schedule is present:
-  /// reconfiguration works by rebuilding this table, and both cores
-  /// must route from the same one to stay bit-identical.
+  routing::RouteCoder coder_;
+  /// Tabulated routing, built (in either core) only when a fault
+  /// schedule is present: reconfiguration works by rebuilding this
+  /// table, and both cores must route from the same one to stay
+  /// bit-identical. Null on healthy networks.
   std::unique_ptr<routing::RoutingLut> lut_;
   std::unique_ptr<traffic::Workload> workload_;
   /// Null when cfg.faults is empty — the provably-no-op fast path, like
@@ -583,8 +584,8 @@ class Simulator {
   util::SmallVector<traffic::GeneratedMessage, 8> gen_buf_;
 
   // --- Saturated-regime fast path (active core only) -------------------
-  /// Per-VC-slot route memo for blocked headers. The cached route is a
-  /// pure function of (node, dst) — node is fixed per slot — so an
+  /// Per-VC-slot route memo for blocked headers. The cached route code
+  /// is a pure function of (node, dst) — node is fixed per slot — so an
   /// entry stays valid across tenancies; `dst` is the lookup key.
   /// `epoch_sum` snapshots candidate_epoch_sum at the last failed
   /// selection: while it is unchanged the header is still blocked and
@@ -597,11 +598,14 @@ class Simulator {
     /// blocked-in-transit retry and the Message record and eject check
     /// are skipped entirely.
     MsgId msg = kNoMsg;
-    /// Route key: the cached candidates are valid for any tenancy with
-    /// this destination (routing is a pure function of (node, dst)).
+    /// Route key: the cached code is valid for any tenancy with this
+    /// destination (routing is a pure function of (node, dst)).
     NodeId dst = topo::kInvalidNode;
-    /// Union of route.candidates channels, the epoch-sum footprint.
+    /// The route's candidate channels, the epoch-sum footprint.
     std::uint32_t cand_mask = 0;
+    /// The route itself, expanded only where candidates are read
+    /// (selection, FC3D frozen check); the probe reads its useful mask.
+    routing::RouteCode code;
     /// candidate_epoch_sum at the last failed selection; equal sum ⇒
     /// no candidate mask changed ⇒ provably still blocked.
     std::uint64_t epoch_sum = kNoEpoch;
@@ -610,8 +614,8 @@ class Simulator {
     /// threshold). Both sources are monotone, so skipping evaluation
     /// until then is exact, not heuristic. Reset on tenancy change.
     Cycle no_detect_before = 0;
-    routing::RouteResult route;
   };
+  static_assert(sizeof(RouteMemo) <= 32, "two memo slots per cache line");
   std::vector<RouteMemo> route_memo_;  // empty when the memo is off
   /// Router node owning each VC slot's output side (the link's dst),
   /// indexed like route_memo_ — replaces a Link load in phase_route.

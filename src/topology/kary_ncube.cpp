@@ -7,6 +7,10 @@ namespace wormsim::topo {
 
 KAryNCube::KAryNCube(unsigned k, unsigned n) : k_(k), n_(n) {
   if (k < 2) throw std::invalid_argument("k-ary n-cube requires k >= 2");
+  // Coordinates are 16-bit (Coords, coord(), dim_route()).
+  if (k > 65535) {
+    throw std::invalid_argument("k-ary n-cube requires k <= 65535");
+  }
   if (n < 1 || n > kMaxDims) {
     throw std::invalid_argument("k-ary n-cube requires 1 <= n <= " +
                                 std::to_string(kMaxDims));

@@ -43,7 +43,8 @@ struct DimRoute {
 
 class KAryNCube {
  public:
-  /// k >= 2 (radix per dimension), 1 <= n <= kMaxDims.
+  /// 2 <= k <= 65535 (radix per dimension), 1 <= n <= kMaxDims, at
+  /// most 2^24 nodes.
   KAryNCube(unsigned k, unsigned n);
 
   unsigned radix() const noexcept { return k_; }

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "config/presets.hpp"
+#include "fault/schedule.hpp"
 #include "harness/sweep.hpp"
 
 namespace wormsim {
@@ -55,6 +56,18 @@ TEST(Presets, ValidationCatchesBadConfigs) {
   cfg = config::small_base();
   cfg.protocol.measure = 0;
   EXPECT_THROW(config::validate(cfg), std::invalid_argument);
+}
+
+/// Healthy networks route in closed form and build no routing table;
+/// only a fault schedule brings the O(nodes^2) LUT back (512 nodes:
+/// 512 * 512 four-byte codes = 1 MiB).
+TEST(Presets, MemoryEstimateCountsLutOnlyWithFaults) {
+  auto cfg = config::paper_base();
+  EXPECT_EQ(config::estimate_memory(cfg).lut_bytes, 0u);
+  cfg.sim.faults = fault::FaultSchedule({
+      {1000, fault::FaultKind::LinkKill, 6, 2},
+  });
+  EXPECT_EQ(config::estimate_memory(cfg).lut_bytes, 1024u * 1024u);
 }
 
 TEST(Presets, BuildSimulatorProducesRunnableInstance) {

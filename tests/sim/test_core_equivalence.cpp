@@ -133,9 +133,9 @@ INSTANTIATE_TEST_SUITE_P(Patterns, CoreEquivalence,
                          });
 
 /// Every fast-path toggle combination of the active core must emit the
-/// same sweep CSV as the dense reference: the routing LUT, the
-/// blocked-header route memo and the static limiter/selection dispatch
-/// are pure speedups, never approximations. One sweep per
+/// same sweep CSV as the dense reference: the closed-form route codes,
+/// the blocked-header route memo and the static limiter/selection
+/// dispatch are pure speedups, never approximations. One sweep per
 /// configuration over the full limiter matrix, compared byte-for-byte.
 TEST(CoreEquivalence, FastPathTogglesKeepSweepCsvByteIdentical) {
   harness::SweepSpec spec;
@@ -155,13 +155,11 @@ TEST(CoreEquivalence, FastPathTogglesKeepSweepCsvByteIdentical) {
   };
   const Toggle toggles[] = {
       {"all-on", {}},
-      {"lut-off", {.routing_lut = false}},
       {"memo-off", {.route_memo = false}},
       {"dispatch-off", {.static_dispatch = false}},
       {"fc-dispatch-off", {.fc_dispatch = false}},
       {"all-off",
-       {.routing_lut = false, .route_memo = false, .static_dispatch = false,
-        .fc_dispatch = false}},
+       {.route_memo = false, .static_dispatch = false, .fc_dispatch = false}},
   };
   spec.base.sim.core = SimCore::Active;
   for (const auto& t : toggles) {

@@ -20,6 +20,20 @@ TEST(KAryNCube, RejectsBadShapes) {
   EXPECT_THROW(KAryNCube(4, 99), std::invalid_argument);
 }
 
+/// Coordinates are 16-bit: a larger radix would wrap them and route the
+/// wrong way (or nowhere), so the constructor refuses it.
+TEST(KAryNCube, RejectsRadixAbove16Bits) {
+  EXPECT_THROW(KAryNCube(65536, 1), std::invalid_argument);
+  EXPECT_THROW(KAryNCube(70000, 1), std::invalid_argument);
+  const KAryNCube ring(65535, 1);
+  EXPECT_EQ(ring.coord(65534, 0), 65534);
+  EXPECT_EQ(ring.useful_channels_mask(0, 65534),
+            1u << make_channel(0, Dir::Minus));
+  EXPECT_EQ(ring.useful_channels_mask(4, 65534),
+            1u << make_channel(0, Dir::Minus));
+  EXPECT_EQ(ring.distance(4, 65534), 5u);
+}
+
 TEST(KAryNCube, CoordsRoundTrip) {
   const KAryNCube t(5, 3);
   for (NodeId n = 0; n < t.num_nodes(); ++n) {
