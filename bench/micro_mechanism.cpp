@@ -241,33 +241,6 @@ void keep_best(metrics::SimResult& best, metrics::SimResult r, bool first) {
   }
 }
 
-/// Measure both cores at one load, repetitions interleaved and the
-/// order reversed on odd reps (ABBA): under progressive frequency
-/// throttling a fixed order hands the same mode the hottest slot of
-/// every rep, which reads as a systematic speed difference. Keep each
-/// mode's best rep. Results are deterministic — only the wall clock
-/// varies between repetitions.
-std::pair<metrics::SimResult, metrics::SimResult> measure_pair(
-    double offered, int reps) {
-  metrics::SimResult dense, active;
-  run_point(sim::SimCore::Dense, offered);  // thermal/cache warmup, discarded
-  for (int i = 0; i < reps; ++i) {
-    if (i % 2 == 0) {
-      keep_best(dense, run_point(sim::SimCore::Dense, offered), i == 0);
-      keep_best(active, run_point(sim::SimCore::Active, offered), i == 0);
-    } else {
-      keep_best(active, run_point(sim::SimCore::Active, offered), false);
-      keep_best(dense, run_point(sim::SimCore::Dense, offered), false);
-    }
-  }
-  return {std::move(dense), std::move(active)};
-}
-
-struct FcOverhead {
-  metrics::SimResult fc_virtual;  // best rep, for the JSON sample
-  double overhead_pct = 0.0;
-};
-
 /// CPU seconds consumed by this process so far. The fc-overhead gate
 /// compares two throughputs a couple percent apart; on a shared CI
 /// vCPU, wall clock carries multi-second preemption phases that dwarf
@@ -279,6 +252,41 @@ double cpu_seconds() {
   return static_cast<double>(ts.tv_sec) +
          static_cast<double>(ts.tv_nsec) * 1e-9;
 }
+
+/// Both cores at one load over `pairs` back-to-back dense/active pairs,
+/// the order alternating per pair (ABBA) so slow thermal/frequency
+/// drift cancels. The speedup is the ratio of TOTAL CPU time per core,
+/// the fc-overhead gate's method: process CPU time is immune to the
+/// preemption phases of a shared host, which swing best-of-N wall-clock
+/// rates by more than the gate's margin. Each core's best rep is kept
+/// as its JSON sample. Results are deterministic — only timings vary.
+struct CorePair {
+  metrics::SimResult dense, active;
+  double speedup = 0.0;
+};
+
+CorePair measure_pair(double offered, int pairs) {
+  CorePair out;
+  double dense_cpu = 0.0, active_cpu = 0.0;
+  run_point(sim::SimCore::Dense, offered);  // thermal/cache warmup, discarded
+  for (int i = 0; i < pairs; ++i) {
+    for (int j = 0; j < 2; ++j) {
+      const bool dense = (i % 2 == 0) == (j == 0);
+      const double t0 = cpu_seconds();
+      metrics::SimResult r = run_point(
+          dense ? sim::SimCore::Dense : sim::SimCore::Active, offered);
+      (dense ? dense_cpu : active_cpu) += cpu_seconds() - t0;
+      keep_best(dense ? out.dense : out.active, std::move(r), i == 0);
+    }
+  }
+  if (active_cpu > 0.0) out.speedup = dense_cpu / active_cpu;
+  return out;
+}
+
+struct FcOverhead {
+  metrics::SimResult fc_virtual;  // best rep, for the JSON sample
+  double overhead_pct = 0.0;
+};
 
 /// Active core with fc_dispatch on vs off — the wormhole scheme routed
 /// through the virtual FlowControlScheme interface on every transmit
@@ -344,7 +352,7 @@ void emit_sample(std::ostream& os, const metrics::SimResult& r) {
 }
 
 int run_hotpath_json(const char* path) {
-  const int reps = 5;
+  const int pairs = 10;
   const int fc_pairs = 20;
   // The two acceptance points: the lowest-load fig05 point (where
   // skipping idle work should dominate) and the oversaturated end of
@@ -367,19 +375,19 @@ int run_hotpath_json(const char* path) {
   *os << "{\n  \"schema\": \"wormsim.bench/1\",\n  \"bench\": \"hotpath\",\n"
       << "  \"config\": \"fig05 FAST point: 8-ary 2-cube (64 nodes), "
          "uniform, 16-flit messages, warmup 3000, measure 8000, "
-         "drain 8000, best of "
-      << reps << " runs; fc overhead = CPU-time ratio over " << fc_pairs
-      << " alternating on/off pairs\",\n  \"points\": [\n";
+         "drain 8000; active_speedup = dense/active CPU-time ratio over "
+      << pairs << " alternating pairs (samples: best rep per core); fc "
+         "overhead = CPU-time ratio over "
+      << fc_pairs << " alternating on/off pairs\",\n  \"points\": [\n";
   bool ok = true;
   for (std::size_t i = 0; i < 2; ++i) {
     const double offered = loads[i];
-    obs::logf(obs::LogLevel::Info, "# hotpath: offered=%.2f (interleaved x%d)...\n",
-                 offered, reps);
-    const auto [dense, active] = measure_pair(offered, reps);
-    const double speedup =
-        dense.cycles_per_second > 0.0
-            ? active.cycles_per_second / dense.cycles_per_second
-            : 0.0;
+    obs::logf(obs::LogLevel::Info, "# hotpath: offered=%.2f (%d pairs)...\n",
+                 offered, pairs);
+    const CorePair cores = measure_pair(offered, pairs);
+    const metrics::SimResult& dense = cores.dense;
+    const metrics::SimResult& active = cores.active;
+    const double speedup = cores.speedup;
     // Cost of routing the wormhole transmit gate through the virtual
     // FlowControlScheme interface instead of the devirtualized fast
     // path; positive = the interface mode is slower.

@@ -55,11 +55,12 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
   const std::uint64_t net_links = nodes * (2 * cfg.n);
   const std::uint64_t inj_links = nodes * net.inj_channels;
   const std::uint64_t links = net_links + inj_links;
-  // One VC slot per (net link, vc) plus one per injection link; each
-  // Link embeds its in-flight pipeline ring, so sizeof covers it.
+  // One VC slot per (net link, vc) plus one per injection link, each
+  // with its FC3D progress stamp; each Link embeds its in-flight
+  // pipeline ring, so sizeof covers it.
   const std::uint64_t slots = net_links * net.num_vcs + inj_links;
   f.network_bytes = links * sizeof(sim::Link) +
-                    slots * sizeof(sim::VcState) +
+                    slots * (sizeof(sim::VcState) + sizeof(sim::Cycle)) +
                     nodes * net.eje_channels * sizeof(sim::EjectPort);
   // Tabulated routing, built only for fault reconfiguration: one
   // RouteCode per (node, dst) pair. Above kMaxEntries the LUT would
@@ -99,6 +100,7 @@ void validate(const SimConfig& cfg) {
   if (cfg.workload.length.mean() <= 0) {
     throw std::invalid_argument("message length must be positive");
   }
+  traffic::check_message_length(cfg.workload.length.longest());
   if (cfg.workload.offered_flits_per_node_cycle < 0) {
     throw std::invalid_argument("offered load must be >= 0");
   }

@@ -15,21 +15,23 @@
 namespace wormsim::sim {
 
 /// State of one virtual-channel buffer (one tenancy = one message from
-/// header acceptance to tail departure).
-struct VcState {
+/// header acceptance to tail departure). 32-aligned, so each of the two
+/// a flit's transmit touches stays within one cache line.
+struct alignas(32) VcState {
   MsgId msg = kNoMsg;
 
   /// Length of the tenant message in flits, mirrored here at tenancy
-  /// creation (start of injection / VC allocation) so the per-cycle
-  /// streaming loops need no Message-pool lookup for tail detection.
-  std::uint32_t msg_length = 0;
+  /// creation (start of injection / VC allocation) so the per-flit
+  /// paths need no Message-pool lookup for tail detection. 16 bits here
+  /// and below: messages are capped at traffic::kMaxMessageFlits.
+  std::uint16_t msg_length = 0;
 
   /// Flits of the tenant that have entered / left this buffer. The flit
   /// at the head of the buffer has message-relative index `out_count`;
   /// the buffer currently holds `in_count - out_count` flits; the header
   /// is at the head iff out_count == 0 and the buffer is non-empty.
-  std::uint32_t in_count = 0;
-  std::uint32_t out_count = 0;
+  std::uint16_t in_count = 0;
+  std::uint16_t out_count = 0;
 
   /// Buffered flits plus flits in flight toward this buffer (the
   /// credit-tracked occupancy the sender checks).
@@ -38,22 +40,18 @@ struct VcState {
   enum class OutKind : std::uint8_t { None, Vc, Eject };
   OutKind out_kind = OutKind::None;
   VcRef out{};                 // downstream VC (OutKind::Vc)
-  std::uint8_t eject_port = 0; // bound port (OutKind::Eject)
 
   /// Feeder of this buffer: the upstream VC the worm occupies, or
   /// invalid when source-fed (injection VC) or fully drained upstream.
   VcRef upstream{};
 
-  /// Cycle the header flit entered this buffer; routable from
-  /// header_arrival + routing_delay onwards.
-  Cycle header_arrival = 0;
+  std::uint8_t eject_port = 0; // bound port (OutKind::Eject)
+  bool pending_route = false;  // enrolled in the simulator's route list
+  bool probed = false;         // Figure-2 probe taken for this tenancy
 
   /// Cycle a flit last entered or left this buffer (flow-control
   /// activity, the signal FC3D-style deadlock detection watches).
   Cycle last_activity = 0;
-
-  bool pending_route = false;  // enrolled in the simulator's route list
-  bool probed = false;         // Figure-2 probe taken for this tenancy
 
   std::uint32_t buffered() const noexcept { return in_count - out_count; }
   bool free() const noexcept { return msg == kNoMsg; }
@@ -63,6 +61,7 @@ struct VcState {
 
   void clear() noexcept { *this = VcState{}; }
 };
+static_assert(sizeof(VcState) == 32, "VcState must stay one half line");
 
 /// Fixed-delay link pipeline: at most one flit enters per cycle, so a
 /// ring of `delay + 1` entries always suffices.
@@ -76,8 +75,9 @@ class InFlightQueue {
  public:
   static constexpr unsigned kMaxDelay = 7;
 
+  /// A flit in flight toward VC `vc` of this link. Its message is that
+  /// VC's tenant: a VC is freed only after its tail arrived and left.
   struct Entry {
-    MsgId msg = kNoMsg;
     std::uint16_t arrival = 0;  // low 16 bits of the arrival cycle
     std::uint8_t vc = 0;
   };
@@ -85,10 +85,10 @@ class InFlightQueue {
   bool empty() const noexcept { return count_ == 0; }
   unsigned size() const noexcept { return count_; }
 
-  void push(Cycle arrival, std::uint8_t vc, MsgId msg) noexcept {
+  void push(Cycle arrival, std::uint8_t vc) noexcept {
     assert(count_ < kMaxDelay + 1);
     ring_[(head_ + count_) % (kMaxDelay + 1)] =
-        Entry{msg, static_cast<std::uint16_t>(arrival), vc};
+        Entry{static_cast<std::uint16_t>(arrival), vc};
     ++count_;
   }
 
@@ -113,13 +113,13 @@ class InFlightQueue {
     --count_;
   }
 
-  /// Drop every in-flight flit belonging to `msg` (deadlock-recovery
-  /// absorption); returns the number removed.
-  unsigned drop_message(MsgId msg) noexcept {
+  /// Drop every in-flight flit toward VC `vc` (deadlock-recovery
+  /// absorption of its tenant); returns the number removed.
+  unsigned drop_vc(std::uint8_t vc) noexcept {
     unsigned kept = 0, dropped = 0;
     Entry tmp[kMaxDelay + 1];
     while (count_ > 0) {
-      if (front().msg == msg) {
+      if (front().vc == vc) {
         ++dropped;
       } else {
         tmp[kept++] = front();
@@ -154,9 +154,18 @@ struct Link {
 };
 // At scale arrivals and transmit load this record for nearly every
 // network link every cycle, so its size is their per-link memory
-// traffic. The 8-byte in-flight entries keep it at 88 bytes; keep it
-// within 96.
-static_assert(sizeof(Link) <= 96, "Link grew: keep the link array compact");
+// traffic. The 4-byte in-flight entries keep it at one cache line's
+// worth. Do not over-align it: alignas(64) vectors raised peak RSS.
+static_assert(sizeof(Link) <= 64, "Link grew: keep the link array compact");
+
+/// Round-robin order over the VCs in `mask` from `first` (< vcs) on: VCs
+/// below `first` move up `vcs` bits, so set bit b, visited in ascending
+/// order, is VC (b < vcs ? b : b - vcs).
+inline unsigned rr_rotate(unsigned mask, unsigned first,
+                          unsigned vcs) noexcept {
+  const unsigned below = mask & ~(~0u << first);
+  return (mask & ~below) | below << vcs;
+}
 
 /// Ejection port: consumes one flit per cycle from the bound VC.
 struct EjectPort {

@@ -27,10 +27,6 @@ struct Message {
   /// message sits in a source/recovery queue.
   VcRef head{};
 
-  /// Cycle any flit of this message last moved (injected, forwarded or
-  /// ejected) — drives FC3D-style inactivity detection.
-  Cycle last_progress = 0;
-
   std::uint16_t deadlock_detections = 0;  // times absorbed by recovery
   bool measured = false;    // generated inside the measurement window
   bool in_network = false;  // holds at least one VC

@@ -20,6 +20,10 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
     throw std::invalid_argument("link_delay out of range");
   }
 
+  if (count_links(topo.num_nodes(), topo.num_channels(),
+                  params.inj_channels) >= kNoLink) {
+    throw std::invalid_argument("network too large: link ids need 29 bits");
+  }
   const NodeId nodes = topo.num_nodes();
   num_net_links_ = nodes * topo.num_channels();
   num_inj_links_ = nodes * params.inj_channels;
@@ -27,6 +31,7 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
 
   links_.resize(num_net_links_ + num_inj_links_);
   vcs_.resize(net_vc_count_ + num_inj_links_);
+  progress_.resize(vcs_.size());
   eject_.resize(static_cast<std::size_t>(nodes) * params.eje_channels);
   free_mask_.assign(num_net_links_,
                     static_cast<std::uint8_t>((1u << params.num_vcs) - 1u));
@@ -102,6 +107,7 @@ void Network::allocate_out_vc(VcRef from, VcRef out, MsgId msg,
   downstream.msg_length = upstream.msg_length;  // propagate down the worm
   downstream.upstream = from;
   downstream.last_activity = now;  // fresh tenancy counts as activity
+  mark_progress(out, now);
   upstream.out_kind = VcState::OutKind::Vc;
   upstream.out = out;
   set_active(out, true);
@@ -118,13 +124,12 @@ void Network::bind_eject(VcRef from, NodeId node, unsigned port,
   upstream.eject_port = static_cast<std::uint8_t>(port);
 }
 
-unsigned Network::absorb_drop(LinkId link, MsgId msg) noexcept {
-  Link& l = links_[link];
-  const unsigned dropped = l.in_flight.drop_message(msg);
-  if (l.in_flight.empty() && link < num_net_links_) {
-    arrival_links_.erase(link);
+void Network::absorb_drop(VcRef ref) noexcept {
+  Link& l = links_[ref.link];
+  l.in_flight.drop_vc(static_cast<std::uint8_t>(ref.vc));
+  if (l.in_flight.empty() && ref.link < num_net_links_) {
+    arrival_links_.erase(ref.link);
   }
-  return dropped;
 }
 
 void Network::force_free(VcRef ref) noexcept {

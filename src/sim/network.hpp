@@ -3,6 +3,7 @@
 // limiters consume. All control flow lives in Simulator.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -27,6 +28,13 @@ struct NetworkParams {
 class Network final : public core::ChannelStatus {
  public:
   Network(const topo::KAryNCube& topo, const NetworkParams& params);
+
+  /// Links of a network with these counts. The constructor rejects
+  /// kNoLink or more (ids VcRef cannot encode) before allocating.
+  static std::uint64_t count_links(std::uint64_t nodes, unsigned channels,
+                                   unsigned inj_channels) noexcept {
+    return nodes * (std::uint64_t{channels} + inj_channels);
+  }
 
   // --- Identity / indexing -------------------------------------------
   const topo::KAryNCube& topology() const noexcept { return *topo_; }
@@ -137,29 +145,28 @@ class Network final : public core::ChannelStatus {
   /// Bind the worm ending at `from` to ejection port `port` of its
   /// destination node.
   void bind_eject(VcRef from, NodeId node, unsigned port, MsgId msg) noexcept;
-  /// Move one flit out of `from` along its allocated output. The caller
-  /// has checked transmissibility. Returns true if the tail left `from`
-  /// (the VC was freed). Defined inline: this is the single hottest
-  /// Network mutator in the saturated regime.
-  bool transmit_flit(VcRef from, std::uint32_t msg_length,
-                     Cycle now) noexcept {
-    VcState& u = vc(from);
+  /// Move one flit from `u` into VC `vc` of link `id` (`l` = link(id),
+  /// `d` = its VcState, fed by `u`). The caller has checked
+  /// transmissibility and passes the records it holds, so no address
+  /// here depends on `u`. Returns true if the tail left `u` (the VC was
+  /// freed). Inline: the hottest Network mutator when saturated.
+  bool transmit_flit(Link& l, LinkId id, std::uint8_t vc, VcState& d,
+                     VcState& u, Cycle now) noexcept {
     assert(u.buffered() > 0 && u.out_kind == VcState::OutKind::Vc);
-    VcState& d = vc(u.out);
     assert(d.occupancy < params_.buf_flits);
-
-    Link& out_link = links_[u.out.link];
-    out_link.in_flight.push(now + params_.link_delay, u.out.vc, u.msg);
-    arrival_links_.insert(u.out.link);
-    ++out_link.flits_carried;
+    l.in_flight.push(now + params_.link_delay, vc);
+    arrival_links_.insert(id);
+    ++l.flits_carried;
     ++d.occupancy;
+    progress_[static_cast<std::size_t>(id) * params_.num_vcs + vc] = now;
     ++u.out_count;
     --u.occupancy;
     u.last_activity = now;
 
-    if (u.out_count == msg_length) {
-      // Tail left: free this VC; downstream will receive no more flits
-      // from it.
+    if (u.out_count == d.msg_length) {
+      // Tail left: free the upstream VC; this one will receive no more
+      // flits from it.
+      const VcRef from = d.upstream;
       d.upstream = VcRef{};
       set_active(from, false);
       u.clear();
@@ -181,16 +188,29 @@ class Network final : public core::ChannelStatus {
     while (l.in_flight.due(now)) {
       const InFlightQueue::Entry entry = l.in_flight.front();
       VcState& v = row[entry.vc];
-      assert(v.msg == entry.msg);
-      if (v.in_count == 0) {
-        v.header_arrival = now;
-        on_header(VcRef{link_id, entry.vc});
-      }
+      assert(!v.free() && v.in_count < v.msg_length);
+      if (v.in_count == 0) on_header(VcRef{link_id, entry.vc});
       ++v.in_count;
       v.last_activity = now;
       l.in_flight.pop();
     }
     if (l.in_flight.empty()) arrival_links_.erase(link_id);
+  }
+
+  // --- FC3D progress: per-VC-slot stamps of the last cycle a flit of
+  // the tenant moved or the worm grew. The maximum over a worm's chain
+  // is exactly its last progress cycle (DESIGN.md, "Flit-path state").
+  void mark_progress(VcRef ref, Cycle now) noexcept {
+    progress_[vc_index(ref)] = now;
+  }
+  Cycle progress(VcRef ref) const noexcept { return progress_[vc_index(ref)]; }
+  /// Last progress of the worm whose most-downstream VC is `head`.
+  Cycle worm_progress(VcRef head) const noexcept {
+    Cycle last = 0;
+    for (VcRef cur = head; cur.valid(); cur = vc(cur).upstream) {
+      last = std::max(last, progress(cur));
+    }
+    return last;
   }
 
   /// Cache hint for the per-cycle loops over the link sets: start
@@ -208,9 +228,9 @@ class Network final : public core::ChannelStatus {
   /// Free one VC unconditionally (deadlock absorption).
   void force_free(VcRef ref) noexcept;
 
-  /// Drop every in-flight flit of `msg` on `link` (deadlock absorption),
-  /// keeping the pending-arrival set coherent. Returns flits removed.
-  unsigned absorb_drop(LinkId link, MsgId msg) noexcept;
+  /// Drop every in-flight flit toward `ref` (deadlock absorption),
+  /// keeping the pending-arrival set coherent.
+  void absorb_drop(VcRef ref) noexcept;
 
   /// Mark/unmark tenancy in the link's active mask. The SOLE writer of
   /// active_vc_mask, which is what keeps the SoA free-mask mirror and
@@ -292,6 +312,7 @@ class Network final : public core::ChannelStatus {
 
   std::vector<Link> links_;
   std::vector<VcState> vcs_;
+  std::vector<Cycle> progress_;  // per VC slot, indexed like vcs_
   std::vector<EjectPort> eject_;
 
   // SoA mirrors for the cycle-loop fast path, maintained by set_active

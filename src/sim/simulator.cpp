@@ -156,6 +156,7 @@ void Simulator::enqueue_source(NodeId node, NodeId dst, std::uint32_t length,
 }
 
 bool Simulator::push_message(NodeId src, NodeId dst, std::uint32_t length) {
+  traffic::check_message_length(length);
   if (src == dst || length == 0) return false;
   enqueue_source(src, dst, length, cycle_);
   return true;
@@ -331,8 +332,8 @@ void Simulator::phase_arrivals(Cycle t) {
     scan_.scan_visited += n;
     for (LinkId l = 0; l < n; ++l) {
       if (net_.link(l).in_flight.empty()) continue;
-      net_.process_arrivals(l, t,
-                            [this](VcRef ref) { enroll_for_routing(ref); });
+      net_.process_arrivals(
+          l, t, [this, t](VcRef ref) { enroll_for_routing(ref, t); });
     }
     return;
   }
@@ -342,17 +343,18 @@ void Simulator::phase_arrivals(Cycle t) {
   const LinkId links = net_.num_net_links();
   net_.arrival_links().for_each_with_next([&](std::size_t l, std::size_t next) {
     if (next < links) net_.prefetch_link(static_cast<LinkId>(next));
-    net_.process_arrivals(static_cast<LinkId>(l), t,
-                          [this](VcRef ref) { enroll_for_routing(ref); });
+    net_.process_arrivals(
+        static_cast<LinkId>(l), t,
+        [this, t](VcRef ref) { enroll_for_routing(ref, t); });
   });
 }
 
-void Simulator::enroll_for_routing(VcRef ref) {
+void Simulator::enroll_for_routing(VcRef ref, Cycle t) {
   VcState& v = net_.vc(ref);
   if (!v.pending_route) {
     v.pending_route = true;
     pending_route_.push_back(
-        {ref, v.msg, static_cast<std::uint32_t>(net_.vc_flat_index(ref))});
+        {ref, v.msg, static_cast<std::uint32_t>(net_.vc_flat_index(ref)), t});
   }
 }
 
@@ -365,11 +367,10 @@ void Simulator::eject_node(NodeId node, Cycle t) {
     if (!port.busy()) continue;
     VcState& u = net_.vc(port.src);
     if (u.buffered() == 0) continue;
-    Message& m = pool_[port.msg];
     ++u.out_count;
     --u.occupancy;
     u.last_activity = t;
-    m.last_progress = t;
+    net_.mark_progress(port.src, t);
     // Ejected flits return credits like forwarded ones — except from an
     // injection VC, which sits outside the credit loop (a recovery
     // re-injection at the absorb node can eject straight from one when
@@ -381,7 +382,7 @@ void Simulator::eject_node(NodeId node, Cycle t) {
     if (timeseries_) timeseries_->on_flits_ejected(t, 1);
     if (online_) online_->on_flits_ejected(1);
     if (spatial_) spatial_->on_ejected_flit(node);
-    if (u.out_count == m.length) {
+    if (u.out_count == u.msg_length) {
       net_.set_active(port.src, false);
       if (tracer_) {
         tracer_->record(t, obs::EventKind::VcRelease, port.src.link,
@@ -442,7 +443,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     pending_route_.pop_back();
     return true;
   }
-  if (t < v.header_arrival + routing_delay) return false;
+  if (t < e.header_arrival + routing_delay) return false;
   const std::size_t slot = e.slot;
   const NodeId node = vc_node_[slot];
 
@@ -471,7 +472,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
       if (port < 0) return false;  // wait for an ejection channel
       net_.bind_eject(ref, node, static_cast<unsigned>(port), v.msg);
       eject_nodes_.insert(node);
-      m.last_progress = t;
+      net_.mark_progress(ref, t);
       v.pending_route = false;
       pending_route_[i] = pending_route_.back();
       pending_route_.pop_back();
@@ -555,16 +556,16 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     // sum, the whole visit — until that bound.
     if (!detect_on || net_.is_injection(ref.link)) {
       if (memo != nullptr) memo->no_detect_before = kForever;
-    } else if (t - v.header_arrival < threshold) {
+    } else if (t - e.header_arrival < threshold) {
       if (memo != nullptr) {
-        memo->no_detect_before = v.header_arrival + threshold;
+        memo->no_detect_before = e.header_arrival + threshold;
       }
     } else if (memo == nullptr || t >= memo->no_detect_before) {
-      const Message& m = pool_[v.msg];
+      const Cycle last_progress = net_.worm_progress(ref);
       Cycle earliest = 0;
-      if (t - m.last_progress < threshold) {
+      if (t - last_progress < threshold) {
         if (memo != nullptr) {
-          memo->no_detect_before = m.last_progress + threshold;
+          memo->no_detect_before = last_progress + threshold;
         }
       } else if (requested_channels_frozen(node, t, route(), &earliest)) {
         absorb_deadlocked(v.msg, t);
@@ -587,7 +588,6 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   Message& m = pool_[v.msg];
   m.head = out;
   m.entered_network = true;
-  m.last_progress = t;
   v.pending_route = false;
   pending_route_[i] = pending_route_.back();
   pending_route_.pop_back();
@@ -614,17 +614,16 @@ void Simulator::phase_route(Cycle t) {
 
 void Simulator::transmit_link(LinkId l, Cycle t, unsigned vcs, unsigned cap) {
   Link& link = net_.link(l);
-  if (link.active_vc_mask == 0) return;
-  // Round-robin across this physical channel's allocated VCs: pick the
-  // first whose upstream buffer has a flit and whose own buffer has
-  // room. rr_next stays in [0, vcs), so the rotation is an
-  // increment-with-wrap instead of a modulo.
+  const unsigned active = link.active_vc_mask;
+  if (active == 0) return;
+  // Round-robin across this physical channel's allocated VCs: send from
+  // the first, starting at rr_next, whose upstream buffer has a flit and
+  // whose own buffer has room.
   VcState* const row = net_.vc_row(l);
   const std::size_t slot_base = static_cast<std::size_t>(l) * vcs;
-  std::uint8_t vcn = link.rr_next;
-  for (unsigned j = 0; j < vcs; ++j, vcn = vcn + 1u == vcs ? 0 : vcn + 1u) {
-    if (!(link.active_vc_mask & (1u << vcn))) continue;
-    [[maybe_unused]] const VcRef ref{l, vcn};
+  for (unsigned m = rr_rotate(active, link.rr_next, vcs); m != 0; m &= m - 1) {
+    const unsigned bit = static_cast<unsigned>(std::countr_zero(m));
+    const auto vcn = static_cast<std::uint8_t>(bit < vcs ? bit : bit - vcs);
     VcState& w = row[vcn];
     // Cheap structural checks first; the scheme veto runs last so it is
     // consulted only when a send is otherwise possible (every scheme's
@@ -635,18 +634,16 @@ void Simulator::transmit_link(LinkId l, Cycle t, unsigned vcs, unsigned cap) {
     VcState& u = net_.vc(w.upstream);
     if (u.buffered() == 0) continue;
     if (!fc_may_send(slot_base + vcn, w.occupancy, cap)) continue;
-    assert(u.out_kind == VcState::OutKind::Vc && u.out == ref);
+    assert(u.out_kind == VcState::OutKind::Vc && (u.out == VcRef{l, vcn}));
     const VcRef up = w.upstream;  // transmit may clear it when the tail leaves
-    const MsgId msg = w.msg;
-    const bool freed = net_.transmit_flit(up, w.msg_length, t);
+    const bool freed = net_.transmit_flit(link, l, vcn, w, u, t);
     fc_on_sent(slot_base + vcn, t);
     if (!net_.is_injection(up.link)) {
       fc_on_drained(net_.vc_flat_index(up), t);
     }
     if (freed && tracer_) {
-      tracer_->record(t, obs::EventKind::VcRelease, up.link, up.vc, 0, msg);
+      tracer_->record(t, obs::EventKind::VcRelease, up.link, up.vc, 0, w.msg);
     }
-    pool_[msg].last_progress = t;
     link.rr_next = vcn + 1u == vcs ? 0 : static_cast<std::uint8_t>(vcn + 1u);
     break;  // one flit per physical link per cycle
   }
@@ -678,10 +675,11 @@ void Simulator::start_injection(NodeId node, unsigned inj_channel, MsgId id,
   assert(v.free());
   v.clear();
   v.msg = id;
-  v.msg_length = pool_[id].length;
+  static_assert(traffic::kMaxMessageFlits <= 0xFFFF, "VcState counters");
+  v.msg_length = static_cast<std::uint16_t>(pool_[id].length);
   v.in_count = 1;  // the header flit is written immediately
   v.occupancy = 1;
-  v.header_arrival = t;
+  net_.mark_progress(ref, t);
   net_.set_active(ref, true);
   if (tracer_) {
     tracer_->record(t, obs::EventKind::VcAlloc, ref.link, ref.vc, 0, id);
@@ -692,9 +690,8 @@ void Simulator::start_injection(NodeId node, unsigned inj_channel, MsgId id,
   m.in_network = true;
   m.at_destination = false;
   m.entered_network = false;
-  m.last_progress = t;
   m.inject_time = t;
-  enroll_for_routing(ref);
+  enroll_for_routing(ref, t);
 }
 
 void Simulator::inject_node(NodeId node, Cycle t) {
@@ -710,7 +707,7 @@ void Simulator::inject_node(NodeId node, Cycle t) {
     if (v.in_count < v.msg_length && v.occupancy < cap) {
       ++v.in_count;
       ++v.occupancy;
-      pool_[v.msg].last_progress = t;
+      net_.mark_progress({net_.inj_link(node, i), 0}, t);
     }
   }
 
@@ -897,7 +894,7 @@ void Simulator::teardown_worm(MsgId id, Cycle t) {
   VcRef cur = m.head;
   while (cur.valid()) {
     const VcRef up = net_.vc(cur).upstream;
-    net_.absorb_drop(cur.link, id);
+    net_.absorb_drop(cur);
     net_.vc(cur).pending_route = false;  // lazily dropped from the list
     net_.force_free(cur);
     // The slot's buffered and in-flight flits just vanished: restore
@@ -912,7 +909,6 @@ void Simulator::teardown_worm(MsgId id, Cycle t) {
   m.in_network = false;
   m.at_destination = false;
   m.entered_network = false;
-  m.last_progress = t;
 }
 
 void Simulator::absorb_deadlocked(MsgId id, Cycle t) {
@@ -1126,6 +1122,14 @@ void Simulator::deactivate(MsgId id) {
 
 // --- Coherence / conservation checks ----------------------------------
 
+std::optional<Cycle> Simulator::header_arrival(VcRef ref) const {
+  if (!net_.vc(ref).pending_route) return std::nullopt;
+  for (const PendingRoute& e : pending_route_) {
+    if (e.ref == ref) return e.header_arrival;
+  }
+  return std::nullopt;
+}
+
 bool Simulator::check_active_sets(std::string* why) const {
   const auto fail = [why](const std::string& msg) {
     if (why) *why = msg;
@@ -1143,6 +1147,20 @@ bool Simulator::check_active_sets(std::string* why) const {
     if (arriving != net.arrival_links().contains(l)) {
       return fail("arrival_links incoherent at link " + std::to_string(l));
     }
+  }
+  // Between steps each route-pending VC has exactly one entry, made for
+  // its current tenancy (what makes PendingRoute::header_arrival exact).
+  std::size_t pending_vcs = 0, live = 0;
+  for (LinkId l = 0; l < net.num_links(); ++l) {
+    for (unsigned v = 0; v < net.vcs_on(l); ++v) {
+      pending_vcs += net.vc({l, v}).pending_route;
+    }
+  }
+  for (const PendingRoute& e : pending_route_) {
+    live += net.vc(e.ref).pending_route && net.vc(e.ref).msg == e.msg;
+  }
+  if (live != pending_route_.size() || pending_vcs != live) {
+    return fail("route-pending list holds stale or duplicate entries");
   }
   if (net.tenant_links().size() != net.tenant_links().recount() ||
       net.arrival_links().size() != net.arrival_links().recount()) {

@@ -35,6 +35,7 @@
 #include <bit>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <string>
 #include <string_view>
@@ -325,6 +326,9 @@ class Simulator {
     return active_;
   }
   const Message& message(MsgId id) const noexcept { return pool_[id]; }
+  /// Cycle the route-pending header at `ref` entered its buffer, or
+  /// nullopt (tests; scans the pending list).
+  std::optional<Cycle> header_arrival(VcRef ref) const;
 
  private:
   struct PendingMessage {
@@ -504,7 +508,7 @@ class Simulator {
                    : static_cast<const core::ChannelStatus&>(net_);
   }
 
-  void enroll_for_routing(VcRef ref);
+  void enroll_for_routing(VcRef ref, Cycle t);
   void start_injection(NodeId node, unsigned inj_channel, MsgId id, Cycle t);
   /// Free every VC the worm occupies (head-to-tail upstream walk),
   /// including an ejection-port binding, and reset the message record
@@ -574,10 +578,13 @@ class Simulator {
   /// from the route memo alone, without loading its VcState. A stale
   /// snapshot (the tenancy ended) simply fails the memo key comparison
   /// and takes the full path, which detects and drops the entry.
+  /// `header_arrival` (routable from it + routing_delay on) is exact:
+  /// see DESIGN.md, "Flit-path state layout".
   struct PendingRoute {
     VcRef ref;
     MsgId msg = kNoMsg;
     std::uint32_t slot = 0;
+    Cycle header_arrival = 0;
   };
   std::vector<PendingRoute> pending_route_;
   routing::RouteResult route_buf_;

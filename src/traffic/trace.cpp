@@ -65,6 +65,8 @@ Trace Trace::load(std::istream& in) {
       throw std::invalid_argument("malformed trace line " +
                                   std::to_string(lineno) + ": " + line);
     }
+    check_message_length(r.length,
+                         "trace line " + std::to_string(lineno) + ": ");
     trace.add(r);
   }
   if (!saw_header) {

@@ -1,14 +1,24 @@
 #include "traffic/workload.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace wormsim::traffic {
+
+void check_message_length(std::uint64_t flits, const std::string& where) {
+  if (flits > kMaxMessageFlits) {
+    throw std::invalid_argument(where + "message length " +
+                                std::to_string(flits) + " exceeds " +
+                                std::to_string(kMaxMessageFlits) + " flits");
+  }
+}
 
 Workload::Workload(const topo::KAryNCube& topo, const WorkloadConfig& cfg,
                    std::uint64_t seed)
     : topo_(topo), cfg_(cfg) {
   const double mean_len = cfg.length.mean();
   if (mean_len <= 0) throw std::invalid_argument("message length must be > 0");
+  check_message_length(cfg.length.longest());
   msg_rate_ = cfg.offered_flits_per_node_cycle / mean_len;
   // Patterns capture a pointer to our owned topology copy, so they stay
   // valid for the Workload's lifetime (Workload is not movable).

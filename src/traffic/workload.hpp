@@ -2,8 +2,10 @@
 // instantiated per node with independent RNG substreams.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "topology/kary_ncube.hpp"
@@ -13,6 +15,12 @@
 #include "util/small_vector.hpp"
 
 namespace wormsim::traffic {
+
+/// Longest message the simulator carries (its per-VC flit counters are
+/// 16-bit). check_message_length throws std::invalid_argument, prefixed
+/// by `where`, for anything longer.
+inline constexpr std::uint32_t kMaxMessageFlits = 65535;
+void check_message_length(std::uint64_t flits, const std::string& where = "");
 
 /// Message length distributions. The paper uses fixed 16-flit and
 /// 64-flit lengths; Bimodal is provided for mixed-size studies.
@@ -30,6 +38,9 @@ struct LengthDist {
   double mean() const {
     if (kind == Kind::Fixed) return fixed;
     return long_fraction * long_len + (1.0 - long_fraction) * short_len;
+  }
+  std::uint32_t longest() const {
+    return kind == Kind::Fixed ? fixed : std::max(short_len, long_len);
   }
 };
 

@@ -56,6 +56,22 @@ TEST(Presets, ValidationCatchesBadConfigs) {
   cfg = config::small_base();
   cfg.protocol.measure = 0;
   EXPECT_THROW(config::validate(cfg), std::invalid_argument);
+
+  cfg = config::small_base();
+  cfg.workload.length.fixed = 65536;  // per-VC flit counters are 16-bit
+  EXPECT_THROW(config::validate(cfg), std::invalid_argument);
+}
+
+/// network_bytes from the record sizes: 32-byte VcState plus an 8-byte
+/// FC3D progress stamp per VC slot, links, ejection ports.
+TEST(Presets, MemoryEstimatePinsNetworkBytes) {
+  const auto cfg = config::paper_base();  // 512 nodes, 6 channels, 3 VCs
+  const std::uint64_t net_links = 512 * 6, inj_links = 512 * 4;
+  const std::uint64_t slots = net_links * 3 + inj_links;
+  EXPECT_EQ(config::estimate_memory(cfg).network_bytes,
+            (net_links + inj_links) * sizeof(sim::Link) + slots * (32 + 8) +
+                512 * 4 * sizeof(sim::EjectPort));
+  EXPECT_LE(sizeof(sim::Link), 64u);
 }
 
 /// Healthy networks route in closed form and build no routing table;

@@ -498,7 +498,9 @@ void expect_networks_equal(const Simulator& ds, const Simulator& as,
           << "vc " << l << "/" << v << " cycle " << at;
       ASSERT_EQ(dv.occupancy, av.occupancy)
           << "vc " << l << "/" << v << " cycle " << at;
-      ASSERT_EQ(dv.header_arrival, av.header_arrival)
+      ASSERT_EQ(ds.header_arrival(ref), as.header_arrival(ref))
+          << "vc " << l << "/" << v << " cycle " << at;
+      ASSERT_EQ(d.progress(ref), a.progress(ref))
           << "vc " << l << "/" << v << " cycle " << at;
       ASSERT_EQ(dv.last_activity, av.last_activity)
           << "vc " << l << "/" << v << " cycle " << at;

@@ -61,6 +61,55 @@ TEST(DeadlockRecovery, DetectionLatencyRespectsThreshold) {
   EXPECT_GE(sim->total_deadlock_detections(), 1u);
 }
 
+/// FC3D fires exactly `threshold` cycles after the last flit of the worm
+/// moved — even when that move was a tail leaving an upstream VC, so the
+/// newest progress sits mid-worm rather than at the header. On an 8-ring
+/// with one VC, 0 -> 3 (8 flits, 4-flit buffers) blocks at node 2 behind
+/// a frozen tenant of link 2 -> 3: the header's VC fills, then the next
+/// one, and the tail leaving the injection VC is the last move.
+TEST(DeadlockRecovery, DetectionFiresThresholdAfterLastFlitMoved) {
+  auto sim = make_sim(8, 1, ring_config(true));
+  Network& net = sim->network();
+  const topo::KAryNCube& topo = sim->topology();
+  const auto channel_to = [&](topo::NodeId from, topo::NodeId to) {
+    for (unsigned c = 0; c < topo.num_channels(); ++c) {
+      if (topo.neighbor(from, static_cast<topo::ChannelId>(c)) == to) {
+        return static_cast<topo::ChannelId>(c);
+      }
+    }
+    return topo::ChannelId{0};
+  };
+  const VcRef blocker{net.net_link(2, channel_to(2, 3)), 0};
+  net.vc(blocker).msg = 999;  // a tenant that never moves
+  net.set_active(blocker, true);
+  const VcRef inj{net.inj_link(0, 0), 0};
+  const VcRef mid{net.net_link(0, channel_to(0, 1)), 0};
+  const VcRef head{net.net_link(1, channel_to(1, 2)), 0};
+
+  ASSERT_TRUE(sim->push_message(0, 3, 8));
+  Cycle tail_left = 0;
+  bool inj_was_busy = false;  // during the previous cycle
+  while (sim->total_deadlock_detections() == 0 && sim->cycle() < 500) {
+    const Cycle t = sim->cycle();
+    sim->step();
+    const bool busy = !net.vc(inj).free();
+    if (inj_was_busy && !busy) {
+      tail_left = t;
+      // The worm now spans `mid` (newest stamp) and the blocked `head`.
+      EXPECT_EQ(net.vc(head).occupancy, 4u);  // full, flits in flight included
+      EXPECT_EQ(net.progress(mid), t);
+      EXPECT_LT(net.progress(head), t);
+      EXPECT_EQ(net.worm_progress(head), t);
+    }
+    inj_was_busy = busy;
+    if (sim->total_deadlock_detections() != 0) {
+      ASSERT_GT(tail_left, 0u);
+      EXPECT_EQ(t, tail_left + 32);
+    }
+  }
+  EXPECT_EQ(sim->total_deadlock_detections(), 1u);
+}
+
 TEST(DeadlockRecovery, RecoveredLatencyIncludesStallTime) {
   auto sim = make_sim(5, 1, ring_config(true));
   inject_ring_deadlock(*sim);

@@ -29,6 +29,12 @@ TEST(SingleMessage, RejectsSelfAndZeroLength) {
   EXPECT_FALSE(sim->push_message(0, 1, 0));
 }
 
+TEST(SingleMessage, RejectsMessagesAbove16BitFlits) {
+  auto sim = make_sim(4, 2);
+  EXPECT_THROW(sim->push_message(0, 1, 65536), std::invalid_argument);
+  EXPECT_TRUE(sim->push_message(0, 1, 65535));
+}
+
 TEST(SingleMessage, ExactLatencyOneHop) {
   auto sim = make_sim(4, 2);
   const topo::NodeId dst = sim->topology().neighbor(0, 0);

@@ -41,6 +41,19 @@ TEST(Trace, LoadRejectsMalformedLine) {
   EXPECT_THROW(Trace::load(ss), std::invalid_argument);
 }
 
+TEST(Trace, RejectsOversizeLength) {
+  std::stringstream ok("#wormsim-trace v1\n0 0 1 65535\n");
+  EXPECT_EQ(Trace::load(ok).records()[0].length, 65535u);
+  std::stringstream ss("#wormsim-trace v1\n0 0 1 16\n\n3 1 2 65536\n");
+  try {
+    Trace::load(ss);
+    FAIL() << "oversize length accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("trace line 4"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Trace, LoadSkipsCommentsAndBlankLines) {
   std::stringstream ss(
       "#wormsim-trace v1\n\n# a comment\n7 1 2 16\n\n9 3 4 8\n");

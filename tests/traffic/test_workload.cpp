@@ -18,6 +18,21 @@ WorkloadConfig base_config(double offered, std::uint32_t len = 16) {
   return cfg;
 }
 
+/// Per-VC flit counters are 16-bit: longer messages are refused up
+/// front, for fixed and bimodal lengths alike.
+TEST(Workload, RejectsMessagesAbove16BitFlits) {
+  const KAryNCube topo(4, 2);
+  EXPECT_NO_THROW(Workload(topo, base_config(0.1, kMaxMessageFlits), 1));
+  EXPECT_THROW(Workload(topo, base_config(0.1, kMaxMessageFlits + 1), 1),
+               std::invalid_argument);
+  WorkloadConfig bimodal = base_config(0.1);
+  bimodal.length.kind = LengthDist::Kind::Bimodal;
+  bimodal.length.long_len = 70000;
+  EXPECT_THROW(Workload(topo, bimodal, 1), std::invalid_argument);
+  EXPECT_THROW(check_message_length(std::uint64_t{1} << 32),
+               std::invalid_argument);
+}
+
 TEST(Workload, MessageRateDerivedFromFlitLoad) {
   const KAryNCube topo(4, 2);
   const Workload w(topo, base_config(0.32, 16), 1);
