@@ -70,16 +70,15 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
       nodes * nodes <= routing::RoutingLut::kMaxEntries) {
     f.lut_bytes = nodes * nodes * sizeof(routing::RouteCode);
   }
-  // SoA status rows: per-net-link free/admissible masks and epoch
-  // counters, the per-slot slot->router map and route memo, and the
-  // route coder's per-node coordinates.
-  f.status_bytes = net_links * (sizeof(std::uint8_t) * 2 +
-                                sizeof(std::uint64_t)) +
-                   slots * sizeof(topo::NodeId) +
+  // SoA status rows: per-net-link free/admissible masks, the route
+  // coder's per-node coordinates and, with the route memo, the per-node
+  // queue-head (dst, code) cache. Blocked headers keep their memo in
+  // their route-pending entry, which scales with traffic, not size.
+  f.status_bytes = net_links * sizeof(std::uint8_t) * 2 +
                    nodes * cfg.n * sizeof(std::uint16_t);
-  const bool active = cfg.sim.core == sim::SimCore::Active;
-  if (active && cfg.sim.fastpath.route_memo) {
-    f.status_bytes += slots * sim::Simulator::route_memo_entry_bytes();
+  if (cfg.sim.core == sim::SimCore::Active && cfg.sim.fastpath.route_memo) {
+    f.status_bytes +=
+        nodes * (sizeof(topo::NodeId) + sizeof(routing::RouteCode));
   }
   // Active-set bitmaps: tenant + arrival over net links; eject, inject
   // and generator-dense over nodes; plus the per-node generator

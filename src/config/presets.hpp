@@ -42,7 +42,7 @@ struct MemoryFootprint {
   std::uint64_t nodes = 0;
   std::uint64_t network_bytes = 0;     // links, VC state, eject ports
   std::uint64_t lut_bytes = 0;         // tabulated routing (0 = passthrough)
-  std::uint64_t status_bytes = 0;      // per-link status rows + route memo
+  std::uint64_t status_bytes = 0;      // status rows + queue-head routes
   std::uint64_t active_set_bytes = 0;  // bitmap index sets + gen bookkeeping
   std::uint64_t total_bytes() const noexcept {
     return network_bytes + lut_bytes + status_bytes + active_set_bytes;

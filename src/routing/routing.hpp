@@ -72,7 +72,19 @@ struct RouteCode {
   std::uint16_t useful = 0;      // useful physical channel mask
   std::uint8_t det_channel = 0;  // DOR hop channel (DOR/Duato escape)
   std::uint8_t det_class = 0;    // its dateline VC class (0 or 1)
+
+  friend constexpr bool operator==(const RouteCode&,
+                                   const RouteCode&) = default;
 };
+
+/// VC set of the deterministic hop under DOR (dateline class 0 = VC 0,
+/// class 1 = the rest) and under Duato's escape layer (VC 0 or 1).
+constexpr std::uint32_t dor_vcs(RouteCode code, std::uint32_t all_vcs) {
+  return code.det_class == 0 ? 0b1u : (all_vcs & ~0b1u);
+}
+constexpr std::uint32_t escape_vcs(RouteCode code) {
+  return code.det_class == 0 ? 0b01u : 0b10u;
+}
 
 /// Defined inline: the cycle loop expands a code for every selection.
 inline void expand(RouteCode code, Algorithm algorithm, unsigned num_vcs,
@@ -91,31 +103,39 @@ inline void expand(RouteCode code, Algorithm algorithm, unsigned num_vcs,
     case Algorithm::TFAR:
       push_useful(all_vcs);
       break;
-    case Algorithm::DOR: {
-      const std::uint32_t vcs =
-          code.det_class == 0 ? 0b1u : (all_vcs & ~0b1u);
-      out.candidates.push_back({code.det_channel, vcs, /*escape=*/false});
+    case Algorithm::DOR:
+      out.candidates.push_back(
+          {code.det_channel, dor_vcs(code, all_vcs), /*escape=*/false});
       break;
-    }
-    case Algorithm::Duato: {
+    case Algorithm::Duato:
       push_useful(all_vcs & ~0b11u);
-      const std::uint32_t esc_vcs = code.det_class == 0 ? 0b01u : 0b10u;
-      out.candidates.push_back({code.det_channel, esc_vcs, /*escape=*/true});
+      out.candidates.push_back(
+          {code.det_channel, escape_vcs(code), /*escape=*/true});
       break;
-    }
   }
 }
 
-/// Union of the candidate channels expand() would produce.
-constexpr std::uint32_t candidate_mask(RouteCode code,
-                                       Algorithm algorithm) noexcept {
-  const std::uint32_t det = 1u << code.det_channel;
+/// Whether some candidate of expand(code, ...) has a free VC in
+/// `free_row` (free_row[c] = free-VC mask of channel c). Every selection
+/// policy picks exactly when one does, so this is the exact test for
+/// "selection would fail" without expanding the route.
+inline bool any_free(RouteCode code, Algorithm algorithm, unsigned num_vcs,
+                     const std::uint8_t* free_row) noexcept {
+  const std::uint32_t all_vcs = (1u << num_vcs) - 1u;
+  const auto useful_free = [&](std::uint32_t vcs) {
+    for (std::uint32_t m = code.useful; m != 0; m &= m - 1) {
+      if ((free_row[std::countr_zero(m)] & vcs) != 0) return true;
+    }
+    return false;
+  };
+  const std::uint32_t det = free_row[code.det_channel];
   switch (algorithm) {
-    case Algorithm::TFAR: return code.useful;
-    case Algorithm::DOR: return det;
-    case Algorithm::Duato: return code.useful | det;
+    case Algorithm::TFAR: return useful_free(all_vcs);
+    case Algorithm::DOR: return (det & dor_vcs(code, all_vcs)) != 0;
+    case Algorithm::Duato:
+      return (det & escape_vcs(code)) != 0 || useful_free(all_vcs & ~0b11u);
   }
-  return 0;
+  return false;
 }
 
 /// Closed-form route codes on a healthy torus, for every algorithm:

@@ -37,7 +37,6 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
                     static_cast<std::uint8_t>((1u << params.num_vcs) - 1u));
   vc_field_.assign(num_net_links_,
                    static_cast<std::uint8_t>((1u << params.num_vcs) - 1u));
-  link_epoch_.assign(num_net_links_, 0);
   tenant_links_.reset(num_net_links_);
   arrival_links_.reset(num_net_links_);
 

@@ -64,7 +64,7 @@ class Network final : public core::ChannelStatus {
 
   /// Dense [0, num_vc_slots()) index of a VC (net-link VCs first, then
   /// one slot per injection link) — key for per-VC side tables like the
-  /// simulator's route memo.
+  /// flow-control schemes' credit counters.
   std::size_t vc_flat_index(VcRef ref) const noexcept { return vc_index(ref); }
   std::size_t num_vc_slots() const noexcept { return vcs_.size(); }
 
@@ -90,22 +90,6 @@ class Network final : public core::ChannelStatus {
   /// and the ALO/LF/DRIL rules without virtual ChannelStatus reads.
   const std::uint8_t* free_mask_row(NodeId node) const noexcept {
     return free_mask_.data() +
-           static_cast<std::size_t>(node) * topo_->num_channels();
-  }
-
-  /// Monotonic per-network-link change counter: bumped on every
-  /// set_active touching the link, i.e. whenever its free-VC mask may
-  /// have changed. Equal epoch (and thus equal epoch sums over a set of
-  /// links) guarantees the masks are unchanged — the invalidation key
-  /// for the simulator's blocked-header route memo.
-  std::uint64_t link_epoch(LinkId link) const noexcept {
-    return link_epoch_[link];
-  }
-
-  /// Epoch row of one node's output links (num_phys_channels() entries,
-  /// net_link layout): row[c] == link_epoch(net_link(node, c)).
-  const std::uint64_t* link_epoch_row(NodeId node) const noexcept {
-    return link_epoch_.data() +
            static_cast<std::size_t>(node) * topo_->num_channels();
   }
 
@@ -233,9 +217,8 @@ class Network final : public core::ChannelStatus {
   void absorb_drop(VcRef ref) noexcept;
 
   /// Mark/unmark tenancy in the link's active mask. The SOLE writer of
-  /// active_vc_mask, which is what keeps the SoA free-mask mirror and
-  /// the per-link epochs coherent. Inline: called on every tenancy
-  /// transition.
+  /// active_vc_mask, which is what keeps the SoA free-mask mirror
+  /// coherent. Inline: called on every tenancy transition.
   void set_active(VcRef ref, bool active) noexcept {
     Link& l = links_[ref.link];
     if (active) {
@@ -246,7 +229,6 @@ class Network final : public core::ChannelStatus {
     if (ref.link < num_net_links_) {
       free_mask_[ref.link] =
           static_cast<std::uint8_t>(~l.active_vc_mask) & vc_field_[ref.link];
-      ++link_epoch_[ref.link];
       if (l.active_vc_mask != 0) {
         tenant_links_.insert(ref.link);
       } else {
@@ -258,9 +240,8 @@ class Network final : public core::ChannelStatus {
   // --- Dead links (fault injection) ------------------------------------
   /// Zero / restore a network link's admissible-VC field. A dead link's
   /// free mask reads 0, so no selection, limiter or injection scan can
-  /// pick it; its epoch bumps so memoized routes re-validate. The
-  /// caller must have torn down every tenant and drained the in-flight
-  /// pipeline before killing.
+  /// pick it. The caller must have torn down every tenant and drained
+  /// the in-flight pipeline before killing.
   void set_link_dead(LinkId link, bool dead) noexcept {
     assert(link < num_net_links_);
     assert(!dead || (links_[link].active_vc_mask == 0 &&
@@ -270,15 +251,9 @@ class Network final : public core::ChannelStatus {
     free_mask_[link] =
         static_cast<std::uint8_t>(~links_[link].active_vc_mask) &
         vc_field_[link];
-    ++link_epoch_[link];
   }
   bool link_dead(LinkId link) const noexcept {
     return link < num_net_links_ && vc_field_[link] == 0;
-  }
-  /// Bump every network link's epoch — a routing-table rebuild changes
-  /// which candidates are valid even where free masks did not move.
-  void bump_all_epochs() noexcept {
-    for (std::uint64_t& e : link_epoch_) ++e;
   }
 
   // --- Active sets ------------------------------------------------------
@@ -319,7 +294,6 @@ class Network final : public core::ChannelStatus {
   // (the sole writer of active_vc_mask). Net links only.
   std::vector<std::uint8_t> free_mask_;    // ~active_vc_mask & vc_field
   std::vector<std::uint8_t> vc_field_;     // admissible VCs; 0 = dead link
-  std::vector<std::uint64_t> link_epoch_;  // bumped per set_active
 
   util::ActiveSet tenant_links_;   // net links with active_vc_mask != 0
   util::ActiveSet arrival_links_;  // net links with non-empty in_flight

@@ -81,7 +81,7 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
     faults_ = std::make_unique<fault::FaultManager>(topo_, cfg_.faults);
   }
   memo_on_ = active && cfg_.fastpath.route_memo;
-  if (memo_on_) route_memo_.resize(net_.num_vc_slots());
+  if (memo_on_) head_route_.resize(topo_.num_nodes());
   static_dispatch_on_ = active && cfg_.fastpath.static_dispatch;
   resolve_limiter_dispatch();
   // Flow-control scheme, resolved once like the limiter dispatch above.
@@ -98,19 +98,6 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
   fc_admits_ = flow_->gates_admission();
   if (credit_) credit_status_.bind(net_, *credit_);
   fc_row_buf_.resize(topo_.num_channels());
-  // Per-slot owning router node (the link's dst): a contiguous 4-byte
-  // lookup in phase_route instead of a Link record load.
-  vc_node_.resize(net_.num_vc_slots());
-  for (LinkId l = 0; l < net_.num_links(); ++l) {
-    const NodeId dst = net_.link(l).dst;
-    for (unsigned vc = 0; vc < net_.vcs_on(l); ++vc) {
-      vc_node_[net_.vc_flat_index({l, static_cast<std::uint8_t>(vc)})] = dst;
-    }
-  }
-}
-
-std::size_t Simulator::route_memo_entry_bytes() noexcept {
-  return sizeof(RouteMemo);
 }
 
 void Simulator::resolve_limiter_dispatch() {
@@ -332,8 +319,9 @@ void Simulator::phase_arrivals(Cycle t) {
     scan_.scan_visited += n;
     for (LinkId l = 0; l < n; ++l) {
       if (net_.link(l).in_flight.empty()) continue;
-      net_.process_arrivals(
-          l, t, [this, t](VcRef ref) { enroll_for_routing(ref, t); });
+      net_.process_arrivals(l, t, [this, t](VcRef ref) {
+        enroll_for_routing(ref, net_.link(ref.link).dst, t);
+      });
     }
     return;
   }
@@ -344,17 +332,22 @@ void Simulator::phase_arrivals(Cycle t) {
   net_.arrival_links().for_each_with_next([&](std::size_t l, std::size_t next) {
     if (next < links) net_.prefetch_link(static_cast<LinkId>(next));
     net_.process_arrivals(
-        static_cast<LinkId>(l), t,
-        [this, t](VcRef ref) { enroll_for_routing(ref, t); });
+        static_cast<LinkId>(l), t, [this, t](VcRef ref) {
+          enroll_for_routing(ref, net_.link(ref.link).dst, t);
+        });
   });
 }
 
-void Simulator::enroll_for_routing(VcRef ref, Cycle t) {
+void Simulator::enroll_for_routing(VcRef ref, NodeId node, Cycle t) {
   VcState& v = net_.vc(ref);
   if (!v.pending_route) {
     v.pending_route = true;
-    pending_route_.push_back(
-        {ref, v.msg, static_cast<std::uint32_t>(net_.vc_flat_index(ref)), t});
+    PendingRoute e;
+    e.ref = ref;
+    e.msg = v.msg;
+    e.node = node;
+    e.header_arrival = t;
+    pending_route_.push_back(e);
   }
 }
 
@@ -420,51 +413,36 @@ void Simulator::phase_eject(Cycle t) {
 
 bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
                             bool detect_on, Cycle threshold) {
-  const PendingRoute e = pending_route_[i];
-  // Parked-entry check: if the enrollment snapshot still matches the
-  // memo's tenancy key, this header already blocked; an equal epoch
-  // sum proves every candidate mask is unchanged (still blocked) and
-  // a detection bound in the future proves the FC3D guards cannot
-  // pass either — the whole visit is a no-op, decided without
-  // touching the VcState or Message record.
-  if (memo_on_) {
-    const RouteMemo& pm = route_memo_[e.slot];
-    if (pm.msg == e.msg && t < pm.no_detect_before &&
-        candidate_epoch_sum(vc_node_[e.slot], pm.cand_mask) == pm.epoch_sum) {
-      ++scan_.route_memo_hits;
-      return false;
-    }
+  PendingRoute& e = pending_route_[i];
+  // Known-blocked header (route memo on): it is still blocked exactly
+  // while admission refused it or no candidate of its route has a free
+  // bit in the live row selection reads (routing::any_free). With a
+  // detection bound in the future as well, the whole visit is a no-op,
+  // decided without touching the VcState or Message record.
+  bool still_blocked = false;
+  if (e.blocked) {
+    ++scan_.route_memo_hits;
+    still_blocked = e.refused ||
+                    !routing::any_free(e.code, cfg_.algorithm,
+                                       net_.params().num_vcs,
+                                       net_.free_mask_row(e.node));
+    if (still_blocked && t < e.no_detect_before) return false;
   }
   const VcRef ref = e.ref;
   VcState& v = net_.vc(ref);
   if (!v.pending_route) {
-    // Stale entry (the worm was absorbed by deadlock recovery).
+    // Stale entry (the worm was torn down by fault surgery).
     pending_route_[i] = pending_route_.back();
     pending_route_.pop_back();
     return true;
   }
   if (t < e.header_arrival + routing_delay) return false;
-  const std::size_t slot = e.slot;
-  const NodeId node = vc_node_[slot];
+  const NodeId node = e.node;
 
-  // Route lookup. The memo slot caches this VC's candidate list — a
-  // pure function of (node, dst), node being fixed per slot, so an
-  // entry even survives across tenancies and is keyed by dst alone.
-  // When additionally no candidate link's free-VC mask changed since
-  // the last failed selection (equal epoch sum), the header is
-  // provably still blocked and selection is skipped as well. The
-  // tenancy key memo->msg marks a header already observed blocked in
-  // transit this tenancy: its retries touch neither the Message
-  // record nor the destination check (both settled on first sight).
-  RouteMemo* memo = nullptr;
-  std::uint64_t epoch_sum = 0;
-  bool still_blocked = false;
-  if (memo_on_ && route_memo_[slot].msg == v.msg) {
-    memo = &route_memo_[slot];
-    ++scan_.route_memo_hits;
-    epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
-    still_blocked = epoch_sum == memo->epoch_sum;
-  } else {
+  // First sight this tenancy (or since a fault): settle the destination
+  // check and route. A known-blocked header already did both; its
+  // retries touch neither the Message record nor the routing function.
+  if (!e.blocked) {
     Message& m = pool_[v.msg];
     if (node == m.dst) {
       m.at_destination = true;
@@ -479,27 +457,17 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
       return true;
     }
     if (memo_on_) {
-      memo = &route_memo_[slot];
-      if (memo->dst == m.dst) {
-        ++scan_.route_memo_hits;
-      } else {
-        memo->code = route_code(node, m.dst);
-        memo->dst = m.dst;
-        memo->epoch_sum = kNoEpoch;
-        memo->cand_mask = routing::candidate_mask(memo->code, cfg_.algorithm);
-      }
-      epoch_sum = candidate_epoch_sum(node, memo->cand_mask);
-      still_blocked = epoch_sum == memo->epoch_sum;
+      e.code = route_code(node, m.dst);
     } else {
       route_at(node, m.dst, route_buf_);
     }
   }
-  // A memoized header holds only its route code: expand it into
-  // route_buf_ the first time this visit reads candidates.
-  bool expanded = memo == nullptr;
+  // With the memo on the entry holds only the route code: expand it
+  // into route_buf_ the first time this visit reads candidates.
+  bool expanded = !memo_on_;
   const auto route = [&]() -> const routing::RouteResult& {
     if (!expanded) {
-      expand_route(memo->code, route_buf_);
+      expand_route(e.code, route_buf_);
       expanded = true;
     }
     return route_buf_;
@@ -507,7 +475,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   if (probe_enabled_ && !v.probed) {
     v.probed = true;
     const std::uint32_t useful =
-        memo != nullptr ? memo->code.useful : route_buf_.useful_phys_mask;
+        memo_on_ ? e.code.useful : route_buf_.useful_phys_mask;
     const auto cond =
         static_dispatch_on_
             ? core::evaluate_alo_row(fc_status_row(node),
@@ -525,25 +493,22 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   std::optional<routing::Pick> pick;
   // VCT's whole-packet admission gates the claim itself; a failed
   // admission leaves the header blocked exactly like a failed
-  // selection (and the memo's still-blocked proof stays exact: the
-  // admission verdict is a constant of the tenancy).
-  if (!still_blocked && fc_admit(v.msg_length, net_.params().buf_flits)) {
-    if (static_dispatch_on_) {
-      pick = selector_.select(route(), net_.free_mask_row(node),
-                              alloc_rr_[node]);
-    } else {
-      const NodeFreeVcView view(net_, node);
-      pick = selector_.select(route(), view, alloc_rr_[node]);
+  // selection. The verdict is a constant of the tenancy, so the entry
+  // records it and stays blocked on it.
+  if (!still_blocked) {
+    e.refused = !fc_admit(v.msg_length, net_.params().buf_flits);
+    if (!e.refused) {
+      if (static_dispatch_on_) {
+        pick = selector_.select(route(), net_.free_mask_row(node),
+                                alloc_rr_[node]);
+      } else {
+        const NodeFreeVcView view(net_, node);
+        pick = selector_.select(route(), view, alloc_rr_[node]);
+      }
     }
   }
   if (!pick) {
-    if (memo != nullptr) {
-      if (!still_blocked) memo->epoch_sum = epoch_sum;
-      if (memo->msg != v.msg) {
-        memo->msg = v.msg;      // tenancy key; cleared on success/absorb
-        memo->no_detect_before = 0;  // prior tenancy's bound is void
-      }
-    }
+    e.blocked = memo_on_;
     // Blocked. FC3D-style deadlock presumption: the header has waited
     // at least `threshold` cycles, no flit of the message has moved,
     // and every virtual channel the routing function offers has shown
@@ -552,28 +517,24 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     // an injection channel hold no network resources and are exempt.
     // Every failed guard yields a monotone lower bound on the first
     // cycle detection could succeed (kForever for exempt headers);
-    // the memo skips re-evaluation — and, with an unchanged epoch
-    // sum, the whole visit — until that bound.
+    // with the memo on, re-evaluation — and, while still blocked, the
+    // whole visit — is skipped until that bound.
     if (!detect_on || net_.is_injection(ref.link)) {
-      if (memo != nullptr) memo->no_detect_before = kForever;
+      e.no_detect_before = kForever;
     } else if (t - e.header_arrival < threshold) {
-      if (memo != nullptr) {
-        memo->no_detect_before = e.header_arrival + threshold;
-      }
-    } else if (memo == nullptr || t >= memo->no_detect_before) {
+      e.no_detect_before = e.header_arrival + threshold;
+    } else if (!memo_on_ || t >= e.no_detect_before) {
       const Cycle last_progress = net_.worm_progress(ref);
       Cycle earliest = 0;
       if (t - last_progress < threshold) {
-        if (memo != nullptr) {
-          memo->no_detect_before = last_progress + threshold;
-        }
+        e.no_detect_before = last_progress + threshold;
       } else if (requested_channels_frozen(node, t, route(), &earliest)) {
         absorb_deadlocked(v.msg, t);
         pending_route_[i] = pending_route_.back();
         pending_route_.pop_back();
         return true;
-      } else if (memo != nullptr) {
-        memo->no_detect_before = earliest;
+      } else {
+        e.no_detect_before = earliest;
       }
     }
     return false;  // retry next cycle
@@ -581,7 +542,6 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   ++alloc_rr_[node];
   const VcRef out{net_.net_link(node, pick->channel), pick->vc};
   net_.allocate_out_vc(ref, out, v.msg, t);
-  if (memo != nullptr) memo->msg = kNoMsg;
   if (tracer_) {
     tracer_->record(t, obs::EventKind::VcAlloc, out.link, out.vc, 0, v.msg);
   }
@@ -599,12 +559,14 @@ void Simulator::phase_route(Cycle t) {
   const bool detect_on = cfg_.detection.enabled;
   const Cycle threshold = cfg_.detection.threshold;
   for (std::size_t i = 0; i < pending_route_.size();) {
-    // Entries index memo and VC records scattered over arrays far larger
-    // than the private caches: start loading two entries ahead.
+    // Entries index VC records scattered over an array far larger than
+    // the private caches: start loading two entries ahead, for entries
+    // that will take the full path (a parked one reads only its row).
     if (i + 2 < pending_route_.size()) {
       const PendingRoute& ahead = pending_route_[i + 2];
-      if (memo_on_) __builtin_prefetch(&route_memo_[ahead.slot]);
-      __builtin_prefetch(&net_.vc(ahead.ref));
+      if (!ahead.blocked || t >= ahead.no_detect_before) {
+        __builtin_prefetch(&net_.vc(ahead.ref));
+      }
     }
     if (!route_entry(i, t, routing_delay, detect_on, threshold)) ++i;
   }
@@ -691,7 +653,7 @@ void Simulator::start_injection(NodeId node, unsigned inj_channel, MsgId id,
   m.at_destination = false;
   m.entered_network = false;
   m.inject_time = t;
-  enroll_for_routing(ref, t);
+  enroll_for_routing(ref, node, t);
 }
 
 void Simulator::inject_node(NodeId node, Cycle t) {
@@ -754,11 +716,11 @@ void Simulator::inject_node(NodeId node, Cycle t) {
           allowed = true;
           break;
         case LimiterFast::Alo:
-          route_at(node, pm.dst, route_buf_);
+          head_route(node, pm.dst);
           allowed = core::evaluate_alo_routed_row(row, vcs, route_buf_).allow();
           break;
         case LimiterFast::Lf:
-          route_at(node, pm.dst, route_buf_);
+          head_route(node, pm.dst);
           allowed = static_cast<core::LinearFunctionLimiter*>(limiter_.get())
                         ->allow_row(req, row, vcs);
           break;
@@ -771,7 +733,7 @@ void Simulator::inject_node(NodeId node, Cycle t) {
           break;
       }
     } else {
-      route_at(node, pm.dst, route_buf_);
+      head_route(node, pm.dst);
       allowed = limiter_->allow(req, fc_channel_status());
     }
     if (!allowed) {
@@ -878,8 +840,6 @@ bool Simulator::requested_channels_frozen(
 
 void Simulator::teardown_worm(MsgId id, Cycle t) {
   Message& m = pool_[id];
-  // The header's slot may carry this tenancy's blocked-memo key; end it.
-  if (memo_on_) route_memo_[net_.vc_flat_index(m.head)].msg = kNoMsg;
   // Deadlocked worms are never eject-bound (at-destination headers are
   // exempt from detection), but fault surgery can hit one mid-delivery:
   // release the ejection port too.
@@ -1075,15 +1035,20 @@ void Simulator::apply_faults(Cycle t) {
     if (e.kind == fault::FaultKind::NodeKill) kill_node_state(e.node, t);
   }
   sync_dead_links(t);
-  // O(table) reconfiguration: retabulate the LUT on the alive graph,
-  // bump every link epoch and flush the route memo, so every blocked
-  // header re-routes against the new table next phase_route.
+  // O(table) reconfiguration: retabulate the LUT on the alive graph
+  // and forget every memoized route. Unblocking every pending entry
+  // serves two ends: each header re-routes against the new table (with
+  // a fresh detection bound, as its witness VCs may change), and each
+  // entry whose worm this fault handling tears down takes the full
+  // path this cycle, which finds it stale and drops it before any new
+  // tenancy of its VC can enroll.
   lut_->rebuild(&faults_->mask());
   ++lut_rebuilds_;
-  net_.bump_all_epochs();
-  if (memo_on_) {
-    for (RouteMemo& memo : route_memo_) memo = RouteMemo{};
+  for (PendingRoute& e : pending_route_) {
+    e.blocked = false;
+    e.no_detect_before = 0;
   }
+  std::fill(head_route_.begin(), head_route_.end(), HeadRoute{});
   if (tracer_) {
     tracer_->record(
         t, obs::EventKind::FaultLutRebuild, 0, 0,
@@ -1161,6 +1126,17 @@ bool Simulator::check_active_sets(std::string* why) const {
   }
   if (live != pending_route_.size() || pending_vcs != live) {
     return fail("route-pending list holds stale or duplicate entries");
+  }
+  // What a parked visit reads instead of the VcState, Link and Message
+  // records must agree with them: the router the header waits at and,
+  // for a blocked header, its tenancy's route from there.
+  for (const PendingRoute& e : pending_route_) {
+    if (e.node != net.link(e.ref.link).dst) {
+      return fail("route-pending entry names the wrong router");
+    }
+    if (e.blocked && e.code != lookup_code(e.node, pool_[e.msg].dst)) {
+      return fail("blocked entry holds a stale route code");
+    }
   }
   if (net.tenant_links().size() != net.tenant_links().recount() ||
       net.arrival_links().size() != net.arrival_links().recount()) {

@@ -32,7 +32,6 @@
 // tests/sim/test_core_equivalence.cpp enforces byte-identical results.
 #pragma once
 
-#include <bit>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -74,9 +73,10 @@ std::string_view sim_core_name(SimCore core) noexcept;
 /// of the optimizations. Results are bit-identical for every toggle
 /// combination; the switches exist for that test and for perf triage.
 struct FastPathConfig {
-  /// Blocked headers cache their candidate list and skip both re-route
-  /// and re-selection until the free-VC mask of some candidate link
-  /// changes (per-link epoch counters).
+  /// Blocked headers keep their route code in their pending entry and
+  /// skip both re-route and re-selection while no candidate has a free
+  /// VC in the live free-mask row; queue heads reuse their node's last
+  /// route for the same destination. Off = every visit routes afresh.
   bool route_memo = true;
   /// Resolve the injection-limiter and selection dispatch once per
   /// simulator instead of per virtual call inside the cycle loop.
@@ -110,10 +110,9 @@ struct SimulatorConfig {
   SimCore core = SimCore::Active;
   FastPathConfig fastpath{};
   /// Threads per simulation: always 1 (parallelism lives in the sweep
-  /// harness's --jobs). A read-only constant, not a setting — kept so
-  /// that code written against the former thread-count field, such as
-  /// perfbench's requires-guarded request_shards(), still compiles and
-  /// sees that the request cannot be honoured.
+  /// harness's --jobs). A read-only constant, not a setting: perfbench's
+  /// self-test reads it outside its requires-guard, so it goes only
+  /// together with that line.
   static constexpr unsigned shards = 1;
   std::uint64_t seed = 1;
 };
@@ -130,7 +129,7 @@ struct CoreScanStats {
   std::uint64_t active_links_sum = 0;  // tenant links, summed per cycle
   std::uint64_t active_nodes_sum = 0;  // injection-active nodes, per cycle
   std::uint64_t route_evals = 0;       // routing-function/LUT evaluations
-  std::uint64_t route_memo_hits = 0;   // blocked-header re-routes avoided
+  std::uint64_t route_memo_hits = 0;   // visits to known-blocked headers
 
   /// Fraction of dense scan work skipped (0 for the dense core).
   double skipped_scan_ratio() const noexcept {
@@ -148,8 +147,9 @@ struct CoreScanStats {
                         static_cast<double>(cycles)
                   : 0.0;
   }
-  /// Fraction of route queries answered by the blocked-header memo
-  /// (0 when the memo is off or nothing ever blocked).
+  /// Fraction of route queries answered by the blocked-header memo:
+  /// visits to headers already known blocked this tenancy, parked or
+  /// not (0 when the memo is off or nothing ever blocked).
   double route_memo_hit_rate() const noexcept {
     const std::uint64_t asked = route_evals + route_memo_hits;
     return asked ? static_cast<double>(route_memo_hits) /
@@ -266,9 +266,6 @@ class Simulator {
   const SimulatorConfig& config() const noexcept { return cfg_; }
 
   SimCore core() const noexcept { return cfg_.core; }
-  /// Bytes per VC slot consumed by the blocked-header route memo
-  /// (sizeof of a private struct, exported for memory-footprint math).
-  static std::size_t route_memo_entry_bytes() noexcept;
   /// Cumulative scan accounting since construction.
   const CoreScanStats& scan_stats() const noexcept { return scan_; }
 
@@ -382,8 +379,8 @@ class Simulator {
   /// flow-control activity for the detection threshold. On failure,
   /// `*earliest` is set to the first future cycle at which the witness
   /// VC's inactivity could reach the threshold — a lower bound on when
-  /// detection could fire (last_activity is monotone), which the route
-  /// memo caches to skip re-evaluation until then.
+  /// detection could fire (last_activity is monotone), which a blocked
+  /// entry caches to skip re-evaluation until then.
   bool requested_channels_frozen(NodeId node, Cycle t,
                                  const routing::RouteResult& route,
                                  Cycle* earliest) const;
@@ -392,6 +389,9 @@ class Simulator {
   /// otherwise. Counts into scan_.route_evals.
   routing::RouteCode route_code(NodeId node, NodeId dst) {
     ++scan_.route_evals;
+    return lookup_code(node, dst);
+  }
+  routing::RouteCode lookup_code(NodeId node, NodeId dst) const {
     return lut_ ? lut_->code(node, dst) : coder_.code(node, dst);
   }
   void expand_route(routing::RouteCode code,
@@ -410,21 +410,19 @@ class Simulator {
     }
   }
 
-  /// Sum of the free-mask epochs of every candidate output link of
-  /// `route` at `node`. Epochs are monotone, so an equal sum means no
-  /// candidate's free-VC mask changed — the route-memo freshness key.
-  /// Sum of the epoch counters of `node`'s output links selected by the
-  /// candidate-channel bitmask (each distinct link counted once). The
-  /// mask form keeps the hot re-check loop on one small integer instead
-  /// of walking candidate records.
-  std::uint64_t candidate_epoch_sum(NodeId node,
-                                    std::uint32_t cand_mask) const {
-    const std::uint64_t* row = net_.link_epoch_row(node);
-    std::uint64_t sum = 0;
-    for (std::uint32_t m = cand_mask; m != 0; m &= m - 1) {
-      sum += row[std::countr_zero(m)];
+  /// Route of `node`'s queue head (bound for `dst`) into route_buf_,
+  /// for the limiters that read it. With the memo on, the node's last
+  /// (dst, code) pair answers a repeat destination: routing is a pure
+  /// function of (node, dst), so a matching dst is an exact hit and
+  /// only a routing-table rebuild clears the cache.
+  void head_route(NodeId node, NodeId dst) {
+    if (!memo_on_) {
+      route_at(node, dst, route_buf_);
+      return;
     }
-    return sum;
+    HeadRoute& h = head_route_[node];
+    if (h.dst != dst) h = {dst, route_code(node, dst)};
+    expand_route(h.code, route_buf_);
   }
 
   /// Map the installed limiter to its enum-tagged fast-dispatch case
@@ -490,8 +488,8 @@ class Simulator {
   /// the raw Network register, except under Credit where VCs with
   /// outstanding credits are masked out (a channel is only completely
   /// free once its credits came home). Selection does NOT use this —
-  /// claimability is a tenancy property in every scheme, which is what
-  /// keeps the route memo's epoch keys exact.
+  /// claimability is a tenancy property in every scheme, so the raw
+  /// row is the one the blocked-header test reads.
   const std::uint8_t* fc_status_row(NodeId node) {
     if (!credit_) return net_.free_mask_row(node);
     const unsigned chans = topo_.num_channels();
@@ -508,7 +506,9 @@ class Simulator {
                    : static_cast<const core::ChannelStatus&>(net_);
   }
 
-  void enroll_for_routing(VcRef ref, Cycle t);
+  /// Append `ref`'s new header to the route-pending list; `node` is the
+  /// router it waits at (the link's dst, known to both callers).
+  void enroll_for_routing(VcRef ref, NodeId node, Cycle t);
   void start_injection(NodeId node, unsigned inj_channel, MsgId id, Cycle t);
   /// Free every VC the worm occupies (head-to-tail upstream walk),
   /// including an ejection-port binding, and reset the message record
@@ -572,61 +572,43 @@ class Simulator {
   std::vector<Cycle> head_since_;     // cycle the current queue head became head
   std::vector<std::uint32_t> alloc_rr_;  // per-node selector rotation
 
-  /// Route-pending work item. `msg` and `slot` are enrollment-time
-  /// snapshots: `slot` saves the flat-index recompute each visit, and
-  /// `msg` lets the scan prove an entry unchanged-and-still-blocked
-  /// from the route memo alone, without loading its VcState. A stale
-  /// snapshot (the tenancy ended) simply fails the memo key comparison
-  /// and takes the full path, which detects and drops the entry.
+  /// Route-pending work item, one per header tenancy. `msg` and `node`
+  /// (the router the header waits at) are enrollment-time snapshots.
+  /// With the route memo on, a header whose selection failed is
+  /// `blocked`: its route code stays here, and the header remains
+  /// blocked exactly while VCT admission refused it (constant per
+  /// tenancy) or no candidate of `code` has a free bit in the live
+  /// free-mask row. Before `no_detect_before` FC3D detection cannot
+  /// fire either, so such a visit reads only the entry and one row.
+  /// Fault surgery clears `blocked` on every entry (see apply_faults).
   /// `header_arrival` (routable from it + routing_delay on) is exact:
   /// see DESIGN.md, "Flit-path state layout".
   struct PendingRoute {
     VcRef ref;
     MsgId msg = kNoMsg;
-    std::uint32_t slot = 0;
+    NodeId node = 0;
+    routing::RouteCode code;
     Cycle header_arrival = 0;
+    /// Earliest cycle FC3D detection could fire for this tenancy: the
+    /// last failed guard (worm progress or witness-VC activity plus
+    /// threshold). Both sources are monotone, so skipping evaluation
+    /// until then is exact, not heuristic.
+    Cycle no_detect_before = 0;
+    bool blocked = false;
+    bool refused = false;  // VCT admission refused this tenancy
   };
   std::vector<PendingRoute> pending_route_;
   routing::RouteResult route_buf_;
   util::SmallVector<traffic::GeneratedMessage, 8> gen_buf_;
 
   // --- Saturated-regime fast path (active core only) -------------------
-  /// Per-VC-slot route memo for blocked headers. The cached route code
-  /// is a pure function of (node, dst) — node is fixed per slot — so an
-  /// entry stays valid across tenancies; `dst` is the lookup key.
-  /// `epoch_sum` snapshots candidate_epoch_sum at the last failed
-  /// selection: while it is unchanged the header is still blocked and
-  /// both the route and the selection are skipped.
-  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
-  struct RouteMemo {
-    /// Tenancy key: set when this slot's header blocks, cleared when
-    /// the tenancy ends (successful allocation or absorption). While it
-    /// matches the slot's VcState::msg, the header is a known
-    /// blocked-in-transit retry and the Message record and eject check
-    /// are skipped entirely.
-    MsgId msg = kNoMsg;
-    /// Route key: the cached code is valid for any tenancy with this
-    /// destination (routing is a pure function of (node, dst)).
+  /// Per-node queue-head route cache (see head_route); empty when the
+  /// memo is off, reset by fault reconfiguration.
+  struct HeadRoute {
     NodeId dst = topo::kInvalidNode;
-    /// The route's candidate channels, the epoch-sum footprint.
-    std::uint32_t cand_mask = 0;
-    /// The route itself, expanded only where candidates are read
-    /// (selection, FC3D frozen check); the probe reads its useful mask.
     routing::RouteCode code;
-    /// candidate_epoch_sum at the last failed selection; equal sum ⇒
-    /// no candidate mask changed ⇒ provably still blocked.
-    std::uint64_t epoch_sum = kNoEpoch;
-    /// Earliest cycle FC3D detection could fire for this tenancy: the
-    /// last failed guard (message progress or witness-VC activity plus
-    /// threshold). Both sources are monotone, so skipping evaluation
-    /// until then is exact, not heuristic. Reset on tenancy change.
-    Cycle no_detect_before = 0;
   };
-  static_assert(sizeof(RouteMemo) <= 32, "two memo slots per cache line");
-  std::vector<RouteMemo> route_memo_;  // empty when the memo is off
-  /// Router node owning each VC slot's output side (the link's dst),
-  /// indexed like route_memo_ — replaces a Link load in phase_route.
-  std::vector<NodeId> vc_node_;
+  std::vector<HeadRoute> head_route_;
 
   /// Enum-tagged limiter dispatch for the cycle loop; Virtual = run the
   /// InjectionLimiter interface (custom limiters, or dispatch off).

@@ -2,7 +2,7 @@
 // symmetric link semantics and node-kill layering, the schedule-file
 // parser (round-trip plus malformed-input diagnostics), the seeded
 // transient preset, the --faults spec resolver, and the Network's
-// dead-link state (vc field, free mask, epoch bump).
+// dead-link state (vc field, free mask).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -231,7 +231,7 @@ TEST(FaultManager, CursorAppliesEventsInOrder) {
   EXPECT_FALSE(mgr.due(~std::uint64_t{0}));
 }
 
-TEST(NetworkDeadLink, KillZeroesFreeMaskAndBumpsEpoch) {
+TEST(NetworkDeadLink, KillZeroesFreeMaskAndRestoreRefillsIt) {
   const topo::KAryNCube t(4, 2);
   sim::NetworkParams params;
   params.num_vcs = 3;
@@ -246,24 +246,16 @@ TEST(NetworkDeadLink, KillZeroesFreeMaskAndBumpsEpoch) {
   ASSERT_EQ(net.free_vc_mask(0, 1), full);
   ASSERT_FALSE(net.link_dead(link));
 
-  const std::uint64_t epoch = net.link_epoch(link);
   net.set_link_dead(link, true);
   EXPECT_TRUE(net.link_dead(link));
   EXPECT_EQ(net.free_vc_mask(0, 1), 0u);  // nothing selectable
-  EXPECT_EQ(net.link_epoch(link), epoch + 1);  // memoized routes invalidate
+  EXPECT_EQ(net.free_mask_row(0)[1], 0u);  // the row blocked headers read
+  EXPECT_EQ(net.free_vc_mask(0, 0), full);  // neighbours untouched
 
   net.set_link_dead(link, false);
   EXPECT_FALSE(net.link_dead(link));
   EXPECT_EQ(net.free_vc_mask(0, 1), full);
-  EXPECT_EQ(net.link_epoch(link), epoch + 2);
-
-  // bump_all_epochs touches every network link (rebuilds change routes
-  // everywhere, not just at the failed component).
-  const std::uint64_t e0 = net.link_epoch(0);
-  const std::uint64_t eN = net.link_epoch(net.num_net_links() - 1);
-  net.bump_all_epochs();
-  EXPECT_EQ(net.link_epoch(0), e0 + 1);
-  EXPECT_EQ(net.link_epoch(net.num_net_links() - 1), eN + 1);
+  EXPECT_EQ(net.free_mask_row(0)[1], full);
 }
 
 }  // namespace

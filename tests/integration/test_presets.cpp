@@ -74,6 +74,23 @@ TEST(Presets, MemoryEstimatePinsNetworkBytes) {
   EXPECT_LE(sizeof(sim::Link), 64u);
 }
 
+/// status_bytes: free and admissible masks per network link, the route
+/// coder's 16-bit coordinates per (node, dimension) and, with the route
+/// memo on, an 8-byte queue-head (dst, code) per node. Nothing scales
+/// with VC slots: blocked headers keep their memo in their own
+/// route-pending entry.
+TEST(Presets, MemoryEstimatePinsStatusBytes) {
+  auto cfg = config::paper_base();  // 512 nodes, 6 channels, 3 VCs
+  const std::uint64_t net_links = 512 * 6;
+  const std::uint64_t base = net_links * 2 + 512 * 3 * 2;
+  EXPECT_EQ(config::estimate_memory(cfg).status_bytes, base + 512 * 8);
+  cfg.sim.fastpath.route_memo = false;
+  EXPECT_EQ(config::estimate_memory(cfg).status_bytes, base);
+  cfg.sim.fastpath.route_memo = true;
+  cfg.sim.core = sim::SimCore::Dense;  // the memo is an active-core path
+  EXPECT_EQ(config::estimate_memory(cfg).status_bytes, base);
+}
+
 /// Healthy networks route in closed form and build no routing table;
 /// only a fault schedule brings the O(nodes^2) LUT back (512 nodes:
 /// 512 * 512 four-byte codes = 1 MiB).

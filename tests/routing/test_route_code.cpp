@@ -14,6 +14,7 @@
 
 #include "routing/routing.hpp"
 #include "routing/routing_lut.hpp"
+#include "routing/selection.hpp"
 
 namespace wormsim::routing {
 namespace {
@@ -43,12 +44,6 @@ bool same_code(RouteCode a, RouteCode b, Algorithm algo) {
          (a.det_channel == b.det_channel && a.det_class == b.det_class);
 }
 
-std::uint32_t channel_union(const RouteResult& r) {
-  std::uint32_t mask = 0;
-  for (const auto& c : r.candidates) mask |= 1u << c.channel;
-  return mask;
-}
-
 /// Check one (here, dst) pair against the routing function; false (with
 /// a gtest failure naming the pair) on the first mismatch.
 bool check_pair(const RoutingFunction& fn, const RouteCoder& coder,
@@ -60,11 +55,6 @@ bool check_pair(const RoutingFunction& fn, const RouteCoder& coder,
   if (!same_route(expect, got)) {
     ADD_FAILURE() << algorithm_name(fn.algorithm()) << " route " << here
                   << "->" << dst << " differs from the routing function";
-    return false;
-  }
-  if (candidate_mask(code, fn.algorithm()) != channel_union(expect)) {
-    ADD_FAILURE() << algorithm_name(fn.algorithm()) << " candidate mask "
-                  << here << "->" << dst;
     return false;
   }
   return true;
@@ -139,6 +129,55 @@ TEST(RouteCoder, MatchesRoutingFunctionOnLargestRing) {
   }
   EXPECT_EQ(coder.code(0, 65534).useful,
             1u << topo::make_channel(0, topo::Dir::Minus));
+}
+
+/// any_free is the simulator's exact "still blocked" test: over random
+/// free-mask rows and real route codes it must agree with whether the
+/// selector picks anything from the expanded route, for every
+/// algorithm, VC count and selection policy. Rows are drawn sparse so
+/// both verdicts occur often.
+TEST(Routing, AnyFreeMatchesSelector) {
+  const KAryNCube topo(4, 3);
+  const RouteCoder coder(topo);
+  std::mt19937_64 rng(0xA11F);
+  std::uniform_int_distribution<NodeId> pick(0, topo.num_nodes() - 1);
+  std::uniform_int_distribution<unsigned> byte(0, 255);
+  const unsigned chans = topo.num_channels();
+  for (const auto algo : {Algorithm::TFAR, Algorithm::DOR, Algorithm::Duato}) {
+    for (unsigned vcs = algo == Algorithm::Duato ? 3 : 1; vcs <= 8; ++vcs) {
+      const std::uint32_t all_vcs = (1u << vcs) - 1u;
+      for (const auto policy :
+           {SelectionPolicy::MaxFreeVcs, SelectionPolicy::FirstFit,
+            SelectionPolicy::RoundRobin}) {
+        const Selector sel(policy);
+        std::size_t picked = 0;
+        constexpr int kTrials = 400;
+        for (int trial = 0; trial < kTrials; ++trial) {
+          const NodeId here = pick(rng);
+          NodeId dst = pick(rng);
+          if (here == dst) dst = (dst + 1) % topo.num_nodes();
+          const RouteCode code = coder.code(here, dst);
+          std::uint8_t row[2 * topo::kMaxDims] = {};
+          for (unsigned c = 0; c < chans; ++c) {
+            row[c] = static_cast<std::uint8_t>(byte(rng) & byte(rng) &
+                                               byte(rng) & all_vcs);
+          }
+          RouteResult route;
+          expand(code, algo, vcs, route);
+          const bool selects =
+              sel.select(route, row, static_cast<std::uint32_t>(trial))
+                  .has_value();
+          ASSERT_EQ(any_free(code, algo, vcs, row), selects)
+              << algorithm_name(algo) << " vcs=" << vcs << " policy="
+              << selection_name(policy) << " trial " << trial;
+          picked += selects;
+        }
+        EXPECT_GT(picked, 0u) << algorithm_name(algo) << " vcs=" << vcs;
+        EXPECT_LT(picked, std::size_t{kTrials})
+            << algorithm_name(algo) << " vcs=" << vcs;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -136,19 +136,21 @@ INSTANTIATE_TEST_SUITE_P(Patterns, CoreEquivalence,
 /// same sweep CSV as the dense reference: the closed-form route codes,
 /// the blocked-header route memo and the static limiter/selection
 /// dispatch are pure speedups, never approximations. One sweep per
-/// configuration over the full limiter matrix, compared byte-for-byte.
+/// configuration over the full limiter matrix, compared byte-for-byte,
+/// under each flow-control scheme against that scheme's own dense
+/// reference (the memo's blocked test reads the row selection reads in
+/// all three; VCT adds the admission verdict the entry records).
 TEST(CoreEquivalence, FastPathTogglesKeepSweepCsvByteIdentical) {
-  harness::SweepSpec spec;
-  spec.base = equivalence_base();
-  spec.limiters = {core::LimiterKind::None, core::LimiterKind::ALO,
-                   core::LimiterKind::LF, core::LimiterKind::DRIL};
-  spec.offered_loads = {0.1, 1.0};
-  spec.jobs = 1;
-
-  spec.base.sim.core = SimCore::Dense;
-  std::ostringstream reference;
-  harness::write_sweep_csv(reference, harness::run_sweep(spec));
-
+  struct Scheme {
+    const char* label;
+    FlowControl scheme;
+    std::uint32_t buf_flits;
+  };
+  const Scheme schemes[] = {
+      {"wormhole", FlowControl::Wormhole, 4},
+      {"vct", FlowControl::Vct, 16},
+      {"credit-delay2", FlowControl::Credit, 4},
+  };
   struct Toggle {
     const char* label;
     FastPathConfig fp;
@@ -161,13 +163,29 @@ TEST(CoreEquivalence, FastPathTogglesKeepSweepCsvByteIdentical) {
       {"all-off",
        {.route_memo = false, .static_dispatch = false, .fc_dispatch = false}},
   };
-  spec.base.sim.core = SimCore::Active;
-  for (const auto& t : toggles) {
-    SCOPED_TRACE(t.label);
-    spec.base.sim.fastpath = t.fp;
-    std::ostringstream csv;
-    harness::write_sweep_csv(csv, harness::run_sweep(spec));
-    EXPECT_EQ(reference.str(), csv.str());
+  for (const auto& s : schemes) {
+    SCOPED_TRACE(s.label);
+    harness::SweepSpec spec;
+    spec.base = equivalence_base();
+    spec.base.sim.flow.scheme = s.scheme;
+    spec.base.sim.net.buf_flits = s.buf_flits;
+    spec.limiters = {core::LimiterKind::None, core::LimiterKind::ALO,
+                     core::LimiterKind::LF, core::LimiterKind::DRIL};
+    spec.offered_loads = {0.1, 1.0};
+    spec.jobs = 1;
+
+    spec.base.sim.core = SimCore::Dense;
+    std::ostringstream reference;
+    harness::write_sweep_csv(reference, harness::run_sweep(spec));
+
+    spec.base.sim.core = SimCore::Active;
+    for (const auto& t : toggles) {
+      SCOPED_TRACE(t.label);
+      spec.base.sim.fastpath = t.fp;
+      std::ostringstream csv;
+      harness::write_sweep_csv(csv, harness::run_sweep(spec));
+      EXPECT_EQ(reference.str(), csv.str());
+    }
   }
 }
 

@@ -1,13 +1,13 @@
-// The blocked-header route memo and its invalidation machinery.
+// The blocked-header route memo and the exact test it rests on.
 //
-// The memo's correctness argument rests on the per-link epoch counters:
-// set_active is the sole writer of active_vc_mask, it bumps the owning
-// link's epoch on every call, and an unchanged epoch sum over a
-// header's candidate links therefore proves the free-VC masks those
-// candidates see are unchanged — the header is still blocked and both
-// re-route and re-selection can be skipped. These tests pin the epoch
-// contract directly and then check, by lock-step differential runs,
-// that memoization never changes a single bit of simulation state.
+// A blocked header keeps its route code in its route-pending entry and
+// stays parked while no candidate of that code has a free bit in the
+// live free-mask row (routing::any_free — selection fails exactly
+// then). That row is written only by Network::set_active and
+// set_link_dead, so these tests pin the row contract directly, then
+// check the memo's own invariants through saturation and fault
+// surgery, and finally check, by lock-step differential runs, that
+// memoization never changes a single bit of simulation state.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "fault/schedule.hpp"
+#include "routing/routing.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "sim_test_util.hpp"
@@ -35,87 +36,141 @@ NetworkParams small_params() {
   return p;
 }
 
-TEST(LinkEpoch, BumpsOnEverySetActiveOfANetLink) {
+TEST(FreeMaskRow, SetActiveRewritesTheOwningLinksMask) {
   const topo::KAryNCube topo(4, 2);
   Network net(topo, small_params());
   const LinkId l = net.net_link(/*node=*/5, /*out_channel=*/1);
-  const VcRef ref{l, 1};
 
-  const std::uint64_t before = net.link_epoch(l);
-  net.set_active(ref, true);
-  EXPECT_EQ(net.link_epoch(l), before + 1);
-  // Deactivation may also change the free mask, so it must bump too.
-  net.set_active(ref, false);
-  EXPECT_EQ(net.link_epoch(l), before + 2);
+  net.set_active(VcRef{l, 1}, true);
+  EXPECT_EQ(net.free_vc_mask(5, 1), 0b101u);
+  net.set_active(VcRef{l, 0}, true);
+  EXPECT_EQ(net.free_vc_mask(5, 1), 0b100u);
+  // Releasing a tenancy frees its bit again.
+  net.set_active(VcRef{l, 1}, false);
+  EXPECT_EQ(net.free_vc_mask(5, 1), 0b110u);
 }
 
-TEST(LinkEpoch, OtherLinksAndInjectionLinksStayUntouched) {
+TEST(FreeMaskRow, OtherLinksAndInjectionLinksStayUntouched) {
   const topo::KAryNCube topo(4, 2);
   Network net(topo, small_params());
-  std::vector<std::uint64_t> before(net.num_net_links());
-  for (LinkId l = 0; l < net.num_net_links(); ++l) {
-    before[l] = net.link_epoch(l);
-  }
-
   const LinkId touched = net.net_link(3, 2);
   net.set_active(VcRef{touched, 0}, true);
-  // Injection links carry no epoch (the memo never keys on them);
-  // touching one must not disturb any net-link epoch.
+  // Injection links have no row entry (no selection picks them);
+  // touching one must not disturb any network link's mask.
   net.set_active(VcRef{net.inj_link(7, 0), 0}, true);
 
   for (LinkId l = 0; l < net.num_net_links(); ++l) {
-    EXPECT_EQ(net.link_epoch(l), before[l] + (l == touched ? 1u : 0u))
+    const Link& lk = net.link(l);
+    EXPECT_EQ(net.free_vc_mask(lk.src, lk.src_channel),
+              l == touched ? 0b110u : 0b111u)
         << "link " << l;
   }
 }
 
-TEST(LinkEpoch, RowViewAliasesPerLinkCounters) {
+TEST(FreeMaskRow, RowViewAliasesPerLinkMasks) {
   const topo::KAryNCube topo(3, 3);
   Network net(topo, small_params());
   net.set_active(VcRef{net.net_link(4, 3), 2}, true);
   net.set_active(VcRef{net.net_link(4, 3), 1}, true);
   for (NodeId node = 0; node < topo.num_nodes(); ++node) {
-    const std::uint64_t* row = net.link_epoch_row(node);
+    const std::uint8_t* row = net.free_mask_row(node);
     for (unsigned c = 0; c < topo.num_channels(); ++c) {
-      EXPECT_EQ(row[c],
-                net.link_epoch(net.net_link(node, static_cast<ChannelId>(c))))
+      EXPECT_EQ(row[c], net.free_vc_mask(node, static_cast<ChannelId>(c)))
           << node << "/" << c;
     }
   }
 }
 
-/// Epoch-equality really means mask-equality: any transition that can
-/// change a link's free-VC mask goes through set_active, so two
-/// observations with equal epochs must see equal masks. Exercised over
-/// a saturated run rather than synthetic mutations.
-TEST(LinkEpoch, EqualEpochImpliesEqualFreeMaskAcrossCycles) {
-  auto sim = testing::make_traffic_sim(4, 2, 1.1, 16);
-  const Network& net = sim->network();
-  const LinkId links = net.num_net_links();
-  std::vector<std::uint64_t> epoch(links);
-  std::vector<std::uint8_t> mask(links);
-  const auto snap = [&] {
-    for (LinkId l = 0; l < links; ++l) {
-      epoch[l] = net.link_epoch(l);
-      mask[l] = static_cast<std::uint8_t>(
-          net.free_vc_mask(net.link(l).src, net.link(l).src_channel));
-    }
+/// Fault surgery writes the same row: a dead link advertises no free
+/// VC, so a header whose only candidate it is reads as blocked, and a
+/// restore makes it selectable again.
+TEST(FreeMaskRow, DeadLinkTransitionsRewriteTheRow) {
+  const topo::KAryNCube topo(4, 2);
+  Network net(topo, small_params());
+  const NodeId node = 2;
+  const ChannelId c = 3;
+  routing::RouteCode code;
+  code.useful = 1u << c;
+  code.det_channel = c;
+  const auto free_for = [&](routing::Algorithm algo) {
+    return routing::any_free(code, algo, 3, net.free_mask_row(node));
   };
-  sim->step_cycles(500);  // well into saturation
-  snap();
-  for (int i = 0; i < 400; ++i) {
-    sim->step();
-    for (LinkId l = 0; l < links; ++l) {
-      const std::uint64_t e = net.link_epoch(l);
-      const auto m = static_cast<std::uint8_t>(
-          net.free_vc_mask(net.link(l).src, net.link(l).src_channel));
-      if (e == epoch[l]) {
-        ASSERT_EQ(m, mask[l]) << "link " << l << " cycle " << sim->cycle();
-      }
-      epoch[l] = e;
-      mask[l] = m;
+
+  EXPECT_TRUE(free_for(routing::Algorithm::TFAR));
+  net.set_link_dead(net.net_link(node, c), true);
+  EXPECT_EQ(net.free_mask_row(node)[c], 0u);
+  EXPECT_FALSE(free_for(routing::Algorithm::TFAR));
+  EXPECT_FALSE(free_for(routing::Algorithm::DOR));
+  EXPECT_FALSE(free_for(routing::Algorithm::Duato));
+  net.set_link_dead(net.net_link(node, c), false);
+  EXPECT_EQ(net.free_mask_row(node)[c], 0b111u);
+  EXPECT_TRUE(free_for(routing::Algorithm::TFAR));
+}
+
+/// What a parked visit reads instead of the VcState, Link and Message
+/// records — the entry's router and, once blocked, its route code —
+/// must match them. check_active_sets verifies both for every entry;
+/// run it after every cycle of a saturated run under each algorithm.
+TEST(RouteMemo, BlockedEntriesMatchTheirTenancyEveryCycle) {
+  for (const auto algo : {routing::Algorithm::TFAR, routing::Algorithm::DOR,
+                          routing::Algorithm::Duato}) {
+    SCOPED_TRACE(routing::algorithm_name(algo));
+    SimulatorConfig cfg = default_config();
+    cfg.algorithm = algo;
+    cfg.limiter.kind = core::LimiterKind::None;
+    auto sim = testing::make_traffic_sim(4, 2, 1.1, 16, cfg);
+    std::string why;
+    for (int i = 0; i < 900; ++i) {
+      sim->step();
+      ASSERT_TRUE(sim->check_active_sets(&why))
+          << why << " at cycle " << sim->cycle();
     }
+    EXPECT_GT(sim->scan_stats().route_memo_hits, 0u);
   }
+}
+
+/// A fault tears down a worm whose header is blocked (so its entry is
+/// parked): apply_faults unblocks every entry, so the stale one takes
+/// the full path in the same cycle's route phase and is dropped. Were
+/// it left parked, the route-pending list would hold an entry for a
+/// VC that is no longer route-pending.
+TEST(RouteMemo, FaultTeardownDropsParkedEntrySameCycle) {
+  constexpr Cycle kFault = 300;
+  SimulatorConfig cfg = default_config();
+  cfg.limiter.kind = core::LimiterKind::None;
+  cfg.net.num_vcs = 1;  // past saturation nearly every worm is blocked
+
+  // A fault-free twin runs identically up to the fault (the fault LUT is
+  // bit-identical to the closed-form routes): use it to pick a link
+  // carrying a worm whose header has been routable, and blocked, for a
+  // while — its entry is parked when the link dies.
+  auto twin = testing::make_traffic_sim(4, 2, 1.2, 16, cfg);
+  twin->step_cycles(kFault);
+  const Network& twin_net = twin->network();
+  LinkId link = kNoLink;
+  for (LinkId l = 0; l < twin_net.num_net_links() && link == kNoLink; ++l) {
+    if (twin_net.link(l).active_vc_mask == 0) continue;
+    const VcRef head = twin->message(twin_net.vc(VcRef{l, 0}).msg).head;
+    const auto arrival = twin->header_arrival(head);
+    if (arrival && *arrival + 10 < kFault) link = l;
+  }
+  ASSERT_NE(link, kNoLink);
+
+  const Link& lk = twin_net.link(link);
+  cfg.faults = fault::FaultSchedule(
+      {{kFault, fault::FaultKind::LinkKill, lk.src, lk.src_channel}});
+  auto sim = testing::make_traffic_sim(4, 2, 1.2, 16, cfg);
+  sim->step_cycles(kFault);
+  const Network& net = sim->network();
+  const VcRef head = sim->message(net.vc(VcRef{link, 0}).msg).head;
+  ASSERT_TRUE(sim->header_arrival(head).has_value());
+  EXPECT_GT(sim->scan_stats().route_memo_hits, 0u);
+
+  sim->step();  // applies the fault, then routes
+  std::string why;
+  EXPECT_TRUE(sim->check_active_sets(&why)) << why;
+  EXPECT_FALSE(sim->header_arrival(head).has_value());
+  EXPECT_EQ(sim->fault_events_applied(), 1u);
 }
 
 /// Step the memoized active core, the memo-off active core and the
@@ -197,10 +252,10 @@ TEST(RouteMemo, LockStepIdenticalToMemoOffAndDense) {
   EXPECT_EQ(sims.dense->scan_stats().route_memo_hits, 0u);
 }
 
-/// The memo stores a 4-byte route code and derives its epoch footprint
-/// from it: under DOR that is the single dimension-order hop, not the
-/// useful mask, and under Duato the escape candidate's VC set differs
-/// from the adaptive ones. Both must stay identical to the dense core,
+/// The memo stores a 4-byte route code and tests the row against it:
+/// under DOR that is the single dimension-order hop, not the useful
+/// mask, and under Duato the escape candidate's VC set differs from the
+/// adaptive ones. Both must stay identical to the dense core,
 /// which calls the virtual routing function instead of expanding codes.
 TEST(RouteMemo, DeterministicAndEscapeRoutesLockStepWithDense) {
   const topo::KAryNCube topo(4, 3);
@@ -217,38 +272,10 @@ TEST(RouteMemo, DeterministicAndEscapeRoutesLockStepWithDense) {
   }
 }
 
-/// Fault surgery participates in the same epoch contract: marking a
-/// link dead (or alive again) changes its free-VC mask, so it must bump
-/// that link's epoch exactly like set_active, and a whole-table rebuild
-/// invalidates every memoized route via bump_all_epochs.
-TEST(LinkEpoch, DeadLinkTransitionsBumpLikeSetActive) {
-  const topo::KAryNCube topo(4, 2);
-  Network net(topo, small_params());
-  const LinkId l = net.net_link(2, 3);
-  std::vector<std::uint64_t> before(net.num_net_links());
-  for (LinkId i = 0; i < net.num_net_links(); ++i) {
-    before[i] = net.link_epoch(i);
-  }
-
-  net.set_link_dead(l, true);
-  EXPECT_EQ(net.free_vc_mask(net.link(l).src, net.link(l).src_channel), 0u);
-  net.set_link_dead(l, false);
-  for (LinkId i = 0; i < net.num_net_links(); ++i) {
-    EXPECT_EQ(net.link_epoch(i), before[i] + (i == l ? 2u : 0u))
-        << "link " << i;
-  }
-
-  net.bump_all_epochs();
-  for (LinkId i = 0; i < net.num_net_links(); ++i) {
-    EXPECT_EQ(net.link_epoch(i), before[i] + (i == l ? 3u : 1u))
-        << "link " << i;
-  }
-}
-
-/// The recovery-transient soak the epoch contract exists for: the same
-/// physical link dies and heals three times while the 1-VC network
-/// deadlocks repeatedly, so fault surgery, LUT rebuilds, route-memo
-/// flushes and deadlock recovery all interleave. The memoized core must
+/// The recovery-transient soak: the same physical link dies and heals
+/// three times while the 1-VC network deadlocks repeatedly, so fault
+/// surgery, LUT rebuilds, route-memo flushes and deadlock recovery all
+/// interleave. The memoized core must
 /// stay bit-identical to the memo-off core and the dense reference
 /// throughout — a memo entry surviving a rebuild would diverge at the
 /// first stale route.
