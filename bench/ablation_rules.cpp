@@ -22,14 +22,17 @@ namespace {
 
 enum class RuleSet { AOnly, BOnly, Both };
 
+/// Masks one rule out of the shipped ALO gate (evaluate_alo_routed);
+/// RuleSet::Both is exactly core::AloLimiter.
 class RuleAblationLimiter final : public core::InjectionLimiter {
  public:
   explicit RuleAblationLimiter(RuleSet rules) : rules_(rules) {}
 
   bool allow(const core::InjectionRequest& req,
              const core::ChannelStatus& status) override {
-    const auto cond = core::evaluate_alo(status, req.node,
-                                         req.route->useful_phys_mask);
+    const core::NodeId node = req.node;
+    const auto cond = core::evaluate_alo_routed(status.free_row(node),
+                                                status.num_vcs(), *req.route);
     switch (rules_) {
       case RuleSet::AOnly: return cond.all_useful_partially_free;
       case RuleSet::BOnly: return cond.any_useful_completely_free ||

@@ -15,7 +15,7 @@
 // tracing+spatial modes, so the reported overheads compare like with
 // like on the same machine state. The off (A/A control) and online
 // modes additionally get tight CPU-time-ratio gates using the
-// alternating-pair method of the fc-dispatch gate (see
+// alternating-pair method of the hot-path gate (see
 // BENCH_obs_overhead.json for the committed record).
 #include <benchmark/benchmark.h>
 
@@ -50,28 +50,28 @@ namespace {
 
 using namespace wormsim;
 
-/// Synthetic channel-status register with pseudo-random occupancy.
+/// Synthetic channel-status register with pseudo-random occupancy: a
+/// pool of rows that free_row(node) cycles through.
 class SyntheticStatus final : public core::ChannelStatus {
  public:
   SyntheticStatus(unsigned channels, unsigned vcs, std::uint64_t seed)
       : channels_(channels), vcs_(vcs), rng_(seed) {
     masks_.resize(1024);
     for (auto& m : masks_) {
-      m = static_cast<std::uint32_t>(rng_.bits() & ((1u << vcs) - 1));
+      m = static_cast<std::uint8_t>(rng_.bits() & ((1u << vcs) - 1));
     }
   }
   unsigned num_phys_channels() const override { return channels_; }
   unsigned num_vcs() const override { return vcs_; }
-  std::uint32_t free_vc_mask(core::NodeId node,
-                             core::ChannelId c) const override {
-    return masks_[(node * channels_ + c) % masks_.size()];
+  const std::uint8_t* free_row(core::NodeId node) const override {
+    return masks_.data() + (node % (masks_.size() / channels_)) * channels_;
   }
 
  private:
   unsigned channels_;
   unsigned vcs_;
   util::Rng rng_;
-  std::vector<std::uint32_t> masks_;
+  std::vector<std::uint8_t> masks_;
 };
 
 void BM_AloPredicate(benchmark::State& state) {
@@ -79,7 +79,7 @@ void BM_AloPredicate(benchmark::State& state) {
   std::uint32_t node = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::evaluate_alo(status, node++ % 512, 0b010101));
+        core::evaluate_alo(status.free_row(node++ % 512), 3, 0b010101));
   }
 }
 BENCHMARK(BM_AloPredicate);
@@ -222,16 +222,10 @@ config::SimConfig hotpath_base() {
   return cfg;
 }
 
-metrics::SimResult run_point(sim::SimCore core, double offered,
-                             bool fc_dispatch = true,
-                             unsigned window_scale = 1) {
+metrics::SimResult run_point(sim::SimCore core, double offered) {
   config::SimConfig cfg = hotpath_base();
   cfg.sim.core = core;
-  cfg.sim.fastpath.fc_dispatch = fc_dispatch;
   cfg.workload.offered_flits_per_node_cycle = offered;
-  cfg.protocol.warmup *= window_scale;
-  cfg.protocol.measure *= window_scale;
-  cfg.protocol.drain_max *= window_scale;
   return config::run_experiment(cfg);
 }
 
@@ -241,11 +235,11 @@ void keep_best(metrics::SimResult& best, metrics::SimResult r, bool first) {
   }
 }
 
-/// CPU seconds consumed by this process so far. The fc-overhead gate
-/// compares two throughputs a couple percent apart; on a shared CI
-/// vCPU, wall clock carries multi-second preemption phases that dwarf
-/// the effect, while process CPU time is immune to them (frequency
-/// drift remains, which the alternating pair order cancels).
+/// CPU seconds consumed by this process so far. The gates compare
+/// throughputs a few percent apart; on a shared CI vCPU, wall clock
+/// carries multi-second preemption phases that dwarf the effect, while
+/// process CPU time is immune to them (frequency drift remains, which
+/// the alternating pair order cancels).
 double cpu_seconds() {
   timespec ts{};
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
@@ -255,11 +249,13 @@ double cpu_seconds() {
 
 /// Both cores at one load over `pairs` back-to-back dense/active pairs,
 /// the order alternating per pair (ABBA) so slow thermal/frequency
-/// drift cancels. The speedup is the ratio of TOTAL CPU time per core,
-/// the fc-overhead gate's method: process CPU time is immune to the
-/// preemption phases of a shared host, which swing best-of-N wall-clock
-/// rates by more than the gate's margin. Each core's best rep is kept
-/// as its JSON sample. Results are deterministic — only timings vary.
+/// drift cancels. The speedup is the ratio of TOTAL CPU time per core:
+/// process CPU time is immune to the preemption phases of a shared
+/// host, which swing best-of-N wall-clock rates by more than the gate's
+/// margin, and the aggregate ratio's error shrinks with the number of
+/// pairs, where a per-pair median cannot average at all. Each core's
+/// best rep is kept as its JSON sample. Results are deterministic —
+/// only timings vary.
 struct CorePair {
   metrics::SimResult dense, active;
   double speedup = 0.0;
@@ -283,60 +279,6 @@ CorePair measure_pair(double offered, int pairs) {
   return out;
 }
 
-struct FcOverhead {
-  metrics::SimResult fc_virtual;  // best rep, for the JSON sample
-  double overhead_pct = 0.0;
-};
-
-/// Active core with fc_dispatch on vs off — the wormhole scheme routed
-/// through the virtual FlowControlScheme interface on every transmit
-/// gate, measuring what the devirtualized fast path saves. Run
-/// back-to-back on/off pairs (order alternating per pair, so slow
-/// thermal/frequency drift cancels) and gate on the ratio of TOTAL
-/// CPU time per side: with broadband timing noise far larger than the
-/// effect, the aggregate ratio's error shrinks with the number of
-/// pairs, where a per-pair median cannot average at all.
-FcOverhead measure_fc_overhead(double offered, int pairs) {
-  FcOverhead out;
-  // Scale the low-load point's windows so a run is long enough to
-  // measure; an A/A control (same config on both sides) showed ±1% on
-  // the aggregate ratio at 20 pairs — the gate's margin must sit above
-  // that floor, not above the true effect alone.
-  const unsigned scale = offered < 0.5 ? 4 : 1;
-  double a_cpu = 0.0, v_cpu = 0.0;
-  for (int i = 0; i < pairs; ++i) {
-    metrics::SimResult v;
-    if (i % 2 == 0) {
-      const double t0 = cpu_seconds();
-      run_point(sim::SimCore::Active, offered, true, scale);
-      const double t1 = cpu_seconds();
-      v = run_point(sim::SimCore::Active, offered, false, scale);
-      a_cpu += t1 - t0;
-      v_cpu += cpu_seconds() - t1;
-    } else {
-      const double t0 = cpu_seconds();
-      v = run_point(sim::SimCore::Active, offered, false, scale);
-      const double t1 = cpu_seconds();
-      run_point(sim::SimCore::Active, offered, true, scale);
-      v_cpu += t1 - t0;
-      a_cpu += cpu_seconds() - t1;
-    }
-    if (scale == 1) keep_best(out.fc_virtual, std::move(v), i == 0);
-  }
-  if (a_cpu > 0.0) out.overhead_pct = (v_cpu / a_cpu - 1.0) * 100.0;
-  // When the gate pairs ran with stretched windows, they are the wrong
-  // material for the JSON sample: its total_cycles must describe the
-  // same protocol as the dense/active samples next to it. Take the
-  // sample from a few dedicated unscaled reps instead.
-  if (scale != 1) {
-    for (int i = 0; i < 3; ++i) {
-      keep_best(out.fc_virtual,
-                run_point(sim::SimCore::Active, offered, false), i == 0);
-    }
-  }
-  return out;
-}
-
 void emit_sample(std::ostream& os, const metrics::SimResult& r) {
   char buf[320];
   std::snprintf(buf, sizeof(buf),
@@ -353,12 +295,10 @@ void emit_sample(std::ostream& os, const metrics::SimResult& r) {
 
 int run_hotpath_json(const char* path) {
   const int pairs = 10;
-  const int fc_pairs = 20;
   // The two acceptance points: the lowest-load fig05 point (where
   // skipping idle work should dominate) and the oversaturated end of
   // the sweep (where nothing is idle, so the gains must come from the
-  // closed-form route codes, the blocked-header route memo and the
-  // devirtualized selection/limiter dispatch).
+  // closed-form route codes and the blocked-header route memo).
   const double loads[] = {0.1, 1.2};
 
   std::ostream* os = &std::cout;
@@ -376,9 +316,8 @@ int run_hotpath_json(const char* path) {
       << "  \"config\": \"fig05 FAST point: 8-ary 2-cube (64 nodes), "
          "uniform, 16-flit messages, warmup 3000, measure 8000, "
          "drain 8000; active_speedup = dense/active CPU-time ratio over "
-      << pairs << " alternating pairs (samples: best rep per core); fc "
-         "overhead = CPU-time ratio over "
-      << fc_pairs << " alternating on/off pairs\",\n  \"points\": [\n";
+      << pairs << " alternating pairs (samples: best rep per core)\",\n"
+      << "  \"points\": [\n";
   bool ok = true;
   for (std::size_t i = 0; i < 2; ++i) {
     const double offered = loads[i];
@@ -388,39 +327,25 @@ int run_hotpath_json(const char* path) {
     const metrics::SimResult& dense = cores.dense;
     const metrics::SimResult& active = cores.active;
     const double speedup = cores.speedup;
-    // Cost of routing the wormhole transmit gate through the virtual
-    // FlowControlScheme interface instead of the devirtualized fast
-    // path; positive = the interface mode is slower.
-    const FcOverhead fc = measure_fc_overhead(offered, fc_pairs);
-    const metrics::SimResult& fc_virtual = fc.fc_virtual;
-    const double fc_overhead_pct = fc.overhead_pct;
     *os << "    {\"offered_flits_node_cycle\": " << offered
         << ", \"dense\": ";
     emit_sample(*os, dense);
     *os << ", \"active\": ";
     emit_sample(*os, active);
-    *os << ", \"active_fc_virtual\": ";
-    emit_sample(*os, fc_virtual);
-    char sp[96];
-    std::snprintf(sp, sizeof(sp),
-                  ", \"active_speedup\": %.2f, "
-                  "\"fc_virtual_overhead_pct\": %.2f}",
-                  speedup, fc_overhead_pct);
+    char sp[48];
+    std::snprintf(sp, sizeof(sp), ", \"active_speedup\": %.2f}", speedup);
     *os << sp << (i + 1 < 2 ? ",\n" : "\n");
     obs::logf(obs::LogLevel::Info, "# hotpath: offered=%.2f speedup=%.2fx "
-                 "(active skip ratio %.3f, fc-virtual %+.2f%%)\n",
-                 offered, speedup, active.scan_skip_ratio, fc_overhead_pct);
+                 "(active skip ratio %.3f)\n",
+                 offered, speedup, active.scan_skip_ratio);
     // Acceptance gates: >= 2x at the low-load point (active-set
-    // skipping), >= 1.5x at saturation (route codes, blocked-header
-    // route memo and devirtualized dispatch), and the flow-control
-    // interface costs the fast path at most 3%.
+    // skipping) and >= 1.5x at saturation (route codes and the
+    // blocked-header route memo).
     if (i == 0 && speedup < 2.0) ok = false;
     if (i == 1 && speedup < 1.5) ok = false;
-    if (fc_overhead_pct > 3.0) ok = false;
   }
   *os << "  ],\n  \"criteria\": {\"low_load_speedup_min\": 2.0, "
-         "\"saturation_speedup_min\": 1.5, "
-         "\"fc_virtual_overhead_max_pct\": 3.0}\n}\n";
+         "\"saturation_speedup_min\": 1.5}\n}\n";
   if (!ok) {
     obs::logf(obs::LogLevel::Error, "# hotpath: ACCEPTANCE CRITERIA NOT MET\n");
     return 2;
@@ -469,9 +394,9 @@ metrics::SimResult run_obs_point(double offered, ObsMode mode,
 
 /// Aggregate-CPU-time ratio of `mode` vs the instrumented-off baseline
 /// over alternating back-to-back pairs — the same methodology as the
-/// fc-dispatch gate (see measure_fc_overhead): process CPU time is
-/// immune to preemption, alternating order cancels frequency drift,
-/// and the aggregate ratio's error shrinks with the pair count
+/// hot-path gate (see measure_pair): process CPU time is immune to
+/// preemption, alternating order cancels frequency drift, and the
+/// aggregate ratio's error shrinks with the pair count
 /// (empirically ±1% at 20 pairs). With mode == Off this is an A/A
 /// control: it measures the method's noise floor, which is what the
 /// instrumented-off ≤2% gate bounds.

@@ -32,13 +32,13 @@ class OccupancyCapLimiter final : public core::InjectionLimiter {
 
   bool allow(const core::InjectionRequest& req,
              const core::ChannelStatus& status) override {
+    // free_row(node)[c]: bit v set iff VC v of output channel c is free.
+    const core::NodeId node = req.node;
+    const std::uint8_t* row = status.free_row(node);
     unsigned busy = 0;
-    const std::uint32_t vc_field = (1u << status.num_vcs()) - 1u;
     for (unsigned c = 0; c < status.num_phys_channels(); ++c) {
-      const auto free = status.free_vc_mask(
-                            req.node, static_cast<core::ChannelId>(c)) &
-                        vc_field;
-      busy += status.num_vcs() - static_cast<unsigned>(std::popcount(free));
+      busy += status.num_vcs() - static_cast<unsigned>(std::popcount(
+                                     static_cast<std::uint32_t>(row[c])));
     }
     return busy < cap_;
   }

@@ -4,45 +4,8 @@
 
 namespace wormsim::core {
 
-AloConditions evaluate_alo(const ChannelStatus& status, NodeId node,
+AloConditions evaluate_alo(const std::uint8_t* free_row, unsigned num_vcs,
                            std::uint32_t useful_phys_mask) {
-  AloConditions cond;
-  cond.all_useful_partially_free = true;
-  const std::uint32_t all_vcs = (1u << status.num_vcs()) - 1u;
-  const unsigned channels = status.num_phys_channels();
-  for (unsigned c = 0; c < channels; ++c) {
-    if (!(useful_phys_mask & (1u << c))) continue;
-    const std::uint32_t free = status.free_vc_mask(node, static_cast<ChannelId>(c));
-    if (free == 0) cond.all_useful_partially_free = false;
-    if (free == all_vcs) cond.any_useful_completely_free = true;
-  }
-  return cond;
-}
-
-AloConditions evaluate_alo_routed(const ChannelStatus& status, NodeId node,
-                                  const routing::RouteResult& route) {
-  AloConditions cond;
-  cond.all_useful_partially_free = true;
-  const std::uint32_t all_vcs = (1u << status.num_vcs()) - 1u;
-  const unsigned channels = status.num_phys_channels();
-  // Union of usable VCs per physical channel over all candidates.
-  std::uint32_t usable[32] = {};
-  for (const auto& cand : route.candidates) {
-    usable[cand.channel] |= cand.vc_mask;
-  }
-  for (unsigned c = 0; c < channels; ++c) {
-    if (!(route.useful_phys_mask & (1u << c))) continue;
-    const std::uint32_t free =
-        status.free_vc_mask(node, static_cast<ChannelId>(c));
-    const std::uint32_t mask = usable[c] ? usable[c] : all_vcs;
-    if ((free & mask) == 0) cond.all_useful_partially_free = false;
-    if (free == all_vcs) cond.any_useful_completely_free = true;
-  }
-  return cond;
-}
-
-AloConditions evaluate_alo_row(const std::uint8_t* free_row, unsigned num_vcs,
-                               std::uint32_t useful_phys_mask) {
   AloConditions cond;
   cond.all_useful_partially_free = true;
   const std::uint32_t all_vcs = (1u << num_vcs) - 1u;
@@ -54,12 +17,13 @@ AloConditions evaluate_alo_row(const std::uint8_t* free_row, unsigned num_vcs,
   return cond;
 }
 
-AloConditions evaluate_alo_routed_row(const std::uint8_t* free_row,
-                                      unsigned num_vcs,
-                                      const routing::RouteResult& route) {
+AloConditions evaluate_alo_routed(const std::uint8_t* free_row,
+                                  unsigned num_vcs,
+                                  const routing::RouteResult& route) {
   AloConditions cond;
   cond.all_useful_partially_free = true;
   const std::uint32_t all_vcs = (1u << num_vcs) - 1u;
+  // Union of usable VCs per physical channel over all candidates.
   std::uint32_t usable[32] = {};
   for (const auto& cand : route.candidates) {
     usable[cand.channel] |= cand.vc_mask;
@@ -76,7 +40,10 @@ AloConditions evaluate_alo_routed_row(const std::uint8_t* free_row,
 
 bool AloLimiter::allow(const InjectionRequest& req,
                        const ChannelStatus& status) {
-  return evaluate_alo_routed(status, req.node, *req.route).allow();
+  const NodeId node = req.node;
+  return evaluate_alo_routed(status.free_row(node), status.num_vcs(),
+                             *req.route)
+      .allow();
 }
 
 }  // namespace wormsim::core

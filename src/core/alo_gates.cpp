@@ -53,15 +53,12 @@ unsigned AloGateCircuit::gate_count() const noexcept {
   return inverters + c_gates + d_gates + be_gates + reductions;
 }
 
-std::uint64_t AloGateCircuit::pack_busy_bits(const ChannelStatus& status,
-                                             NodeId node) {
-  const unsigned vcs = status.num_vcs();
-  const std::uint64_t vc_field = (1ULL << vcs) - 1;
+std::uint64_t AloGateCircuit::pack_busy_bits(
+    const std::uint8_t* free_row) const {
+  const std::uint64_t vc_field = (1ULL << vcs_) - 1;
   std::uint64_t bits = 0;
-  for (unsigned c = 0; c < status.num_phys_channels(); ++c) {
-    const std::uint64_t free =
-        status.free_vc_mask(node, static_cast<ChannelId>(c));
-    bits |= ((~free) & vc_field) << (c * vcs);
+  for (unsigned c = 0; c < channels_; ++c) {
+    bits |= (~std::uint64_t{free_row[c]} & vc_field) << (c * vcs_);
   }
   return bits;
 }

@@ -56,9 +56,9 @@ class AloGateCircuit {
   unsigned num_channels() const noexcept { return channels_; }
   unsigned num_vcs() const noexcept { return vcs_; }
 
-  /// Pack a ChannelStatus row into the busy-bits format.
-  static std::uint64_t pack_busy_bits(const ChannelStatus& status,
-                                      NodeId node);
+  /// Pack a free-VC row (ChannelStatus::free_row) into the busy-bits
+  /// format.
+  std::uint64_t pack_busy_bits(const std::uint8_t* free_row) const;
 
  private:
   unsigned channels_;

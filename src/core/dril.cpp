@@ -6,27 +6,14 @@
 namespace wormsim::core {
 
 DrilLimiter::DrilLimiter(NodeId num_nodes, std::uint64_t detect_wait,
-                         unsigned margin, std::uint64_t relax_period,
-                         unsigned /*num_vcs_hint*/)
+                         unsigned margin, std::uint64_t relax_period)
     : detect_wait_(detect_wait),
       margin_(margin),
       relax_period_(relax_period == 0 ? 1 : relax_period),
       state_(num_nodes) {}
 
-unsigned DrilLimiter::busy_total(const ChannelStatus& status, NodeId node) {
-  const unsigned vcs = status.num_vcs();
-  const std::uint32_t vc_field = (1u << vcs) - 1u;
-  unsigned busy = 0;
-  for (unsigned c = 0; c < status.num_phys_channels(); ++c) {
-    const std::uint32_t free =
-        status.free_vc_mask(node, static_cast<ChannelId>(c)) & vc_field;
-    busy += vcs - static_cast<unsigned>(std::popcount(free));
-  }
-  return busy;
-}
-
-unsigned DrilLimiter::busy_total_row(const std::uint8_t* free_row,
-                                     unsigned num_phys, unsigned num_vcs) {
+unsigned DrilLimiter::busy_total(const std::uint8_t* free_row,
+                                 unsigned num_phys, unsigned num_vcs) {
   unsigned busy = 0;
   for (unsigned c = 0; c < num_phys; ++c) {
     busy += num_vcs - static_cast<unsigned>(std::popcount(
@@ -37,32 +24,22 @@ unsigned DrilLimiter::busy_total_row(const std::uint8_t* free_row,
 
 bool DrilLimiter::allow(const InjectionRequest& req,
                         const ChannelStatus& status) {
-  return allow_with_busy(req, busy_total(status, req.node),
-                         status.num_phys_channels() * status.num_vcs());
-}
+  const NodeId node = req.node;
+  NodeState& st = state_[node];
+  // Unrestricted until saturation is detected: the row is not read.
+  if (!st.frozen && req.head_wait <= detect_wait_) return true;
 
-bool DrilLimiter::allow_row(const InjectionRequest& req,
-                            const std::uint8_t* free_row, unsigned num_phys,
-                            unsigned num_vcs) {
-  return allow_with_busy(req, busy_total_row(free_row, num_phys, num_vcs),
-                         num_phys * num_vcs);
-}
-
-bool DrilLimiter::allow_with_busy(const InjectionRequest& req, unsigned busy,
-                                  unsigned total_vcs) {
-  NodeState& st = state_[req.node];
-
+  const unsigned num_phys = status.num_phys_channels();
+  const unsigned num_vcs = status.num_vcs();
+  const unsigned total_vcs = num_phys * num_vcs;
+  const unsigned busy = busy_total(status.free_row(node), num_phys, num_vcs);
   if (!st.frozen) {
-    if (req.head_wait > detect_wait_) {
-      // Entering saturation: freeze the threshold at the busy count seen
-      // right now, minus the safety margin.
-      st.frozen = true;
-      st.threshold = busy > margin_ ? busy - margin_ : 1;
-      st.threshold = std::max(1u, std::min(st.threshold, total_vcs));
-      st.last_relax = req.cycle;
-    } else {
-      return true;  // unrestricted until saturation is detected
-    }
+    // Entering saturation: freeze the threshold at the busy count seen
+    // right now, minus the safety margin.
+    st.frozen = true;
+    st.threshold = busy > margin_ ? busy - margin_ : 1;
+    st.threshold = std::max(1u, std::min(st.threshold, total_vcs));
+    st.last_relax = req.cycle;
   }
 
   // Periodic relaxation; unfreeze once fully relaxed.

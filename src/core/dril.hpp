@@ -25,7 +25,7 @@ namespace wormsim::core {
 class DrilLimiter final : public InjectionLimiter {
  public:
   DrilLimiter(NodeId num_nodes, std::uint64_t detect_wait, unsigned margin,
-              std::uint64_t relax_period, unsigned num_vcs_hint = 0);
+              std::uint64_t relax_period);
 
   bool allow(const InjectionRequest& req, const ChannelStatus& status) override;
   void reset() override;
@@ -35,22 +35,13 @@ class DrilLimiter final : public InjectionLimiter {
   bool frozen(NodeId node) const { return state_[node].frozen; }
   unsigned threshold(NodeId node) const { return state_[node].threshold; }
 
-  /// Busy count over ALL output VCs of the node (DRIL monitors total
-  /// occupancy, not just useful channels).
-  static unsigned busy_total(const ChannelStatus& status, NodeId node);
-  /// Row-based twin of busy_total for the devirtualized cycle loop.
-  static unsigned busy_total_row(const std::uint8_t* free_row,
-                                 unsigned num_phys, unsigned num_vcs);
-
-  /// Bit-identical to allow() but fed from a contiguous free-mask row.
-  /// Does not read req.route — DRIL monitors total occupancy only.
-  bool allow_row(const InjectionRequest& req, const std::uint8_t* free_row,
-                 unsigned num_phys, unsigned num_vcs);
+  /// Busy count over ALL output VCs of one node's free-VC row
+  /// (ChannelStatus::free_row) — DRIL monitors total occupancy, not just
+  /// useful channels, so it never reads the request's route.
+  static unsigned busy_total(const std::uint8_t* free_row, unsigned num_phys,
+                             unsigned num_vcs);
 
  private:
-  bool allow_with_busy(const InjectionRequest& req, unsigned busy,
-                       unsigned total_vcs);
-
   struct NodeState {
     bool frozen = false;
     unsigned threshold = 0;

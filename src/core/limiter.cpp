@@ -9,6 +9,19 @@
 
 namespace wormsim::core {
 
+namespace {
+
+/// The "no restriction" baseline.
+class NoLimiter final : public InjectionLimiter {
+ public:
+  bool allow(const InjectionRequest&, const ChannelStatus&) override {
+    return true;
+  }
+  LimiterKind kind() const noexcept override { return LimiterKind::None; }
+};
+
+}  // namespace
+
 LimiterKind parse_limiter(std::string_view name) {
   if (name == "none") return LimiterKind::None;
   if (name == "alo") return LimiterKind::ALO;

@@ -36,16 +36,22 @@ enum class LimiterKind { None, ALO, LF, DRIL };
 LimiterKind parse_limiter(std::string_view name);
 std::string_view limiter_name(LimiterKind kind);
 
-/// Read-only view of the virtual-output-channel status register of one
-/// node, implemented by the simulator's Network. Bit v of
-/// free_vc_mask(node, c) is set iff VC v of physical output channel c is
-/// not allocated to any message.
+/// Read-only view of the virtual-output-channel status register,
+/// implemented by the simulator's Network. free_row(node)[c] is the
+/// free-VC mask of physical output channel c of `node`: bit v is set
+/// iff VC v is not allocated to any message, and no bit at or above
+/// num_vcs() is set. The row stays valid until the next free_row call
+/// on the same object.
 class ChannelStatus {
  public:
   virtual ~ChannelStatus() = default;
   virtual unsigned num_phys_channels() const = 0;
   virtual unsigned num_vcs() const = 0;
-  virtual std::uint32_t free_vc_mask(NodeId node, ChannelId c) const = 0;
+  virtual const std::uint8_t* free_row(NodeId node) const = 0;
+
+  std::uint32_t free_vc_mask(NodeId node, ChannelId c) const {
+    return free_row(node)[c];
+  }
 };
 
 /// Everything a limiter may inspect when deciding on one injection.
@@ -79,18 +85,6 @@ class InjectionLimiter {
   virtual void reset() {}
 
   virtual LimiterKind kind() const noexcept = 0;
-};
-
-/// The "no restriction" baseline. Public (not factory-internal) so the
-/// simulator's dispatch resolution can recognize it by type — kind()
-/// cannot discriminate shipped limiters from user subclasses that reuse
-/// a LimiterKind tag (see examples/custom_limiter.cpp).
-class NoLimiter final : public InjectionLimiter {
- public:
-  bool allow(const InjectionRequest&, const ChannelStatus&) override {
-    return true;
-  }
-  LimiterKind kind() const noexcept override { return LimiterKind::None; }
 };
 
 struct LimiterConfig {

@@ -7,28 +7,13 @@
 namespace wormsim::core {
 
 LinearFunctionLimiter::LinearFunctionLimiter(double alpha) : alpha_(alpha) {
-  if (alpha < 0.0 || alpha > 1.0) {
+  // Written to reject NaN too: every comparison with NaN is false.
+  if (!(alpha >= 0.0 && alpha <= 1.0)) {
     throw std::invalid_argument("LF alpha must be in [0, 1]");
   }
 }
 
 LinearFunctionLimiter::Counts LinearFunctionLimiter::count_useful(
-    const ChannelStatus& status, NodeId node,
-    const routing::RouteResult& route) {
-  Counts counts;
-  const unsigned vcs = status.num_vcs();
-  const std::uint32_t vc_field = (1u << vcs) - 1u;
-  for (unsigned c = 0; c < status.num_phys_channels(); ++c) {
-    if (!(route.useful_phys_mask & (1u << c))) continue;
-    const std::uint32_t free =
-        status.free_vc_mask(node, static_cast<ChannelId>(c)) & vc_field;
-    counts.total += vcs;
-    counts.busy += vcs - static_cast<unsigned>(std::popcount(free));
-  }
-  return counts;
-}
-
-LinearFunctionLimiter::Counts LinearFunctionLimiter::count_useful_row(
     const std::uint8_t* free_row, unsigned num_vcs,
     std::uint32_t useful_phys_mask) {
   Counts counts;
@@ -49,14 +34,9 @@ bool LinearFunctionLimiter::decide(const Counts& counts) const {
 
 bool LinearFunctionLimiter::allow(const InjectionRequest& req,
                                   const ChannelStatus& status) {
-  return decide(count_useful(status, req.node, *req.route));
-}
-
-bool LinearFunctionLimiter::allow_row(const InjectionRequest& req,
-                                      const std::uint8_t* free_row,
-                                      unsigned num_vcs) const {
-  return decide(
-      count_useful_row(free_row, num_vcs, req.route->useful_phys_mask));
+  const NodeId node = req.node;
+  return decide(count_useful(status.free_row(node), status.num_vcs(),
+                             req.route->useful_phys_mask));
 }
 
 }  // namespace wormsim::core

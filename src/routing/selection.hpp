@@ -28,32 +28,17 @@ struct Pick {
   bool escape = false;
 };
 
-/// Read-only view of output VC availability at one router, supplied by
-/// the simulator. free_vc_mask(c) has bit v set iff VC v of physical
-/// channel c is unallocated AND its receiving buffer is empty enough to
-/// accept a header (i.e. selectable right now).
-class FreeVcView {
- public:
-  virtual ~FreeVcView() = default;
-  virtual std::uint32_t free_vc_mask(topo::ChannelId channel) const = 0;
-};
-
 class Selector {
  public:
   explicit Selector(SelectionPolicy policy) : policy_(policy) {}
 
   /// Choose an output among `route.candidates` with at least one free
-  /// usable VC. Adaptive candidates are always preferred over escape
-  /// ones (Duato's protocol requirement). `rr_state` is a per-router
-  /// counter the caller increments to rotate RoundRobin decisions.
-  std::optional<Pick> select(const RouteResult& route, const FreeVcView& view,
-                             std::uint32_t rr_state) const;
-
-  /// Devirtualized overload for the cycle-loop hot path: `free_row[c]`
-  /// holds free_vc_mask(c) for every physical channel of one router,
-  /// laid out contiguously (sim::Network::free_mask_row). Bit-identical
-  /// decisions to the virtual-view overload — both instantiate the same
-  /// selection template.
+  /// usable VC. `free_row[c]` is the free-VC mask of physical channel c
+  /// of the router (sim::Network::free_mask_row): bit v set iff VC v is
+  /// unallocated, i.e. selectable right now. Adaptive candidates are
+  /// always preferred over escape ones (Duato's protocol requirement).
+  /// `rr_state` is a per-router counter the caller increments to rotate
+  /// RoundRobin decisions.
   std::optional<Pick> select(const RouteResult& route,
                              const std::uint8_t* free_row,
                              std::uint32_t rr_state) const;

@@ -6,7 +6,7 @@
 //   * Wormhole (default) — the paper's model: the sender tracks the
 //     receiver's buffer through an ideal zero-latency credit loop, so
 //     the gate is simply occupancy < capacity. Byte-identical to the
-//     pre-interface simulator under every core / fast-path combination.
+//     pre-interface simulator in both cores.
 //   * Credit — explicit credit-based backpressure (the Graphite
 //     buffer-management-message model): the sender holds one credit per
 //     downstream buffer slot, consumes one per flit sent, and gets it
@@ -21,11 +21,10 @@
 //     Requires buf_flits >= the longest message (config::validate
 //     enforces this for harness runs).
 //
-// Dispatch mirrors the limiter fast path (see DESIGN.md): the Simulator
-// resolves the scheme once at construction. The dense core always runs
-// the virtual interface; the active core short-circuits Wormhole/Vct to
-// the inline occupancy test and calls Credit non-virtually, keeping the
-// hot path free of per-flit virtual calls.
+// The Simulator calls every gate and hook through this interface in
+// both cores. It resolves once at construction which calls a scheme can
+// skip (tracks_flits, veto_sends, gates_admission), so the stateless
+// schemes pay no virtual call per flit.
 #pragma once
 
 #include <cstdint>
@@ -184,13 +183,17 @@ class CreditFlowControl final : public FlowControlScheme {
     return in_use_[slot];
   }
 
-  /// Copy `chans` free-mask bytes from `raw` into `out`, clearing each
-  /// VC bit whose slot (base `slot_base`, `vcs` per channel) still has
+  /// Free-VC row of `node` as the limiters see it: the `chans` tenancy
+  /// masks of `raw` with each VC bit cleared whose slot still has
   /// outstanding credits — a VC is only *completely* free to the
-  /// limiter's status register once its credits all came home.
-  void filter_free_row(const std::uint8_t* raw, std::size_t slot_base,
-                       unsigned chans, unsigned vcs,
-                       std::uint8_t* out) const noexcept {
+  /// limiter's status register once its credits all came home. Net-link
+  /// VC slots are laid out node by node, so the row's slots start at
+  /// node * chans * vcs. Writes `out` and returns it.
+  const std::uint8_t* filter_free_row(const std::uint8_t* raw, NodeId node,
+                                      unsigned chans, unsigned vcs,
+                                      std::uint8_t* out) const noexcept {
+    const std::size_t slot_base =
+        static_cast<std::size_t>(node) * chans * vcs;
     for (unsigned c = 0; c < chans; ++c) {
       std::uint8_t m = raw[c];
       const std::size_t base = slot_base + static_cast<std::size_t>(c) * vcs;
@@ -201,6 +204,7 @@ class CreditFlowControl final : public FlowControlScheme {
       }
       out[c] = m;
     }
+    return out;
   }
 
   bool check(const Network& net, std::string* why) const override;
@@ -242,37 +246,31 @@ class VctFlowControl final : public FlowControlScheme {
   }
 };
 
-/// Per-node ChannelStatus view that a Credit scheme substitutes for the
-/// raw Network register: VCs with outstanding credits read as busy.
+/// The ChannelStatus a Credit scheme substitutes for the raw Network
+/// register: VCs with outstanding credits read as busy
+/// (CreditFlowControl::filter_free_row).
 class CreditChannelStatus final : public core::ChannelStatus {
  public:
-  CreditChannelStatus() = default;
-  void bind(const core::ChannelStatus& base,
-            const CreditFlowControl& credit) noexcept {
-    base_ = &base;
-    credit_ = &credit;
-  }
-  unsigned num_phys_channels() const override {
-    return base_->num_phys_channels();
-  }
-  unsigned num_vcs() const override { return base_->num_vcs(); }
-  std::uint32_t free_vc_mask(core::NodeId node,
-                             core::ChannelId c) const override {
-    std::uint32_t m = base_->free_vc_mask(node, c);
-    const unsigned vcs = base_->num_vcs();
-    const std::size_t base =
-        (static_cast<std::size_t>(node) * base_->num_phys_channels() +
-         static_cast<std::size_t>(c)) *
-        vcs;
-    for (unsigned v = 0; v < vcs; ++v) {
-      if (credit_->in_use(base + v) != 0) m &= ~(1u << v);
-    }
-    return m;
+  CreditChannelStatus(const core::ChannelStatus& base,
+                      const CreditFlowControl& credit)
+      : base_(&base),
+        credit_(&credit),
+        chans_(base.num_phys_channels()),
+        vcs_(base.num_vcs()),
+        row_(chans_) {}
+  unsigned num_phys_channels() const override { return chans_; }
+  unsigned num_vcs() const override { return vcs_; }
+  const std::uint8_t* free_row(NodeId node) const override {
+    return credit_->filter_free_row(base_->free_row(node), node, chans_,
+                                    vcs_, row_.data());
   }
 
  private:
-  const core::ChannelStatus* base_ = nullptr;
-  const CreditFlowControl* credit_ = nullptr;
+  const core::ChannelStatus* base_;
+  const CreditFlowControl* credit_;
+  unsigned chans_;
+  unsigned vcs_;
+  mutable std::vector<std::uint8_t> row_;  // the row free_row returns
 };
 
 std::unique_ptr<FlowControlScheme> make_flow_control(

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/limiter.hpp"
-#include "routing/selection.hpp"
 #include "sim/channel.hpp"
 #include "sim/types.hpp"
 #include "topology/kary_ncube.hpp"
@@ -82,12 +81,15 @@ class Network final : public core::ChannelStatus {
   // core::ChannelStatus: the per-node virtual output channel register.
   unsigned num_phys_channels() const override { return topo_->num_channels(); }
   unsigned num_vcs() const override { return params_.num_vcs; }
-  std::uint32_t free_vc_mask(NodeId node, ChannelId c) const override;
+  const std::uint8_t* free_row(NodeId node) const override {
+    return free_mask_row(node);
+  }
 
-  /// SoA view of the free-VC masks: one byte per network link, rows of
-  /// num_phys_channels() bytes per node (net_link layout). free_row[c]
-  /// == free_vc_mask(node, c). Lets the cycle loop evaluate selection
-  /// and the ALO/LF/DRIL rules without virtual ChannelStatus reads.
+  /// The free-VC masks: one byte per network link, rows of
+  /// num_phys_channels() bytes per node (net_link layout), so
+  /// free_mask_row(node)[c] is the mask of link net_link(node, c).
+  /// Selection, the limiters and the Figure-2 probe all read this row;
+  /// the non-virtual form serves the cycle loop.
   const std::uint8_t* free_mask_row(NodeId node) const noexcept {
     return free_mask_.data() +
            static_cast<std::size_t>(node) * topo_->num_channels();
@@ -290,28 +292,13 @@ class Network final : public core::ChannelStatus {
   std::vector<Cycle> progress_;  // per VC slot, indexed like vcs_
   std::vector<EjectPort> eject_;
 
-  // SoA mirrors for the cycle-loop fast path, maintained by set_active
-  // (the sole writer of active_vc_mask). Net links only.
+  // SoA mirrors of the link records, maintained by set_active (the sole
+  // writer of active_vc_mask). Net links only.
   std::vector<std::uint8_t> free_mask_;    // ~active_vc_mask & vc_field
   std::vector<std::uint8_t> vc_field_;     // admissible VCs; 0 = dead link
 
   util::ActiveSet tenant_links_;   // net links with active_vc_mask != 0
   util::ActiveSet arrival_links_;  // net links with non-empty in_flight
-};
-
-/// Adapter giving the routing Selector a per-node view of free output
-/// VCs (stack-allocated in the allocation loop).
-class NodeFreeVcView final : public routing::FreeVcView {
- public:
-  NodeFreeVcView(const Network& net, NodeId node) noexcept
-      : net_(&net), node_(node) {}
-  std::uint32_t free_vc_mask(ChannelId channel) const override {
-    return net_->free_vc_mask(node_, channel);
-  }
-
- private:
-  const Network* net_;
-  NodeId node_;
 };
 
 }  // namespace wormsim::sim

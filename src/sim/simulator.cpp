@@ -9,8 +9,6 @@
 #include <string>
 
 #include "core/alo.hpp"
-#include "core/dril.hpp"
-#include "core/linear_function.hpp"
 
 namespace wormsim::sim {
 
@@ -56,10 +54,6 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
   if (cfg.routing_delay < 1 || cfg.routing_delay > 8) {
     throw std::invalid_argument("routing_delay must be in [1, 8]");
   }
-  // Fast paths are an active-core property: the dense core stays the
-  // reference virtual-dispatch implementation so that the byte-identity
-  // tests double as a differential check of these optimizations.
-  const bool active = cfg_.core == SimCore::Active;
   if (!cfg_.faults.empty()) {
     fault::validate(cfg_.faults, topo_);
     if (cfg_.algorithm != routing::Algorithm::TFAR) {
@@ -80,38 +74,18 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
     }
     faults_ = std::make_unique<fault::FaultManager>(topo_, cfg_.faults);
   }
-  memo_on_ = active && cfg_.fastpath.route_memo;
+  // The route memo is an active-core property: the dense core routes
+  // every visit afresh, so core equivalence differentially checks it.
+  memo_on_ = cfg_.core == SimCore::Active && cfg_.fastpath.route_memo;
   if (memo_on_) head_route_.resize(topo_.num_nodes());
-  static_dispatch_on_ = active && cfg_.fastpath.static_dispatch;
-  resolve_limiter_dispatch();
-  // Flow-control scheme, resolved once like the limiter dispatch above.
-  // The dense core stays on the virtual interface so core equivalence
-  // doubles as a differential test of the fast dispatch.
   flow_ = make_flow_control(cfg_.flow, net_.num_vc_slots());
-  fc_kind_ = flow_->kind();
-  credit_ = fc_kind_ == FlowControl::Credit
-                ? static_cast<CreditFlowControl*>(flow_.get())
-                : nullptr;
-  fc_virtual_ = !(active && cfg_.fastpath.fc_dispatch);
   fc_tracks_ = flow_->tracks_flits();
   fc_vetoes_ = flow_->veto_sends();
   fc_admits_ = flow_->gates_admission();
-  if (credit_) credit_status_.bind(net_, *credit_);
-  fc_row_buf_.resize(topo_.num_channels());
-}
-
-void Simulator::resolve_limiter_dispatch() {
-  core::InjectionLimiter* l = limiter_.get();
-  if (dynamic_cast<core::NoLimiter*>(l) != nullptr) {
-    limiter_fast_ = LimiterFast::None;
-  } else if (dynamic_cast<core::AloLimiter*>(l) != nullptr) {
-    limiter_fast_ = LimiterFast::Alo;
-  } else if (dynamic_cast<core::LinearFunctionLimiter*>(l) != nullptr) {
-    limiter_fast_ = LimiterFast::Lf;
-  } else if (dynamic_cast<core::DrilLimiter*>(l) != nullptr) {
-    limiter_fast_ = LimiterFast::Dril;
-  } else {
-    limiter_fast_ = LimiterFast::Virtual;  // user-supplied mechanism
+  if (flow_->kind() == FlowControl::Credit) {
+    credit_status_ = std::make_unique<CreditChannelStatus>(
+        net_, static_cast<const CreditFlowControl&>(*flow_));
+    status_ = credit_status_.get();
   }
 }
 
@@ -155,13 +129,7 @@ void Simulator::step() {
   scan_.scan_total +=
       2 * static_cast<std::uint64_t>(net_.num_net_links()) +
       3 * static_cast<std::uint64_t>(topo_.num_nodes());
-  if (fc_tracks_) {
-    if (fc_virtual_) {
-      flow_->begin_cycle(t);
-    } else if (credit_) {
-      credit_->begin_cycle(t);
-    }
-  }
+  if (fc_tracks_) flow_->begin_cycle(t);
   if (online_ && online_->profile_due(t)) {
     run_phases_profiled(t);
   } else {
@@ -228,7 +196,7 @@ metrics::WindowSample Simulator::online_sample() {
       static_cast<std::uint8_t>((1u << vcs) - 1u);
   std::uint64_t free_vcs = 0;
   for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
-    const std::uint8_t* row = fc_status_row(node);
+    const std::uint8_t* row = status_->free_row(node);
     for (unsigned c = 0; c < chans; ++c) {
       free_vcs += static_cast<unsigned>(std::popcount(
           static_cast<std::uint8_t>(row[c] & vc_mask)));
@@ -476,11 +444,8 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     v.probed = true;
     const std::uint32_t useful =
         memo_on_ ? e.code.useful : route_buf_.useful_phys_mask;
-    const auto cond =
-        static_dispatch_on_
-            ? core::evaluate_alo_row(fc_status_row(node),
-                                     net_.params().num_vcs, useful)
-            : core::evaluate_alo(fc_channel_status(), node, useful);
+    const auto cond = core::evaluate_alo(status_->free_row(node),
+                                         net_.params().num_vcs, useful);
     collector_.on_probe(t, cond.all_useful_partially_free,
                         cond.any_useful_completely_free);
     if (tracer_) {
@@ -498,13 +463,8 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   if (!still_blocked) {
     e.refused = !fc_admit(v.msg_length, net_.params().buf_flits);
     if (!e.refused) {
-      if (static_dispatch_on_) {
-        pick = selector_.select(route(), net_.free_mask_row(node),
-                                alloc_rr_[node]);
-      } else {
-        const NodeFreeVcView view(net_, node);
-        pick = selector_.select(route(), view, alloc_rr_[node]);
-      }
+      pick = selector_.select(route(), net_.free_mask_row(node),
+                              alloc_rr_[node]);
     }
   }
   if (!pick) {
@@ -702,40 +662,8 @@ void Simulator::inject_node(NodeId node, Cycle t) {
     req.cycle = t;
     req.head_wait = t - head_since_[node];
     req.queue_len = queues_[node].size();
-    // Gate decision. With static dispatch the limiter resolved to its
-    // concrete type once per simulator: None and DRIL never read the
-    // route, so the routing step is skipped entirely; ALO and LF expand
-    // the route code and evaluate on the contiguous free-mask row.
-    // Custom limiters (LimiterFast::Virtual) take the interface path.
-    bool allowed;
-    if (static_dispatch_on_ && limiter_fast_ != LimiterFast::Virtual) {
-      const std::uint8_t* row = fc_status_row(node);
-      const unsigned vcs = net_.params().num_vcs;
-      switch (limiter_fast_) {
-        case LimiterFast::None:
-          allowed = true;
-          break;
-        case LimiterFast::Alo:
-          head_route(node, pm.dst);
-          allowed = core::evaluate_alo_routed_row(row, vcs, route_buf_).allow();
-          break;
-        case LimiterFast::Lf:
-          head_route(node, pm.dst);
-          allowed = static_cast<core::LinearFunctionLimiter*>(limiter_.get())
-                        ->allow_row(req, row, vcs);
-          break;
-        case LimiterFast::Dril:
-          allowed = static_cast<core::DrilLimiter*>(limiter_.get())
-                        ->allow_row(req, row, topo_.num_channels(), vcs);
-          break;
-        case LimiterFast::Virtual:
-          allowed = false;  // unreachable: guarded above
-          break;
-      }
-    } else {
-      head_route(node, pm.dst);
-      allowed = limiter_->allow(req, fc_channel_status());
-    }
+    head_route(node, pm.dst);
+    const bool allowed = limiter_->allow(req, *status_);
     if (!allowed) {
       if (tracer_) {
         tracer_->record(t, obs::EventKind::GateBlock, node,

@@ -67,27 +67,18 @@ enum class SimCore : std::uint8_t { Dense, Active };
 SimCore parse_sim_core(std::string_view name);
 std::string_view sim_core_name(SimCore core) noexcept;
 
-/// Saturated-regime fast-path toggles. They apply to the Active core
-/// only — the Dense core always runs the reference virtual-dispatch
-/// path, which is what makes test_core_equivalence a differential test
-/// of the optimizations. Results are bit-identical for every toggle
-/// combination; the switches exist for that test and for perf triage.
+/// Saturated-regime fast-path toggle. It applies to the Active core
+/// only — the Dense core always routes every visit afresh, which is
+/// what makes test_core_equivalence a differential test of the memo.
+/// Results are bit-identical either way; the switch exists for that
+/// test and for perf triage. Both cores run the same limiter,
+/// selection and flow-control code, all of it reading one free-VC row.
 struct FastPathConfig {
   /// Blocked headers keep their route code in their pending entry and
   /// skip both re-route and re-selection while no candidate has a free
   /// VC in the live free-mask row; queue heads reuse their node's last
   /// route for the same destination. Off = every visit routes afresh.
   bool route_memo = true;
-  /// Resolve the injection-limiter and selection dispatch once per
-  /// simulator instead of per virtual call inside the cycle loop.
-  /// Custom limiters installed via set_limiter() fall back to the
-  /// virtual path automatically.
-  bool static_dispatch = true;
-  /// Resolve the flow-control scheme dispatch once per simulator:
-  /// Wormhole/VCT short-circuit to the inline occupancy test and Credit
-  /// is called non-virtually. Off = every gate and hook goes through
-  /// the FlowControlScheme interface (the dense core's reference path).
-  bool fc_dispatch = true;
 };
 
 struct SimulatorConfig {
@@ -218,7 +209,6 @@ class Simulator {
   void set_limiter(std::unique_ptr<core::InjectionLimiter> limiter) {
     if (!limiter) return;
     limiter_ = std::move(limiter);
-    resolve_limiter_dispatch();
   }
   traffic::Workload* workload() noexcept { return workload_.get(); }
   const metrics::Collector& collector() const noexcept { return collector_; }
@@ -411,7 +401,7 @@ class Simulator {
   }
 
   /// Route of `node`'s queue head (bound for `dst`) into route_buf_,
-  /// for the limiters that read it. With the memo on, the node's last
+  /// for the limiter's request. With the memo on, the node's last
   /// (dst, code) pair answers a repeat destination: routing is a pure
   /// function of (node, dst), so a matching dst is an exact hit and
   /// only a routing-table rebuild clears the cache.
@@ -425,85 +415,33 @@ class Simulator {
     expand_route(h.code, route_buf_);
   }
 
-  /// Map the installed limiter to its enum-tagged fast-dispatch case
-  /// (by concrete type, not kind() — user subclasses may reuse a kind
-  /// tag) and recompute which fast paths are enabled.
-  void resolve_limiter_dispatch();
-
-  // --- Flow-control gates and hooks (see flow_control.hpp). The
-  // fast-dispatch forms reduce to the pre-interface inline code for
-  // Wormhole/VCT and a non-virtual call for Credit; with fc_virtual_
-  // (dense core, or fc_dispatch off) everything goes through the
-  // interface — which is what makes the core-equivalence tests a
-  // differential check of this dispatch layer too.
+  // --- Flow-control gates and hooks (see flow_control.hpp): every one
+  // goes through the FlowControlScheme interface, minus the calls the
+  // scheme declared it never needs (resolved once at construction).
 
   /// May one more flit advance toward VC slot `slot`? The caller has
   /// already checked occupancy < cap, so schemes whose gate is exactly
-  /// that test (veto_sends() false, resolved once into fc_vetoes_) are
-  /// never consulted — in either dispatch mode.
+  /// that test (veto_sends() false) are never consulted.
   bool fc_may_send(std::size_t slot, std::uint8_t occupancy,
                    unsigned cap) const {
-    if (!fc_vetoes_) return true;
-    if (fc_virtual_) return flow_->may_send(slot, occupancy, cap);
-    if (credit_) return credit_->may_send(slot, occupancy, cap);
-    return occupancy < cap;
+    return !fc_vetoes_ || flow_->may_send(slot, occupancy, cap);
   }
   /// May a header claim a free downstream VC for this packet? Schemes
-  /// that admit unconditionally (gates_admission() false, resolved
-  /// once into fc_admits_) skip the per-claim call entirely.
+  /// that admit unconditionally (gates_admission() false) skip the
+  /// per-claim call entirely.
   bool fc_admit(std::uint32_t msg_length, unsigned cap) const {
-    if (!fc_admits_) return true;
-    if (fc_virtual_) return flow_->admit(msg_length, cap);
-    return fc_kind_ != FlowControl::Vct || msg_length <= cap;
+    return !fc_admits_ || flow_->admit(msg_length, cap);
   }
-  // The per-flit event hooks are gated on fc_tracks_ (resolved once
-  // from FlowControlScheme::tracks_flits): stateless schemes never pay
-  // a virtual call per flit, in either dispatch mode. Only the
-  // send/admit *decisions* stay virtual under fc_virtual_.
+  // The per-flit event hooks are gated on tracks_flits(): stateless
+  // schemes never pay a virtual call per flit.
   void fc_on_sent(std::size_t slot, Cycle t) {
-    if (!fc_tracks_) return;
-    if (fc_virtual_) {
-      flow_->on_flit_sent(slot, t);
-    } else if (credit_) {
-      credit_->on_flit_sent(slot, t);
-    }
+    if (fc_tracks_) flow_->on_flit_sent(slot, t);
   }
   void fc_on_drained(std::size_t slot, Cycle t) {
-    if (!fc_tracks_) return;
-    if (fc_virtual_) {
-      flow_->on_flit_drained(slot, t);
-    } else if (credit_) {
-      credit_->on_flit_drained(slot, t);
-    }
+    if (fc_tracks_) flow_->on_flit_drained(slot, t);
   }
   void fc_on_reset(std::size_t slot) {
-    if (!fc_tracks_) return;
-    if (fc_virtual_) {
-      flow_->on_slot_reset(slot);
-    } else if (credit_) {
-      credit_->on_slot_reset(slot);
-    }
-  }
-  /// Free-mask row the injection limiters and the Figure-2 probe read:
-  /// the raw Network register, except under Credit where VCs with
-  /// outstanding credits are masked out (a channel is only completely
-  /// free once its credits came home). Selection does NOT use this —
-  /// claimability is a tenancy property in every scheme, so the raw
-  /// row is the one the blocked-header test reads.
-  const std::uint8_t* fc_status_row(NodeId node) {
-    if (!credit_) return net_.free_mask_row(node);
-    const unsigned chans = topo_.num_channels();
-    const unsigned vcs = net_.params().num_vcs;
-    credit_->filter_free_row(
-        net_.free_mask_row(node),
-        static_cast<std::size_t>(net_.net_link(node, 0)) * vcs, chans, vcs,
-        fc_row_buf_.data());
-    return fc_row_buf_.data();
-  }
-  /// ChannelStatus the virtual limiter path reads (same filtering).
-  const core::ChannelStatus& fc_channel_status() const noexcept {
-    return credit_ ? static_cast<const core::ChannelStatus&>(credit_status_)
-                   : static_cast<const core::ChannelStatus&>(net_);
+    if (fc_tracks_) flow_->on_slot_reset(slot);
   }
 
   /// Append `ref`'s new header to the route-pending list; `node` is the
@@ -610,26 +548,21 @@ class Simulator {
   };
   std::vector<HeadRoute> head_route_;
 
-  /// Enum-tagged limiter dispatch for the cycle loop; Virtual = run the
-  /// InjectionLimiter interface (custom limiters, or dispatch off).
-  enum class LimiterFast : std::uint8_t { Virtual, None, Alo, Lf, Dril };
-  LimiterFast limiter_fast_ = LimiterFast::Virtual;
-  bool memo_on_ = false;            // active core && fastpath.route_memo
-  bool static_dispatch_on_ = false; // active core && fastpath.static_dispatch
+  bool memo_on_ = false;  // active core && fastpath.route_memo
 
   // --- Flow control (resolved once at construction) --------------------
   std::unique_ptr<FlowControlScheme> flow_;
-  /// Non-null iff the scheme is Credit (set in either dispatch mode —
-  /// the fast path calls the same object non-virtually, so both modes
-  /// mutate identical state and stay bit-identical).
-  CreditFlowControl* credit_ = nullptr;
-  FlowControl fc_kind_ = FlowControl::Wormhole;
-  bool fc_virtual_ = true;  // dense core, or fastpath.fc_dispatch off
   bool fc_tracks_ = false;  // scheme consumes the per-flit event stream
   bool fc_vetoes_ = true;   // scheme's may_send can veto past occupancy
   bool fc_admits_ = true;   // scheme's admit can reject a VC claim
-  CreditChannelStatus credit_status_;
-  std::vector<std::uint8_t> fc_row_buf_;  // fc_status_row scratch
+  /// The VC status register the limiters and the Figure-2 probe read:
+  /// the Network itself, or under Credit a view of it in which VCs with
+  /// outstanding credits read as busy (a channel is only completely
+  /// free once its credits came home). Selection reads the raw row —
+  /// claimability is a tenancy property in every scheme, so the raw row
+  /// is also the one the blocked-header test reads.
+  std::unique_ptr<CreditChannelStatus> credit_status_;
+  const core::ChannelStatus* status_ = &net_;
 
   // --- Active-set state (maintained in both cores where the cost is
   // O(1) per transition; consumed only by the active core) -------------

@@ -29,7 +29,8 @@ TEST_F(AloTest, RuleA_AllUsefulChannelsHaveOneFreeVc) {
     status_.set_free(0, static_cast<ChannelId>(c), 0b001);
   }
   const auto route = make_route({0, 2, 4}, 3);
-  const auto cond = evaluate_alo(status_, 0, route.useful_phys_mask);
+  const auto cond =
+      evaluate_alo(status_.free_row(0), 3, route.useful_phys_mask);
   EXPECT_TRUE(cond.all_useful_partially_free);
   EXPECT_FALSE(cond.any_useful_completely_free);
   EXPECT_TRUE(alo_.allow(make_request(0, route), status_));
@@ -40,7 +41,8 @@ TEST_F(AloTest, DeniesWhenOneUsefulChannelFullyBusy) {
   status_.set_free(0, 2, 0b011);
   status_.set_free(0, 4, 0b001);
   const auto route = make_route({0, 2, 4}, 3);
-  const auto cond = evaluate_alo(status_, 0, route.useful_phys_mask);
+  const auto cond =
+      evaluate_alo(status_.free_row(0), 3, route.useful_phys_mask);
   EXPECT_FALSE(cond.all_useful_partially_free);
   EXPECT_FALSE(cond.any_useful_completely_free);
   EXPECT_FALSE(alo_.allow(make_request(0, route), status_));
@@ -51,7 +53,8 @@ TEST_F(AloTest, RuleB_OneCompletelyFreeChannelOverridesBusyOnes) {
   status_.set_free(0, 2, 0b111);  // completely free -> rule (b)
   status_.set_free(0, 4, 0b001);
   const auto route = make_route({0, 2, 4}, 3);
-  const auto cond = evaluate_alo(status_, 0, route.useful_phys_mask);
+  const auto cond =
+      evaluate_alo(status_.free_row(0), 3, route.useful_phys_mask);
   EXPECT_FALSE(cond.all_useful_partially_free);
   EXPECT_TRUE(cond.any_useful_completely_free);
   EXPECT_TRUE(alo_.allow(make_request(0, route), status_));
@@ -84,7 +87,7 @@ TEST_F(AloTest, ButterflyStyleTwoChannelExample) {
 }
 
 TEST_F(AloTest, EmptyUsefulMaskVacuouslyAllows) {
-  const auto cond = evaluate_alo(status_, 0, 0);
+  const auto cond = evaluate_alo(status_.free_row(0), 3, 0);
   EXPECT_TRUE(cond.allow());
 }
 
@@ -129,8 +132,9 @@ TEST(AloRouted, ReducesToUnmaskedFormForTfarStyleMasks) {
         route.useful_phys_mask |= 1u << c;
       }
     }
-    const auto plain = evaluate_alo(status, 0, route.useful_phys_mask);
-    const auto routed = evaluate_alo_routed(status, 0, route);
+    const auto plain =
+        evaluate_alo(status.free_row(0), 3, route.useful_phys_mask);
+    const auto routed = evaluate_alo_routed(status.free_row(0), 3, route);
     ASSERT_EQ(plain.allow(), routed.allow()) << "iteration " << iter;
     ASSERT_EQ(plain.all_useful_partially_free,
               routed.all_useful_partially_free);
@@ -155,62 +159,18 @@ TEST(AloRouted, IdleEscapeVcsDoNotMaskCongestion) {
   // VC1s idle.
   status.set_free(0, 0, 0b010);
   status.set_free(0, 2, 0b011);
-  const auto cond = evaluate_alo_routed(status, 0, route);
+  const auto cond = evaluate_alo_routed(status.free_row(0), 3, route);
   EXPECT_FALSE(cond.all_useful_partially_free);
   EXPECT_FALSE(cond.any_useful_completely_free);
   EXPECT_FALSE(cond.allow());
   // The paper's unmasked form would wrongly allow here (footnote 1).
-  EXPECT_TRUE(evaluate_alo(status, 0, route.useful_phys_mask).allow());
+  EXPECT_TRUE(
+      evaluate_alo(status.free_row(0), 3, route.useful_phys_mask).allow());
 
   // Freeing an adaptive VC on every useful channel restores rule (a).
   status.set_free(0, 0, 0b110);
   status.set_free(0, 2, 0b111);
-  EXPECT_TRUE(evaluate_alo_routed(status, 0, route).allow());
-}
-
-/// Property: the row-based evaluators (the devirtualized cycle-loop
-/// path) agree with the ChannelStatus evaluators on random status
-/// registers and random routes — both rules, not just the final allow.
-TEST(AloRowTwin, MatchesChannelStatusEvaluatorsOnRandomState) {
-  constexpr unsigned kChannels = 6;
-  constexpr unsigned kVcs = 3;
-  FakeStatus status(1, kChannels, kVcs);
-  util::Rng rng(0xA10);
-  for (int iter = 0; iter < 5000; ++iter) {
-    std::uint8_t row[kChannels];
-    for (unsigned c = 0; c < kChannels; ++c) {
-      const auto mask = static_cast<std::uint32_t>(rng.below(1u << kVcs));
-      status.set_free(0, static_cast<ChannelId>(c), mask);
-      row[c] = static_cast<std::uint8_t>(mask);
-    }
-    // Unmasked form over a random useful set (zero included: vacuous).
-    const auto useful = static_cast<std::uint32_t>(rng.below(1u << kChannels));
-    const AloConditions v = evaluate_alo(status, 0, useful);
-    const AloConditions r = evaluate_alo_row(row, kVcs, useful);
-    ASSERT_EQ(v.all_useful_partially_free, r.all_useful_partially_free)
-        << "iter " << iter << " useful " << useful;
-    ASSERT_EQ(v.any_useful_completely_free, r.any_useful_completely_free)
-        << "iter " << iter << " useful " << useful;
-
-    // Routed form over a random candidate set with random VC masks and
-    // an optional trailing escape candidate (the Duato shape).
-    routing::RouteResult route;
-    const unsigned cands = 1 + static_cast<unsigned>(rng.below(kChannels));
-    for (unsigned i = 0; i < cands; ++i) {
-      const auto vc_mask =
-          static_cast<std::uint32_t>(rng.between(1, (1u << kVcs) - 1));
-      const bool escape = (i == cands - 1) && rng.bernoulli(0.5);
-      route.candidates.push_back(
-          {static_cast<ChannelId>(i), vc_mask, escape});
-      route.useful_phys_mask |= 1u << i;
-    }
-    const AloConditions vr = evaluate_alo_routed(status, 0, route);
-    const AloConditions rr = evaluate_alo_routed_row(row, kVcs, route);
-    ASSERT_EQ(vr.all_useful_partially_free, rr.all_useful_partially_free)
-        << "iter " << iter;
-    ASSERT_EQ(vr.any_useful_completely_free, rr.any_useful_completely_free)
-        << "iter " << iter;
-  }
+  EXPECT_TRUE(evaluate_alo_routed(status.free_row(0), 3, route).allow());
 }
 
 TEST(AloUniformExample, PaperSixChannelScenario) {

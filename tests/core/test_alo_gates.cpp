@@ -65,7 +65,8 @@ TEST(AloGates, EquivalentToBehaviouralPredicateExhaustive) {
         status.set_free(0, static_cast<ChannelId>(c),
                         static_cast<std::uint32_t>(~busy_c & 0b11));
       }
-      const bool behavioural = evaluate_alo(status, 0, useful).allow();
+      const bool behavioural =
+          evaluate_alo(status.free_row(0), vcs, useful).allow();
       const bool gates = circuit.evaluate(busy, useful);
       ASSERT_EQ(gates, behavioural)
           << "busy=" << busy << " useful=" << useful;
@@ -88,7 +89,8 @@ TEST(AloGates, EquivalentToBehaviouralPredicateRandomPaperSize) {
       status.set_free(0, static_cast<ChannelId>(c),
                       static_cast<std::uint32_t>(~busy_c & 0b111));
     }
-    const bool behavioural = evaluate_alo(status, 0, useful).allow();
+    const bool behavioural =
+        evaluate_alo(status.free_row(0), vcs, useful).allow();
     ASSERT_EQ(circuit.evaluate(busy, useful), behavioural)
         << "busy=" << busy << " useful=" << useful;
   }
@@ -98,7 +100,8 @@ TEST(AloGates, PackBusyBitsMatchesStatus) {
   testing::FakeStatus status(2, 4, 3);
   status.set_free(1, 0, 0b010);  // busy = 101
   status.set_free(1, 2, 0b000);  // busy = 111
-  const std::uint64_t bits = AloGateCircuit::pack_busy_bits(status, 1);
+  const std::uint64_t bits =
+      AloGateCircuit(4, 3).pack_busy_bits(status.free_row(1));
   EXPECT_EQ((bits >> 0) & 0b111, 0b101u);
   EXPECT_EQ((bits >> 3) & 0b111, 0b000u);
   EXPECT_EQ((bits >> 6) & 0b111, 0b111u);

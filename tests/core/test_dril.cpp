@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "fake_status.hpp"
-#include "util/rng.hpp"
 
 namespace wormsim::core {
 namespace {
@@ -107,9 +106,9 @@ TEST_F(DrilTest, ResetClearsAllState) {
 
 TEST_F(DrilTest, BusyTotalCountsAllChannels) {
   status_.fill_uniform(2, 1);  // 1 free per channel -> 2 busy x 6 = 12
-  EXPECT_EQ(DrilLimiter::busy_total(status_, 2), 12u);
+  EXPECT_EQ(DrilLimiter::busy_total(status_.free_row(2), 6, 3), 12u);
   status_.fill_uniform(2, 3);
-  EXPECT_EQ(DrilLimiter::busy_total(status_, 2), 0u);
+  EXPECT_EQ(DrilLimiter::busy_total(status_.free_row(2), 6, 3), 0u);
 }
 
 TEST_F(DrilTest, ThresholdClampedToAtLeastOne) {
@@ -118,50 +117,6 @@ TEST_F(DrilTest, ThresholdClampedToAtLeastOne) {
   (void)dril_.allow(request_at(3, route_, 10, 20), status_);
   EXPECT_TRUE(dril_.frozen(3));
   EXPECT_GE(dril_.threshold(3), 1u);
-}
-
-/// Property: the row-based path (busy_total_row / allow_row, the
-/// devirtualized cycle loop) tracks the ChannelStatus path bit for bit.
-/// DRIL is stateful (frozen thresholds, relax timers), so two instances
-/// are fed the identical random request stream and must stay in
-/// lock-step on every decision and every piece of introspectable state.
-TEST(DrilRowTwin, LockStepWithChannelStatusPathOnRandomStream) {
-  constexpr unsigned kNodes = 4;
-  constexpr unsigned kChannels = 6;
-  constexpr unsigned kVcs = 3;
-  FakeStatus status(kNodes, kChannels, kVcs);
-  DrilLimiter via_status(kNodes, /*detect_wait=*/16, /*margin=*/1,
-                         /*relax_period=*/50);
-  DrilLimiter via_row(kNodes, 16, 1, 50);
-  util::Rng rng(0xD211);
-  const auto route = make_route({0, 2, 4}, kVcs);
-
-  for (std::uint64_t t = 0; t < 4000; ++t) {
-    const auto node = static_cast<NodeId>(rng.below(kNodes));
-    std::uint8_t row[kChannels];
-    for (unsigned c = 0; c < kChannels; ++c) {
-      const auto mask = static_cast<std::uint32_t>(rng.below(1u << kVcs));
-      status.set_free(node, static_cast<ChannelId>(c), mask);
-      row[c] = static_cast<std::uint8_t>(mask);
-    }
-    ASSERT_EQ(DrilLimiter::busy_total(status, node),
-              DrilLimiter::busy_total_row(row, kChannels, kVcs))
-        << "cycle " << t;
-    // Long head waits appear often enough to freeze and relax repeatedly.
-    const std::uint64_t head_wait = rng.below(40);
-    const auto req = request_at(node, route, t, head_wait);
-    ASSERT_EQ(via_status.allow(req, status),
-              via_row.allow_row(req, row, kChannels, kVcs))
-        << "cycle " << t << " node " << node;
-    for (NodeId n = 0; n < kNodes; ++n) {
-      ASSERT_EQ(via_status.frozen(n), via_row.frozen(n))
-          << "cycle " << t << " node " << n;
-      if (via_status.frozen(n)) {
-        ASSERT_EQ(via_status.threshold(n), via_row.threshold(n))
-            << "cycle " << t << " node " << n;
-      }
-    }
-  }
 }
 
 TEST(DrilFactory, MakeLimiterWiresParams) {

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fake_status.hpp"
-#include "util/rng.hpp"
 
 namespace wormsim::core {
 namespace {
@@ -15,6 +16,7 @@ using testing::make_route;
 TEST(LinearFunction, ValidatesAlpha) {
   EXPECT_THROW(LinearFunctionLimiter(-0.1), std::invalid_argument);
   EXPECT_THROW(LinearFunctionLimiter(1.1), std::invalid_argument);
+  EXPECT_THROW(LinearFunctionLimiter(std::nan("")), std::invalid_argument);
   EXPECT_NO_THROW(LinearFunctionLimiter(0.0));
   EXPECT_NO_THROW(LinearFunctionLimiter(1.0));
 }
@@ -26,8 +28,8 @@ TEST(LinearFunction, CountsOnlyUsefulChannels) {
   status.set_free(0, 4, 0b111);  // 0 busy
   status.set_free(0, 1, 0b000);  // 3 busy but NOT useful
   const auto route = make_route({0, 2, 4}, 3);
-  const auto counts =
-      LinearFunctionLimiter::count_useful(status, 0, route);
+  const auto counts = LinearFunctionLimiter::count_useful(
+      status.free_row(0), 3, route.useful_phys_mask);
   EXPECT_EQ(counts.total, 9u);
   EXPECT_EQ(counts.busy, 5u);
 }
@@ -85,41 +87,6 @@ TEST(LinearFunction, AdaptsToPatternFootprint) {
   status.set_free(0, 2, 0b100);
   EXPECT_TRUE(lf.allow(make_request(0, uniform), status));
   EXPECT_FALSE(lf.allow(make_request(0, butterfly), status));
-}
-
-/// Property: count_useful_row / allow_row (the devirtualized cycle-loop
-/// path) agree with the ChannelStatus versions on random state. LF is
-/// stateless, so one limiter instance can answer both forms.
-TEST(LinearFunctionRowTwin, MatchesChannelStatusPathOnRandomState) {
-  constexpr unsigned kChannels = 6;
-  constexpr unsigned kVcs = 3;
-  FakeStatus status(1, kChannels, kVcs);
-  util::Rng rng(0x1F);
-  for (int iter = 0; iter < 5000; ++iter) {
-    std::uint8_t row[kChannels];
-    for (unsigned c = 0; c < kChannels; ++c) {
-      const auto mask = static_cast<std::uint32_t>(rng.below(1u << kVcs));
-      status.set_free(0, static_cast<ChannelId>(c), mask);
-      row[c] = static_cast<std::uint8_t>(mask);
-    }
-    routing::RouteResult route;
-    const unsigned cands = static_cast<unsigned>(rng.below(kChannels + 1));
-    for (unsigned i = 0; i < cands; ++i) {
-      route.candidates.push_back(
-          {static_cast<ChannelId>(i), (1u << kVcs) - 1u, false});
-      route.useful_phys_mask |= 1u << i;
-    }
-    const auto vc = LinearFunctionLimiter::count_useful(status, 0, route);
-    const auto rc = LinearFunctionLimiter::count_useful_row(
-        row, kVcs, route.useful_phys_mask);
-    ASSERT_EQ(vc.busy, rc.busy) << "iter " << iter;
-    ASSERT_EQ(vc.total, rc.total) << "iter " << iter;
-
-    LinearFunctionLimiter lf(static_cast<double>(rng.below(11)) / 10.0);
-    const auto req = make_request(0, route);
-    ASSERT_EQ(lf.allow(req, status), lf.allow_row(req, row, kVcs))
-        << "iter " << iter << " alpha " << lf.alpha();
-  }
 }
 
 }  // namespace

@@ -2,19 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <array>
+#include <cstdint>
 
 namespace wormsim::routing {
 namespace {
 
-/// Test double: fixed free-VC masks per channel.
-class FakeView final : public FreeVcView {
- public:
-  std::uint32_t free_vc_mask(topo::ChannelId c) const override {
-    const auto it = masks_.find(c);
-    return it == masks_.end() ? 0u : it->second;
-  }
-  std::map<topo::ChannelId, std::uint32_t> masks_;
+/// Test double: a router's free-VC row, every channel busy until set.
+struct FakeView {
+  std::array<std::uint8_t, 32> masks_{};
+  const std::uint8_t* row() const { return masks_.data(); }
 };
 
 RouteResult two_channel_route(std::uint32_t mask0, std::uint32_t mask2,
@@ -37,7 +34,7 @@ TEST(Selection, NoFreeVcReturnsNullopt) {
   const Selector sel(SelectionPolicy::FirstFit);
   FakeView view;  // everything busy
   const auto r = two_channel_route(0b111, 0b111);
-  EXPECT_FALSE(sel.select(r, view, 0).has_value());
+  EXPECT_FALSE(sel.select(r, view.row(), 0).has_value());
 }
 
 TEST(Selection, FirstFitTakesFirstCandidate) {
@@ -45,7 +42,8 @@ TEST(Selection, FirstFitTakesFirstCandidate) {
   FakeView view;
   view.masks_[0] = 0b010;
   view.masks_[2] = 0b111;
-  const auto pick = sel.select(two_channel_route(0b111, 0b111), view, 5);
+  const auto pick =
+      sel.select(two_channel_route(0b111, 0b111), view.row(), 5);
   ASSERT_TRUE(pick);
   EXPECT_EQ(pick->channel, 0);
   EXPECT_EQ(pick->vc, 1);  // lowest free usable VC
@@ -56,7 +54,8 @@ TEST(Selection, FirstFitSkipsFullyBusyChannel) {
   FakeView view;
   view.masks_[0] = 0;
   view.masks_[2] = 0b100;
-  const auto pick = sel.select(two_channel_route(0b111, 0b111), view, 0);
+  const auto pick =
+      sel.select(two_channel_route(0b111, 0b111), view.row(), 0);
   ASSERT_TRUE(pick);
   EXPECT_EQ(pick->channel, 2);
   EXPECT_EQ(pick->vc, 2);
@@ -68,7 +67,8 @@ TEST(Selection, RespectsVcMaskRestrictions) {
   view.masks_[0] = 0b001;  // VC0 free
   view.masks_[2] = 0b010;  // VC1 free
   // Candidate masks forbid exactly those free VCs.
-  const auto pick = sel.select(two_channel_route(0b110, 0b101), view, 0);
+  const auto pick =
+      sel.select(two_channel_route(0b110, 0b101), view.row(), 0);
   EXPECT_FALSE(pick.has_value());
 }
 
@@ -77,7 +77,8 @@ TEST(Selection, MaxFreePrefersEmptierChannel) {
   FakeView view;
   view.masks_[0] = 0b001;  // one free VC
   view.masks_[2] = 0b111;  // three free VCs
-  const auto pick = sel.select(two_channel_route(0b111, 0b111), view, 0);
+  const auto pick =
+      sel.select(two_channel_route(0b111, 0b111), view.row(), 0);
   ASSERT_TRUE(pick);
   EXPECT_EQ(pick->channel, 2);
 }
@@ -87,7 +88,8 @@ TEST(Selection, MaxFreeCountsOnlyUsableVcs) {
   FakeView view;
   view.masks_[0] = 0b011;  // two free, both usable
   view.masks_[2] = 0b111;  // three free but only one usable below
-  const auto pick = sel.select(two_channel_route(0b011, 0b100), view, 0);
+  const auto pick =
+      sel.select(two_channel_route(0b011, 0b100), view.row(), 0);
   ASSERT_TRUE(pick);
   EXPECT_EQ(pick->channel, 0);
 }
@@ -98,8 +100,8 @@ TEST(Selection, MaxFreeRotatesTies) {
   view.masks_[0] = 0b111;
   view.masks_[2] = 0b111;
   const auto r = two_channel_route(0b111, 0b111);
-  const auto p0 = sel.select(r, view, 0);
-  const auto p1 = sel.select(r, view, 1);
+  const auto p0 = sel.select(r, view.row(), 0);
+  const auto p1 = sel.select(r, view.row(), 1);
   ASSERT_TRUE(p0 && p1);
   EXPECT_NE(p0->channel, p1->channel);
 }
@@ -110,9 +112,9 @@ TEST(Selection, RoundRobinCyclesCandidates) {
   view.masks_[0] = 0b111;
   view.masks_[2] = 0b111;
   const auto r = two_channel_route(0b111, 0b111);
-  const auto p0 = sel.select(r, view, 0);
-  const auto p1 = sel.select(r, view, 1);
-  const auto p2 = sel.select(r, view, 2);
+  const auto p0 = sel.select(r, view.row(), 0);
+  const auto p1 = sel.select(r, view.row(), 1);
+  const auto p2 = sel.select(r, view.row(), 2);
   ASSERT_TRUE(p0 && p1 && p2);
   EXPECT_EQ(p0->channel, 0);
   EXPECT_EQ(p1->channel, 2);
@@ -126,7 +128,7 @@ TEST(Selection, AdaptivePreferredOverEscape) {
   view.masks_[2] = 0b111;  // escape channel completely free
   const auto pick =
       sel.select(two_channel_route(0b111, 0b111, /*second_escape=*/true),
-                 view, 0);
+                 view.row(), 0);
   ASSERT_TRUE(pick);
   EXPECT_EQ(pick->channel, 0);
   EXPECT_FALSE(pick->escape);
@@ -139,7 +141,7 @@ TEST(Selection, FallsBackToEscapeWhenAdaptiveBusy) {
   view.masks_[2] = 0b010;  // escape VC 1 free
   const auto pick =
       sel.select(two_channel_route(0b111, 0b010, /*second_escape=*/true),
-                 view, 0);
+                 view.row(), 0);
   ASSERT_TRUE(pick);
   EXPECT_EQ(pick->channel, 2);
   EXPECT_TRUE(pick->escape);
@@ -150,7 +152,7 @@ TEST(Selection, EmptyRouteReturnsNullopt) {
   const Selector sel(SelectionPolicy::MaxFreeVcs);
   FakeView view;
   RouteResult r;
-  EXPECT_FALSE(sel.select(r, view, 0).has_value());
+  EXPECT_FALSE(sel.select(r, view.row(), 0).has_value());
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // three policies must agree on *feasibility* (all succeed or all fail).
 #include <gtest/gtest.h>
 
-#include <map>
+#include <array>
+#include <cstdint>
 
 #include "routing/selection.hpp"
 #include "util/rng.hpp"
@@ -11,13 +12,10 @@
 namespace wormsim::routing {
 namespace {
 
-class RandomView final : public FreeVcView {
- public:
-  std::uint32_t free_vc_mask(topo::ChannelId c) const override {
-    const auto it = masks_.find(c);
-    return it == masks_.end() ? 0u : it->second;
-  }
-  std::map<topo::ChannelId, std::uint32_t> masks_;
+/// A router's free-VC row, every channel busy until set.
+struct RandomView {
+  std::array<std::uint8_t, 32> masks_{};
+  const std::uint8_t* row() const { return masks_.data(); }
 };
 
 class SelectionPropertyTest : public ::testing::TestWithParam<SelectionPolicy> {
@@ -38,7 +36,7 @@ TEST_P(SelectionPropertyTest, PicksAreAlwaysAdmissible) {
           static_cast<std::uint32_t>(rng.between(1, (1u << kVcs) - 1));
       const auto free =
           static_cast<std::uint32_t>(rng.below(1u << kVcs));
-      view.masks_[ch] = free;
+      view.masks_[ch] = static_cast<std::uint8_t>(free);
       // Escape candidates must come last; make the final one escape
       // half the time.
       const bool escape = (i == num_cands - 1) && rng.bernoulli(0.5);
@@ -47,7 +45,7 @@ TEST_P(SelectionPropertyTest, PicksAreAlwaysAdmissible) {
       feasible |= (vc_mask & free) != 0;
     }
     const auto rr = static_cast<std::uint32_t>(rng.below(16));
-    const auto pick = sel.select(route, view, rr);
+    const auto pick = sel.select(route, view.row(), rr);
     ASSERT_EQ(pick.has_value(), feasible) << "iteration " << iter;
     if (pick) {
       // The picked VC must be free and usable on the picked channel.
@@ -57,7 +55,7 @@ TEST_P(SelectionPropertyTest, PicksAreAlwaysAdmissible) {
       }
       ASSERT_NE(cand, nullptr);
       EXPECT_TRUE(cand->vc_mask & (1u << pick->vc));
-      EXPECT_TRUE(view.free_vc_mask(pick->channel) & (1u << pick->vc));
+      EXPECT_TRUE(view.masks_[pick->channel] & (1u << pick->vc));
     }
   }
 }
@@ -69,55 +67,18 @@ TEST_P(SelectionPropertyTest, EscapeOnlyChosenWhenNoAdaptiveOption) {
     RandomView view;
     RouteResult route;
     const auto adaptive_free = static_cast<std::uint32_t>(rng.below(8));
-    view.masks_[0] = adaptive_free;
+    view.masks_[0] = static_cast<std::uint8_t>(adaptive_free);
     view.masks_[2] = 0b111;
     route.candidates.push_back({0, 0b111, false});
     route.candidates.push_back({2, 0b011, true});
     route.useful_phys_mask = 0b101;
-    const auto pick = sel.select(route, view, static_cast<std::uint32_t>(iter));
+    const auto pick =
+        sel.select(route, view.row(), static_cast<std::uint32_t>(iter));
     ASSERT_TRUE(pick.has_value());
     if (adaptive_free != 0) {
       EXPECT_FALSE(pick->escape) << "adaptive VC was free but escape taken";
     } else {
       EXPECT_TRUE(pick->escape);
-    }
-  }
-}
-
-/// Property: the row-based select overload (the devirtualized
-/// cycle-loop path, fed a contiguous free-mask array instead of a
-/// FreeVcView) returns the identical Pick — channel, VC and escape flag
-/// — for random candidate sets, masks and round-robin states.
-TEST_P(SelectionPropertyTest, RowOverloadMatchesVirtualView) {
-  const Selector sel(GetParam());
-  util::Rng rng(0x5E1);
-  constexpr unsigned kVcs = 3;
-  constexpr unsigned kChannels = 6;
-  for (int iter = 0; iter < 5000; ++iter) {
-    RandomView view;
-    std::uint8_t row[kChannels] = {};
-    RouteResult route;
-    const unsigned num_cands =
-        1 + static_cast<unsigned>(rng.below(kChannels));
-    for (unsigned i = 0; i < num_cands; ++i) {
-      const auto ch = static_cast<topo::ChannelId>(i);
-      const auto vc_mask =
-          static_cast<std::uint32_t>(rng.between(1, (1u << kVcs) - 1));
-      const auto free = static_cast<std::uint32_t>(rng.below(1u << kVcs));
-      view.masks_[ch] = free;
-      row[i] = static_cast<std::uint8_t>(free);
-      const bool escape = (i == num_cands - 1) && rng.bernoulli(0.5);
-      route.candidates.push_back({ch, vc_mask, escape});
-      route.useful_phys_mask |= 1u << i;
-    }
-    const auto rr = static_cast<std::uint32_t>(rng.below(16));
-    const auto via_view = sel.select(route, view, rr);
-    const auto via_row = sel.select(route, row, rr);
-    ASSERT_EQ(via_view.has_value(), via_row.has_value()) << "iter " << iter;
-    if (via_view) {
-      ASSERT_EQ(via_view->channel, via_row->channel) << "iter " << iter;
-      ASSERT_EQ(via_view->vc, via_row->vc) << "iter " << iter;
-      ASSERT_EQ(via_view->escape, via_row->escape) << "iter " << iter;
     }
   }
 }

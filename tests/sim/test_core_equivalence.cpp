@@ -132,11 +132,11 @@ INSTANTIATE_TEST_SUITE_P(Patterns, CoreEquivalence,
                            return name;
                          });
 
-/// Every fast-path toggle combination of the active core must emit the
-/// same sweep CSV as the dense reference: the closed-form route codes,
-/// the blocked-header route memo and the static limiter/selection
-/// dispatch are pure speedups, never approximations. One sweep per
-/// configuration over the full limiter matrix, compared byte-for-byte,
+/// The active core must emit the same sweep CSV as the dense reference
+/// with the route memo on and off: the closed-form route codes and the
+/// blocked-header route memo are pure speedups, never approximations.
+/// One sweep per setting over the full limiter matrix, compared
+/// byte-for-byte,
 /// under each flow-control scheme against that scheme's own dense
 /// reference (the memo's blocked test reads the row selection reads in
 /// all three; VCT adds the admission verdict the entry records).
@@ -158,10 +158,6 @@ TEST(CoreEquivalence, FastPathTogglesKeepSweepCsvByteIdentical) {
   const Toggle toggles[] = {
       {"all-on", {}},
       {"memo-off", {.route_memo = false}},
-      {"dispatch-off", {.static_dispatch = false}},
-      {"fc-dispatch-off", {.fc_dispatch = false}},
-      {"all-off",
-       {.route_memo = false, .static_dispatch = false, .fc_dispatch = false}},
   };
   for (const auto& s : schemes) {
     SCOPED_TRACE(s.label);
@@ -210,6 +206,40 @@ constexpr const char* kWormholeGoldenCsv =
     "dril,0.1,31.18537859,6.400032254,48.33333333,0.0976875,0,0,1,0\n"
     "dril,1,338.1130166,312.0642251,1433,0.71309375,0,1393.1,0,1\n";
 
+/// The same sweep under the two alternative flow-control schemes,
+/// captured from the tree before limiters, selection and flow control
+/// moved onto one row-reading dispatch path (commit 823e9af): Credit
+/// with `credit_return_delay` 2 (buf_flits 4) and VCT at buf_flits 16.
+/// Once both cores share that code they no longer check each other on
+/// it, so these strings are its proof anchors — never regenerate them
+/// to make a refactor pass.
+constexpr const char* kCreditDelay2GoldenCsv =
+    "mechanism,offered_flits_node_cycle,latency_avg_cycles,"
+    "latency_sd_cycles,latency_p99_cycles,accepted_flits_node_cycle,"
+    "deadlock_pct,avg_queue_len,fully_drained,saturated\n"
+    "none,0.1,30.80100756,6.585091091,47.8,0.09925,0,0,1,0\n"
+    "none,1,467.3522465,269.4994174,1249,0.62625,4.169914263,1518.525,0,1\n"
+    "alo,0.1,31.2540107,6.584065391,47.5,0.092203125,0,0,1,0\n"
+    "alo,1,334.1264538,191.7972154,916,0.736421875,0,1166.552632,1,1\n"
+    "lf,0.1,31.30272953,6.862540277,49,0.101609375,0,0,1,0\n"
+    "lf,1,389.1270161,222.8087836,1034,0.71640625,0,1393.1,0,1\n"
+    "dril,0.1,31.74934726,6.588608204,49,0.097390625,0,0,1,0\n"
+    "dril,1,399.7341908,322.3684633,1411.5,0.69709375,0,1464,0,1\n";
+
+constexpr const char* kVctBuf16GoldenCsv =
+    "mechanism,offered_flits_node_cycle,latency_avg_cycles,"
+    "latency_sd_cycles,latency_p99_cycles,accepted_flits_node_cycle,"
+    "deadlock_pct,avg_queue_len,fully_drained,saturated\n"
+    "none,0.1,30.64987406,6.76342447,49,0.099046875,0,0,1,0\n"
+    "none,1,253.3738438,212.6000865,1120,0.8081875,0.9302325581,"
+    "666.175,0,1\n"
+    "alo,0.1,30.41176471,6.05999158,44.5,0.092328125,0,0,1,0\n"
+    "alo,1,227.8215788,124.6703174,587.5,0.8244375,0,613.71875,1,1\n"
+    "lf,0.1,30.85856079,6.389922658,48,0.1018125,0,0,1,0\n"
+    "lf,1,294.127076,168.6419593,765,0.782140625,0,975.5675676,1,1\n"
+    "dril,0.1,31.18537859,6.385328753,48.66666667,0.09753125,0,0,1,0\n"
+    "dril,1,336.7606068,330.5573731,1371,0.767171875,0,1121.8,0,1\n";
+
 harness::SweepSpec golden_sweep_spec() {
   harness::SweepSpec spec;
   spec.base = equivalence_base();
@@ -227,23 +257,18 @@ std::string sweep_csv(const harness::SweepSpec& spec) {
 }
 
 /// The tentpole guarantee: wormhole-through-the-interface reproduces
-/// the pre-refactor sweep byte-for-byte on every core, with the
-/// flow-control fast-path dispatch on and off, and under any --jobs
-/// count. Any diff here means the interface extraction changed
+/// the pre-refactor sweep byte-for-byte on every core and under any
+/// --jobs count. Any diff here means the interface extraction changed
 /// behavior, which it is never allowed to do.
 TEST(FlowControl, WormholeViaInterfaceMatchesPreRefactorGolden) {
   harness::SweepSpec spec = golden_sweep_spec();
   for (const auto core : {SimCore::Dense, SimCore::Active}) {
-    for (const bool fc_dispatch : {true, false}) {
-      for (const unsigned jobs : {1u, 4u}) {
-        SCOPED_TRACE(std::string(sim_core_name(core)) +
-                     (fc_dispatch ? " fc-dispatch" : " fc-virtual") +
-                     " jobs=" + std::to_string(jobs));
-        spec.base.sim.core = core;
-        spec.base.sim.fastpath.fc_dispatch = fc_dispatch;
-        spec.jobs = jobs;
-        EXPECT_EQ(kWormholeGoldenCsv, sweep_csv(spec));
-      }
+    for (const unsigned jobs : {1u, 4u}) {
+      SCOPED_TRACE(std::string(sim_core_name(core)) +
+                   " jobs=" + std::to_string(jobs));
+      spec.base.sim.core = core;
+      spec.jobs = jobs;
+      EXPECT_EQ(kWormholeGoldenCsv, sweep_csv(spec));
     }
   }
 }
@@ -305,34 +330,32 @@ TEST(FlowControl, VctIsByteIdenticalToWormholeAtDeepBuffers) {
 
 /// The dense-vs-active and serial-vs-parallel equivalence contracts
 /// extend to the alternative schemes: credit (with a real return
-/// latency) and VCT each emit one CSV, independent of core, dispatch
-/// mode and job count.
+/// latency) and VCT each reproduce their golden CSV, independent of
+/// core and job count.
 TEST(FlowControl, AlternativeSchemesAgreeAcrossCoresAndJobs) {
   struct Scheme {
     const char* label;
     FlowControl scheme;
-    unsigned credit_delay;
     std::uint32_t buf_flits;
+    const char* golden;
   };
   const Scheme schemes[] = {
-      {"credit-delay2", FlowControl::Credit, 2, 4},
-      {"vct", FlowControl::Vct, 0, 16},
+      {"credit-delay2", FlowControl::Credit, 4, kCreditDelay2GoldenCsv},
+      {"vct", FlowControl::Vct, 16, kVctBuf16GoldenCsv},
   };
   for (const auto& s : schemes) {
     SCOPED_TRACE(s.label);
     harness::SweepSpec spec = golden_sweep_spec();
     spec.base.sim.flow.scheme = s.scheme;
-    spec.base.sim.flow.credit_return_delay = s.credit_delay;
+    spec.base.sim.flow.credit_return_delay = 2;
     spec.base.sim.net.buf_flits = s.buf_flits;
-    spec.base.sim.core = SimCore::Dense;
-    const std::string reference = sweep_csv(spec);
     for (const auto core : {SimCore::Dense, SimCore::Active}) {
       for (const unsigned jobs : {1u, 4u}) {
         SCOPED_TRACE(std::string(sim_core_name(core)) + " jobs=" +
                      std::to_string(jobs));
         spec.base.sim.core = core;
         spec.jobs = jobs;
-        EXPECT_EQ(reference, sweep_csv(spec));
+        EXPECT_EQ(s.golden, sweep_csv(spec));
       }
     }
   }
@@ -388,10 +411,10 @@ TEST(FlowControl, SchemesConserveAndOrderLatencyAtLowLoad) {
 }
 
 /// Lock-step microscope over the schemes themselves: for each scheme
-/// the dense core (always routed through the virtual FlowControlScheme
-/// interface) and the active core (devirtualized fast path) must agree
-/// on complete channel-level state every cycle, with the full shared
-/// invariant battery — including credit conservation — green on both.
+/// the dense core (full scans, no route memo) and the active core must
+/// agree on complete channel-level state every cycle, with the full
+/// shared invariant battery — including credit conservation — green on
+/// both.
 class FlowControlLockStep : public ::testing::TestWithParam<FlowControl> {};
 
 TEST_P(FlowControlLockStep, ChannelStateAgreesEveryCycle) {
@@ -429,7 +452,7 @@ TEST_P(FlowControlLockStep, ChannelStateAgreesEveryCycle) {
     ASSERT_TRUE(testing::check_all_invariants(*dense));
     ASSERT_TRUE(testing::check_all_invariants(*active));
   }
-  // The devirtualized path must account credit messages identically.
+  // Both cores must account credit messages identically.
   ASSERT_EQ(dense->flow_control().credit_messages(),
             active->flow_control().credit_messages());
   if (GetParam() == FlowControl::Credit) {

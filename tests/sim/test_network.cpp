@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/flow_control.hpp"
+
 namespace wormsim::sim {
 namespace {
 
@@ -356,6 +358,63 @@ TEST(InFlightQueueTest, ArrivalWrapMatches64BitReference) {
         }
       }
     }
+  }
+}
+
+/// Under Credit the limiters read the Network's free row with every VC
+/// bit cleared whose slot still has credits out, and nothing else: with
+/// no credits out, or once they all came home, it is the raw row.
+TEST(CreditStatus, FreeRowMasksVcsWithOutstandingCredits) {
+  const topo::KAryNCube topo(4, 2);
+  Network net(topo, small_params());
+  const unsigned chans = topo.num_channels();
+  net.set_active({net.net_link(5, 1), 0}, true);  // raw row is not all-free
+  const auto expect_row = [&](const CreditChannelStatus& status,
+                              NodeId node,
+                              const std::vector<std::uint8_t>& want) {
+    const std::uint8_t* row = status.free_row(node);
+    for (unsigned c = 0; c < chans; ++c) {
+      EXPECT_EQ(row[c], want[c]) << "node " << node << " channel " << c;
+    }
+  };
+  const auto raw = [&](NodeId node) {
+    const std::uint8_t* row = net.free_mask_row(node);
+    return std::vector<std::uint8_t>(row, row + chans);
+  };
+  // Credits out on node 5: channel 2 VC 1, channel 3 VCs 0 and 2.
+  const VcRef owed[] = {{net.net_link(5, 2), 1},
+                        {net.net_link(5, 3), 0},
+                        {net.net_link(5, 3), 2}};
+  std::vector<std::uint8_t> masked = raw(5);
+  masked[2] = static_cast<std::uint8_t>(masked[2] & ~0b010u);
+  masked[3] = static_cast<std::uint8_t>(masked[3] & ~0b101u);
+
+  for (const unsigned delay : {0u, 2u}) {
+    SCOPED_TRACE("delay " + std::to_string(delay));
+    CreditFlowControl credit(net.num_vc_slots(), delay);
+    const CreditChannelStatus status(net, credit);
+    EXPECT_EQ(status.num_phys_channels(), chans);
+    EXPECT_EQ(status.num_vcs(), 3u);
+    for (NodeId node = 0; node < topo.num_nodes(); ++node) {
+      expect_row(status, node, raw(node));
+    }
+
+    for (const VcRef ref : owed) credit.on_flit_sent(net.vc_flat_index(ref), 0);
+    expect_row(status, 5, masked);
+    expect_row(status, 4, raw(4));  // neighbouring rows untouched
+    expect_row(status, 6, raw(6));
+
+    for (const VcRef ref : owed) {
+      credit.on_flit_drained(net.vc_flat_index(ref), 10);
+    }
+    if (delay == 0) {
+      expect_row(status, 5, raw(5));  // ideal loop: credits already home
+      continue;
+    }
+    credit.begin_cycle(11);
+    expect_row(status, 5, masked);  // returns still on the wire
+    credit.begin_cycle(12);
+    expect_row(status, 5, raw(5));
   }
 }
 
