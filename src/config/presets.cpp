@@ -1,6 +1,7 @@
 #include "config/presets.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -56,11 +57,12 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
   const std::uint64_t inj_links = nodes * net.inj_channels;
   const std::uint64_t links = net_links + inj_links;
   // One VC slot per (net link, vc) plus one per injection link, each
-  // with its FC3D progress stamp; each Link embeds its in-flight
-  // pipeline ring, so sizeof covers it.
+  // with its FC3D progress stamp; the wire's link_delay + 1 arrival
+  // buckets hold one VcRef per net link each.
   const std::uint64_t slots = net_links * net.num_vcs + inj_links;
   f.network_bytes = links * sizeof(sim::Link) +
                     slots * (sizeof(sim::VcState) + sizeof(sim::Cycle)) +
+                    (net.link_delay + 1) * net_links * sizeof(sim::VcRef) +
                     nodes * net.eje_channels * sizeof(sim::EjectPort);
   // Tabulated routing, built only for fault reconfiguration: one
   // RouteCode per (node, dst) pair. Above kMaxEntries the LUT would
@@ -80,14 +82,14 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
     f.status_bytes +=
         nodes * (sizeof(topo::NodeId) + sizeof(routing::RouteCode));
   }
-  // Active-set bitmaps: tenant + arrival over net links; eject, inject
-  // and generator-dense over nodes; plus the per-node generator
+  // Active-set bitmaps: tenant over net links; eject, inject and
+  // generator-dense over nodes; plus the per-node generator
   // subscription byte.
   const auto bitmap_bytes = [](std::uint64_t n) {
     return (n + 63) / 64 * sizeof(std::uint64_t);
   };
   f.active_set_bytes =
-      2 * bitmap_bytes(net_links) + 3 * bitmap_bytes(nodes) + nodes;
+      bitmap_bytes(net_links) + 3 * bitmap_bytes(nodes) + nodes;
   return f;
 }
 
@@ -100,8 +102,9 @@ void validate(const SimConfig& cfg) {
     throw std::invalid_argument("message length must be positive");
   }
   traffic::check_message_length(cfg.workload.length.longest());
-  if (cfg.workload.offered_flits_per_node_cycle < 0) {
-    throw std::invalid_argument("offered load must be >= 0");
+  const double offered = cfg.workload.offered_flits_per_node_cycle;
+  if (!(std::isfinite(offered) && offered >= 0)) {
+    throw std::invalid_argument("offered load must be finite and >= 0");
   }
   if (cfg.sim.algorithm == routing::Algorithm::TFAR &&
       !cfg.sim.detection.enabled) {

@@ -1,5 +1,6 @@
 #include "sim/network.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -16,7 +17,7 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
   if (params.inj_channels < 1 || params.eje_channels < 1) {
     throw std::invalid_argument("need >= 1 injection and ejection channel");
   }
-  if (params.link_delay < 1 || params.link_delay > InFlightQueue::kMaxDelay) {
+  if (params.link_delay < 1 || params.link_delay > kMaxLinkDelay) {
     throw std::invalid_argument("link_delay out of range");
   }
 
@@ -38,7 +39,8 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
   vc_field_.assign(num_net_links_,
                    static_cast<std::uint8_t>((1u << params.num_vcs) - 1u));
   tenant_links_.reset(num_net_links_);
-  arrival_links_.reset(num_net_links_);
+  wire_.resize(bucket_base(params.link_delay + 1));
+  send_bucket_ = params.link_delay;  // cycle 0's sends arrive in cycle d
 
   for (NodeId node = 0; node < nodes; ++node) {
     for (unsigned c = 0; c < topo.num_channels(); ++c) {
@@ -71,8 +73,9 @@ int Network::find_free_inj_channel(NodeId node) const noexcept {
 }
 
 bool Network::quiescent() const noexcept {
+  if (wire_flits_ != 0) return false;
   for (const auto& l : links_) {
-    if (l.active_vc_mask != 0 || !l.in_flight.empty()) return false;
+    if (l.active_vc_mask != 0) return false;
   }
   for (const auto& p : eject_) {
     if (p.busy()) return false;
@@ -81,11 +84,10 @@ bool Network::quiescent() const noexcept {
 }
 
 std::uint64_t Network::flits_in_network() const noexcept {
-  std::uint64_t total = 0;
+  std::uint64_t total = wire_flits_;
   for (const auto& v : vcs_) {
     if (!v.free()) total += v.buffered();
   }
-  for (const auto& l : links_) total += l.in_flight.size();
   return total;
 }
 
@@ -117,11 +119,27 @@ void Network::bind_eject(VcRef from, NodeId node, unsigned port,
 }
 
 void Network::absorb_drop(VcRef ref) noexcept {
-  Link& l = links_[ref.link];
-  l.in_flight.drop_vc(static_cast<std::uint8_t>(ref.vc));
-  if (l.in_flight.empty() && ref.link < num_net_links_) {
-    arrival_links_.erase(ref.link);
+  // A VC's flits on the wire are its occupancy minus what it buffers;
+  // a deadlocked worm has usually none left.
+  const VcState& v = vc(ref);
+  if (v.occupancy == v.buffered()) return;
+  for (unsigned b = 0; b < wire_buckets(); ++b) {
+    VcRef* const first = wire_.data() + bucket_base(b);
+    VcRef* const last = first + wire_len_[b];
+    const auto dropped =
+        static_cast<LinkId>(last - std::remove(first, last, ref));
+    wire_len_[b] -= dropped;
+    wire_flits_ -= dropped;
   }
+}
+
+bool Network::wire_carries(LinkId link) const noexcept {
+  for (unsigned b = 0; b < wire_buckets(); ++b) {
+    for (const VcRef r : wire_bucket(b)) {
+      if (r.link == link) return true;
+    }
+  }
+  return false;
 }
 
 void Network::force_free(VcRef ref) noexcept {

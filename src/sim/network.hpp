@@ -4,8 +4,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/limiter.hpp"
@@ -26,6 +28,9 @@ struct NetworkParams {
 
 class Network final : public core::ChannelStatus {
  public:
+  /// Longest supported link_delay, in cycles.
+  static constexpr unsigned kMaxLinkDelay = 7;
+
   Network(const topo::KAryNCube& topo, const NetworkParams& params);
 
   /// Links of a network with these counts. The constructor rejects
@@ -118,7 +123,7 @@ class Network final : public core::ChannelStatus {
   /// Index of an injection link at `node` whose VC is free, or -1.
   int find_free_inj_channel(NodeId node) const noexcept;
 
-  /// Every VC in the network idle, every pipeline empty (used by drain
+  /// Every VC in the network idle, no flit on the wire (used by drain
   /// checks and tests).
   bool quiescent() const noexcept;
 
@@ -131,17 +136,22 @@ class Network final : public core::ChannelStatus {
   /// Bind the worm ending at `from` to ejection port `port` of its
   /// destination node.
   void bind_eject(VcRef from, NodeId node, unsigned port, MsgId msg) noexcept;
-  /// Move one flit from `u` into VC `vc` of link `id` (`l` = link(id),
-  /// `d` = its VcState, fed by `u`). The caller has checked
-  /// transmissibility and passes the records it holds, so no address
-  /// here depends on `u`. Returns true if the tail left `u` (the VC was
-  /// freed). Inline: the hottest Network mutator when saturated.
+  /// Put one flit from `u` on the wire toward VC `vc` of link `id`
+  /// (`l` = link(id), `d` = its VcState, fed by `u`), after
+  /// process_arrivals(now). The caller has checked transmissibility and
+  /// passes the records it holds, so no address here depends on `u`.
+  /// Returns true if the tail left `u` (the VC was freed). Inline: the
+  /// hottest Network mutator when saturated.
   bool transmit_flit(Link& l, LinkId id, std::uint8_t vc, VcState& d,
                      VcState& u, Cycle now) noexcept {
     assert(u.buffered() > 0 && u.out_kind == VcState::OutKind::Vc);
     assert(d.occupancy < params_.buf_flits);
-    l.in_flight.push(now + params_.link_delay, vc);
-    arrival_links_.insert(id);
+    assert(now == wire_now_ && id < num_net_links_);
+    VcRef* const bucket = wire_.data() + bucket_base(send_bucket_);
+    LinkId& len = wire_len_[send_bucket_];
+    assert(len == 0 || bucket[len - 1].link < id);  // one per link, ascending
+    bucket[len++] = VcRef{id, vc};
+    ++wire_flits_;
     ++l.flits_carried;
     ++d.occupancy;
     progress_[static_cast<std::size_t>(id) * params_.num_vcs + vc] = now;
@@ -160,27 +170,35 @@ class Network final : public core::ChannelStatus {
     }
     return false;
   }
-  /// Deliver arrived in-flight flits for `link` up to cycle `now`,
-  /// invoking `on_header(VcRef)` for each header flit that enters an
-  /// empty buffer (so the simulator can enroll it for routing).
+  /// Open cycle `now` on the wire: deliver its due bucket in ascending
+  /// link order, invoking `on_header(VcRef)` for each header flit that
+  /// enters an empty buffer (so the simulator can enroll it for
+  /// routing), and make now + link_delay's bucket the send bucket.
   template <typename OnNewHeader>
-  void process_arrivals(LinkId link_id, Cycle now, OnNewHeader&& on_header) {
-    // Only network links have in-flight pipelines (injection writes
-    // buffers directly), so the VC row lookup can be hoisted.
-    assert(link_id < num_net_links_);
-    Link& l = links_[link_id];
-    VcState* const row =
-        vcs_.data() + static_cast<std::size_t>(link_id) * params_.num_vcs;
-    while (l.in_flight.due(now)) {
-      const InFlightQueue::Entry entry = l.in_flight.front();
-      VcState& v = row[entry.vc];
+  void process_arrivals(Cycle now, OnNewHeader&& on_header) {
+    const auto due = static_cast<unsigned>(now % (params_.link_delay + 1));
+    const VcRef* const bucket = wire_.data() + bucket_base(due);
+    const LinkId n = wire_len_[due];
+    // Only network links have a wire (injection writes buffers
+    // directly). Each entry names its VC slot, so the loads are
+    // independent: start them a few entries ahead.
+    const auto slot = [vcs = params_.num_vcs](VcRef r) {
+      return static_cast<std::size_t>(r.link) * vcs + r.vc;
+    };
+    constexpr LinkId kAhead = 4;
+    for (LinkId i = 0; i < n; ++i) {
+      if (i + kAhead < n) __builtin_prefetch(&vcs_[slot(bucket[i + kAhead])]);
+      const VcRef ref = bucket[i];
+      VcState& v = vcs_[slot(ref)];
       assert(!v.free() && v.in_count < v.msg_length);
-      if (v.in_count == 0) on_header(VcRef{link_id, entry.vc});
+      if (v.in_count == 0) on_header(ref);
       ++v.in_count;
       v.last_activity = now;
-      l.in_flight.pop();
     }
-    if (l.in_flight.empty()) arrival_links_.erase(link_id);
+    wire_len_[due] = 0;
+    wire_flits_ -= n;
+    wire_now_ = now;
+    send_bucket_ = due == 0 ? params_.link_delay : due - 1;  // now + d
   }
 
   // --- FC3D progress: per-VC-slot stamps of the last cycle a flit of
@@ -199,10 +217,10 @@ class Network final : public core::ChannelStatus {
     return last;
   }
 
-  /// Cache hint for the per-cycle loops over the link sets: start
+  /// Cache hint for the per-cycle loop over the tenant links: start
   /// loading `link`'s record and VC row while an earlier link is being
   /// processed. At scale these arrays outgrow the private caches, and
-  /// the sets' ascending-with-gaps visit order defeats the hardware
+  /// the set's ascending-with-gaps visit order defeats the hardware
   /// prefetchers.
   void prefetch_link(LinkId link) const noexcept {
     __builtin_prefetch(&links_[link]);
@@ -214,9 +232,20 @@ class Network final : public core::ChannelStatus {
   /// Free one VC unconditionally (deadlock absorption).
   void force_free(VcRef ref) noexcept;
 
-  /// Drop every in-flight flit toward `ref` (deadlock absorption),
-  /// keeping the pending-arrival set coherent.
+  /// Drop every flit on the wire toward `ref` (deadlock absorption).
   void absorb_drop(VcRef ref) noexcept;
+
+  // --- The wire: every link has the same delay d, so a flit sent in
+  // cycle t arrives in t + d. Bucket b of d + 1 holds, strictly
+  // ascending by link, the flits due in the cycles equal to b mod d + 1.
+  std::uint64_t wire_flits() const noexcept { return wire_flits_; }
+  unsigned wire_buckets() const noexcept { return params_.link_delay + 1; }
+  std::span<const VcRef> wire_bucket(unsigned b) const noexcept {
+    return {wire_.data() + bucket_base(b), wire_len_[b]};
+  }
+  /// True when a flit toward `link` is on the wire (checks only: scans
+  /// every bucket).
+  bool wire_carries(LinkId link) const noexcept;
 
   /// Mark/unmark tenancy in the link's active mask. The SOLE writer of
   /// active_vc_mask, which is what keeps the SoA free-mask mirror
@@ -242,12 +271,12 @@ class Network final : public core::ChannelStatus {
   // --- Dead links (fault injection) ------------------------------------
   /// Zero / restore a network link's admissible-VC field. A dead link's
   /// free mask reads 0, so no selection, limiter or injection scan can
-  /// pick it. The caller must have torn down every tenant and drained
-  /// the in-flight pipeline before killing.
+  /// pick it. The caller must have torn down every tenant, and with it
+  /// every flit on the wire toward the link, before killing.
   void set_link_dead(LinkId link, bool dead) noexcept {
     assert(link < num_net_links_);
-    assert(!dead || (links_[link].active_vc_mask == 0 &&
-                     links_[link].in_flight.empty()));
+    assert(!dead ||
+           (links_[link].active_vc_mask == 0 && !wire_carries(link)));
     vc_field_[link] =
         dead ? 0 : static_cast<std::uint8_t>((1u << params_.num_vcs) - 1u);
     free_mask_[link] =
@@ -268,10 +297,6 @@ class Network final : public core::ChannelStatus {
   const util::ActiveSet& tenant_links() const noexcept {
     return tenant_links_;
   }
-  /// Network links with at least one flit in their in-flight pipeline.
-  const util::ActiveSet& arrival_links() const noexcept {
-    return arrival_links_;
-  }
 
  private:
   std::size_t vc_index(VcRef ref) const noexcept {
@@ -279,6 +304,9 @@ class Network final : public core::ChannelStatus {
       return static_cast<std::size_t>(ref.link) * params_.num_vcs + ref.vc;
     }
     return net_vc_count_ + (ref.link - num_net_links_);
+  }
+  std::size_t bucket_base(unsigned b) const noexcept {
+    return static_cast<std::size_t>(b) * num_net_links_;
   }
 
   const topo::KAryNCube* topo_;
@@ -298,7 +326,13 @@ class Network final : public core::ChannelStatus {
   std::vector<std::uint8_t> vc_field_;     // admissible VCs; 0 = dead link
 
   util::ActiveSet tenant_links_;   // net links with active_vc_mask != 0
-  util::ActiveSet arrival_links_;  // net links with non-empty in_flight
+
+  // The wire: link_delay + 1 buckets of num_net_links_ slots each.
+  std::vector<VcRef> wire_;
+  std::array<LinkId, kMaxLinkDelay + 1> wire_len_{};  // entries per bucket
+  std::uint64_t wire_flits_ = 0;
+  Cycle wire_now_ = 0;        // cycle of the last process_arrivals
+  unsigned send_bucket_ = 0;  // bucket of cycle wire_now_ + link_delay
 };
 
 }  // namespace wormsim::sim

@@ -126,9 +126,8 @@ bool Simulator::push_message(NodeId src, NodeId dst, std::uint32_t length) {
 void Simulator::step() {
   const Cycle t = cycle_;
   scan_.cycles += 1;
-  scan_.scan_total +=
-      2 * static_cast<std::uint64_t>(net_.num_net_links()) +
-      3 * static_cast<std::uint64_t>(topo_.num_nodes());
+  scan_.scan_total += net_.num_net_links() +
+                      3 * static_cast<std::uint64_t>(topo_.num_nodes());
   if (fc_tracks_) flow_->begin_cycle(t);
   if (online_ && online_->profile_due(t)) {
     run_phases_profiled(t);
@@ -281,28 +280,11 @@ void Simulator::phase_generate(Cycle t) {
 
 // --- Arrivals ---------------------------------------------------------
 
+// Not a scan in either core: the wire hands over exactly the flits due
+// this cycle, so the phase counts toward neither scan counter.
 void Simulator::phase_arrivals(Cycle t) {
-  if (cfg_.core == SimCore::Dense) {
-    const LinkId n = net_.num_net_links();
-    scan_.scan_visited += n;
-    for (LinkId l = 0; l < n; ++l) {
-      if (net_.link(l).in_flight.empty()) continue;
-      net_.process_arrivals(l, t, [this, t](VcRef ref) {
-        enroll_for_routing(ref, net_.link(ref.link).dst, t);
-      });
-    }
-    return;
-  }
-  scan_.scan_visited += net_.arrival_links().size();
-  // Prefetching the next link's record is a pure cache hint (see
-  // Network::prefetch_link); it never changes what is visited.
-  const LinkId links = net_.num_net_links();
-  net_.arrival_links().for_each_with_next([&](std::size_t l, std::size_t next) {
-    if (next < links) net_.prefetch_link(static_cast<LinkId>(next));
-    net_.process_arrivals(
-        static_cast<LinkId>(l), t, [this, t](VcRef ref) {
-          enroll_for_routing(ref, net_.link(ref.link).dst, t);
-        });
+  net_.process_arrivals(t, [this, t](VcRef ref) {
+    enroll_for_routing(ref, net_.link(ref.link).dst, t);
   });
 }
 
@@ -581,6 +563,8 @@ void Simulator::phase_transmit(Cycle t) {
     return;
   }
   scan_.scan_visited += net_.tenant_links().size();
+  // Prefetching the next link's record is a pure cache hint (see
+  // Network::prefetch_link); it never changes what is visited.
   const LinkId links = net_.num_net_links();
   net_.tenant_links().for_each_with_next([&](std::size_t l, std::size_t next) {
     if (next < links) net_.prefetch_link(static_cast<LinkId>(next));
@@ -721,7 +705,7 @@ void Simulator::phase_inject(Cycle t) {
   scan_.scan_visited += inject_nodes_.size();
   const NodeId nodes = topo_.num_nodes();
   inject_nodes_.for_each_with_next([&](std::size_t n, std::size_t next) {
-    if (next < nodes) {  // cache hint, as in phase_arrivals
+    if (next < nodes) {  // cache hint, as in phase_transmit
       const VcState* row = net_.inj_vc_row(static_cast<NodeId>(next));
       for (unsigned i = 0; i < inj; ++i) __builtin_prefetch(row + i);
       __builtin_prefetch(&queues_[next]);
@@ -875,8 +859,8 @@ void Simulator::sync_dead_links(Cycle t) {
     if (dead == net_.link_dead(l)) continue;
     if (dead) {
       // Every worm crossing the dying link is displaced into recovery.
-      // teardown clears the link's tenant bits (and drains its
-      // in-flight pipeline) as it walks, so this loop terminates.
+      // teardown clears the link's tenant bits (and drops their flits
+      // from the wire) as it walks, so this loop terminates.
       while (lk.active_vc_mask != 0) {
         const auto vcn = static_cast<std::uint8_t>(
             std::countr_zero(static_cast<unsigned>(lk.active_vc_mask)));
@@ -1036,9 +1020,33 @@ bool Simulator::check_active_sets(std::string* why) const {
     if (tenant != net.tenant_links().contains(l)) {
       return fail("tenant_links incoherent at link " + std::to_string(l));
     }
-    const bool arriving = !net.link(l).in_flight.empty();
-    if (arriving != net.arrival_links().contains(l)) {
-      return fail("arrival_links incoherent at link " + std::to_string(l));
+  }
+  // The wire: buckets strictly ascending by link, and each VC slot's
+  // entries exactly its occupancy not yet buffered.
+  std::vector<std::uint32_t> on_wire(net.num_vc_slots(), 0);
+  std::uint64_t wire_total = 0;
+  for (unsigned b = 0; b < net.wire_buckets(); ++b) {
+    const std::span<const VcRef> bucket = net.wire_bucket(b);
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+      if (i > 0 && bucket[i - 1].link >= bucket[i].link) {
+        return fail("wire bucket " + std::to_string(b) +
+                    " not strictly ascending by link");
+      }
+      ++on_wire[net.vc_flat_index(bucket[i])];
+    }
+    wire_total += bucket.size();
+  }
+  if (wire_total != net.wire_flits()) {
+    return fail("wire counter drifted from bucket entries");
+  }
+  for (LinkId l = 0; l < net.num_links(); ++l) {
+    for (unsigned v = 0; v < net.vcs_on(l); ++v) {
+      const VcRef ref{l, v};
+      const VcState& s = net.vc(ref);
+      if (on_wire[net.vc_flat_index(ref)] != s.occupancy - s.buffered()) {
+        return fail("wire entries differ from unbuffered occupancy at vc " +
+                    std::to_string(l) + "/" + std::to_string(v));
+      }
     }
   }
   // Between steps each route-pending VC has exactly one entry, made for
@@ -1066,8 +1074,7 @@ bool Simulator::check_active_sets(std::string* why) const {
       return fail("blocked entry holds a stale route code");
     }
   }
-  if (net.tenant_links().size() != net.tenant_links().recount() ||
-      net.arrival_links().size() != net.arrival_links().recount()) {
+  if (net.tenant_links().size() != net.tenant_links().recount()) {
     return fail("link set count drifted from bitmap population");
   }
 
@@ -1166,7 +1173,7 @@ bool Simulator::check_fault_invariants(std::string* why) const {
     if (lk.active_vc_mask != 0) {
       return fail("dead link " + std::to_string(l) + " has tenant VCs");
     }
-    if (!lk.in_flight.empty()) {
+    if (net_.wire_carries(l)) {
       return fail("dead link " + std::to_string(l) +
                   " still carries in-flight flits");
     }

@@ -20,12 +20,14 @@
 // Simulation cores: the same phase logic runs in one of two modes.
 //   * SimCore::Dense — the reference core: every phase scans every
 //     link/node and skips idle ones with a per-element guard.
+//     Arrivals is the exception in both cores: the Network's wire
+//     hands over exactly the flits due this cycle, in link order.
 //   * SimCore::Active (default) — per-cycle cost proportional to the
 //     *active* components: each phase iterates an incrementally
 //     maintained active set (util::ActiveSet bitmaps, ascending index
 //     order — the same visit order as the dense scan, which is what
 //     makes the two cores bit-identical). Components enqueue themselves
-//     on state transitions (flit push, queue push, recovery enqueue,
+//     on state transitions (tenancy, queue push, recovery enqueue,
 //     eject bind) and lazily retire when drained. Message generation is
 //     scheduled by each injection process's next_poll_hint, so idle
 //     sources are not polled at all.

@@ -27,8 +27,13 @@ std::string_view process_name(ProcessKind kind) {
 
 namespace {
 
+/// Workload::poll keeps at most 8 messages a cycle; far larger rates
+/// spin the arrival loops on draws too small to advance the clock.
 void check_rate(double rate) {
-  if (rate < 0.0) throw std::invalid_argument("injection rate must be >= 0");
+  if (!(rate >= 0.0 && rate <= 8.0)) {
+    throw std::invalid_argument(
+        "injection rate must be in [0, 8] messages/node/cycle");
+  }
 }
 
 /// Cycle containing the continuous arrival time `t`, saturating to

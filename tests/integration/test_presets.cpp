@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "config/presets.hpp"
@@ -60,18 +61,33 @@ TEST(Presets, ValidationCatchesBadConfigs) {
   cfg = config::small_base();
   cfg.workload.length.fixed = 65536;  // per-VC flit counters are 16-bit
   EXPECT_THROW(config::validate(cfg), std::invalid_argument);
+
+  // Offered loads that are negative or not finite; a finite but runaway
+  // load passes here and is refused when the workload is built.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-0.1, std::numeric_limits<double>::quiet_NaN(),
+                           inf, -inf}) {
+    SCOPED_TRACE(bad);
+    cfg = config::small_base();
+    cfg.workload.offered_flits_per_node_cycle = bad;
+    EXPECT_THROW(config::validate(cfg), std::invalid_argument);
+  }
+  cfg = config::small_base();
+  cfg.workload.offered_flits_per_node_cycle = 1e308;
+  EXPECT_THROW(config::build_simulator(cfg), std::invalid_argument);
 }
 
 /// network_bytes from the record sizes: 32-byte VcState plus an 8-byte
-/// FC3D progress stamp per VC slot, links, ejection ports.
+/// FC3D progress stamp per VC slot, links, the wire's link_delay + 1
+/// arrival buckets of one 4-byte VcRef per network link, ejection ports.
 TEST(Presets, MemoryEstimatePinsNetworkBytes) {
   const auto cfg = config::paper_base();  // 512 nodes, 6 channels, 3 VCs
   const std::uint64_t net_links = 512 * 6, inj_links = 512 * 4;
   const std::uint64_t slots = net_links * 3 + inj_links;
   EXPECT_EQ(config::estimate_memory(cfg).network_bytes,
             (net_links + inj_links) * sizeof(sim::Link) + slots * (32 + 8) +
-                512 * 4 * sizeof(sim::EjectPort));
-  EXPECT_LE(sizeof(sim::Link), 64u);
+                3 * net_links * 4 + 512 * 4 * sizeof(sim::EjectPort));
+  EXPECT_LE(sizeof(sim::Link), 32u);
 }
 
 /// status_bytes: free and admissible masks per network link, the route

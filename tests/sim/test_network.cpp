@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,9 +24,12 @@ NetworkParams small_params() {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  /// Send one flit from `from` along its allocated output, handing
-  /// transmit_flit the records the simulator's transmit phase holds.
+  /// Send one flit from `from` along its allocated output in cycle
+  /// `now`, handing transmit_flit the records the simulator's transmit
+  /// phase holds. The cycle opens on the wire first, as the simulator's
+  /// arrivals phase does.
   bool send(VcRef from, Cycle now) {
+    net_.process_arrivals(now, [](VcRef) {});
     const VcRef out = net_.vc(from).out;
     return net_.transmit_flit(net_.link(out.link), out.link,
                               static_cast<std::uint8_t>(out.vc),
@@ -136,19 +139,20 @@ TEST_F(NetworkTest, TransmitMovesOneFlitAndReservesSpace) {
   EXPECT_EQ(u.occupancy, 3u);
   EXPECT_EQ(net_.vc(out).occupancy, 1u);   // reserved while in flight
   EXPECT_EQ(net_.vc(out).in_count, 0u);    // not arrived yet
-  EXPECT_EQ(net_.link(out.link).in_flight.size(), 1u);
-  EXPECT_EQ(net_.link(out.link).in_flight.front().vc, out.vc);
+  EXPECT_EQ(net_.wire_flits(), 1u);
+  // Due in cycle 12: bucket 12 mod (link_delay + 1).
+  ASSERT_EQ(net_.wire_bucket(0).size(), 1u);
+  EXPECT_EQ(net_.wire_bucket(0)[0], out);
   EXPECT_EQ(net_.link(out.link).flits_carried, 1u);
-  EXPECT_TRUE(net_.arrival_links().contains(out.link));
   EXPECT_EQ(net_.progress(out), 10u);  // the send stamps the served VC
   EXPECT_EQ(u.last_activity, 10u);
 
   // Arrival lands after link_delay.
   bool header_seen = false;
-  net_.process_arrivals(out.link, 11, [&](VcRef) { header_seen = true; });
+  net_.process_arrivals(11, [&](VcRef) { header_seen = true; });
   EXPECT_FALSE(header_seen);
   EXPECT_EQ(net_.vc(out).in_count, 0u);
-  net_.process_arrivals(out.link, 12, [&](VcRef r) {
+  net_.process_arrivals(12, [&](VcRef r) {
     header_seen = true;
     EXPECT_EQ(r.link, out.link);
     EXPECT_EQ(r.vc, out.vc);
@@ -157,7 +161,95 @@ TEST_F(NetworkTest, TransmitMovesOneFlitAndReservesSpace) {
   EXPECT_EQ(net_.vc(out).in_count, 1u);
   EXPECT_EQ(net_.vc(out).buffered(), 1u);
   EXPECT_EQ(net_.vc(out).last_activity, 12u);
-  EXPECT_FALSE(net_.arrival_links().contains(out.link));
+  EXPECT_EQ(net_.wire_flits(), 0u);
+  EXPECT_TRUE(net_.wire_bucket(0).empty());
+}
+
+/// absorb_drop removes exactly the absorbed VC's flits from the wire,
+/// from every arrival bucket, and leaves every other entry in place and
+/// in order; the survivors still arrive on time. Four worms, two of them
+/// sharing a link, send for link_delay cycles, so every bucket but the
+/// due one holds flits when one worm is absorbed (at link_delay 1 the
+/// second of the pair has sent nothing yet).
+TEST(WireTest, AbsorbDropRemovesOnlyThatVc) {
+  const topo::KAryNCube topo(4, 2);
+  for (const unsigned delay : {1u, 2u, 4u, 7u}) {
+    for (unsigned victim = 0; victim < 4; ++victim) {
+      SCOPED_TRACE("delay=" + std::to_string(delay) +
+                   " victim=" + std::to_string(victim));
+      NetworkParams p = small_params();
+      p.link_delay = delay;
+      p.buf_flits = 8;  // room for a flit sent every cycle
+      Network net(topo, p);
+      struct Worm {
+        VcRef from, out;
+        unsigned sent = 0;
+      };
+      std::vector<Worm> worms = {
+          {{net.inj_link(0, 0), 0}, {net.net_link(0, 0), 0}},
+          {{net.inj_link(0, 1), 0}, {net.net_link(0, 0), 2}},
+          {{net.inj_link(1, 0), 0}, {net.net_link(1, 2), 1}},
+          {{net.inj_link(2, 0), 0}, {net.net_link(2, 1), 0}},
+      };
+      MsgId id = 1;
+      for (Worm& w : worms) {
+        VcState& u = net.vc(w.from);
+        u.msg = id;
+        u.msg_length = 16;
+        u.in_count = 16;
+        u.occupancy = 16;
+        net.set_active(w.from, true);
+        net.allocate_out_vc(w.from, w.out, id++, 0);
+      }
+      // Worms 0 and 1 share a link and alternate; worm 3 sends every
+      // third cycle.
+      const auto sends_in = [](unsigned worm, Cycle t) {
+        return worm == 0 ? t % 2 == 0
+             : worm == 1 ? t % 2 == 1
+             : worm == 2 ? true
+                         : t % 3 == 0;
+      };
+      std::vector<std::vector<VcRef>> expect(delay + 1);
+      for (Cycle t = 0; t < delay; ++t) {
+        net.process_arrivals(t, [](VcRef) { FAIL() << "nothing is due"; });
+        for (unsigned k = 0; k < worms.size(); ++k) {
+          if (!sends_in(k, t)) continue;
+          Worm& w = worms[k];
+          net.transmit_flit(net.link(w.out.link), w.out.link,
+                            static_cast<std::uint8_t>(w.out.vc),
+                            net.vc(w.out), net.vc(w.from), t);
+          ++w.sent;
+          if (k != victim) expect[(t + delay) % (delay + 1)].push_back(w.out);
+        }
+      }
+      const VcRef gone = worms[victim].out;
+      // A VC with nothing on the wire (every injection VC) is a no-op.
+      const std::uint64_t before = net.wire_flits();
+      net.absorb_drop(worms[victim].from);
+      EXPECT_EQ(net.wire_flits(), before);
+
+      net.absorb_drop(gone);
+      EXPECT_EQ(net.wire_flits(), before - worms[victim].sent);
+      for (unsigned b = 0; b < net.wire_buckets(); ++b) {
+        const std::span<const VcRef> bucket = net.wire_bucket(b);
+        EXPECT_EQ(std::vector<VcRef>(bucket.begin(), bucket.end()),
+                  expect[b])
+            << "bucket " << b;
+      }
+      // Freed, the victim's slot must receive nothing more (arrivals
+      // asserts a live tenant); the others receive every flit sent.
+      net.force_free(gone);
+      for (Cycle t = delay; t < 2 * delay; ++t) {
+        net.process_arrivals(t, [](VcRef) {});
+      }
+      EXPECT_EQ(net.wire_flits(), 0u);
+      EXPECT_TRUE(net.vc(gone).free());
+      for (unsigned k = 0; k < worms.size(); ++k) {
+        if (k == victim) continue;
+        EXPECT_EQ(net.vc(worms[k].out).in_count, worms[k].sent) << "worm " << k;
+      }
+    }
+  }
 }
 
 TEST_F(NetworkTest, TailDepartureFreesVc) {
@@ -251,111 +343,6 @@ TEST(RoundRobin, RotationMatchesSequentialScan) {
         }
         ASSERT_EQ(rotated, scan)
             << "vcs=" << vcs << " mask=" << mask << " first=" << first;
-      }
-    }
-  }
-}
-
-TEST(InFlightQueueTest, FifoOrder) {
-  InFlightQueue q;
-  q.push(10, 0);
-  q.push(11, 1);
-  q.push(12, 2);
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.front().arrival, 10u);
-  q.pop();
-  EXPECT_EQ(q.front().vc, 1u);
-  EXPECT_EQ(q.front().arrival, 11u);
-}
-
-// A message's in-flight flits on a link are exactly those toward the VC
-// it holds there, so absorbing it drops that VC's entries.
-TEST(InFlightQueueTest, DropMessageKeepsOthersInOrder) {
-  InFlightQueue q;
-  q.push(10, 1);
-  q.push(11, 2);
-  q.push(12, 1);
-  q.push(13, 0);
-  EXPECT_EQ(q.drop_vc(1), 2u);
-  ASSERT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.front().vc, 2u);
-  EXPECT_EQ(q.front().arrival, 11u);
-  q.pop();
-  EXPECT_EQ(q.front().vc, 0u);
-  EXPECT_EQ(q.front().arrival, 13u);
-}
-
-TEST(InFlightQueueTest, DropOnEmptyIsZero) {
-  InFlightQueue q;
-  EXPECT_EQ(q.drop_vc(1), 0u);
-}
-
-/// drop_vc on a ring whose live entries straddle the storage end: every
-/// other VC's entries survive in push order, for each VC dropped.
-TEST(InFlightQueueTest, DropVcKeepsOtherVcsInOrder) {
-  constexpr unsigned kSlots = InFlightQueue::kMaxDelay + 1;
-  for (unsigned rotate = 0; rotate < kSlots; ++rotate) {
-    for (std::uint8_t drop = 0; drop < 4; ++drop) {
-      InFlightQueue q;
-      for (unsigned i = 0; i < rotate; ++i) q.push(i, 7);
-      for (unsigned i = 0; i < rotate; ++i) q.pop();
-      std::deque<InFlightQueue::Entry> expect;
-      for (unsigned i = 0; i < kSlots; ++i) {
-        const auto vc = static_cast<std::uint8_t>((i * 5 + rotate) % 4);
-        q.push(100 + i, vc);
-        if (vc != drop) {
-          expect.push_back({static_cast<std::uint16_t>(100 + i), vc});
-        }
-      }
-      EXPECT_EQ(q.drop_vc(drop), kSlots - expect.size());
-      ASSERT_EQ(q.size(), expect.size());
-      for (const InFlightQueue::Entry& e : expect) {
-        EXPECT_EQ(q.front().vc, e.vc);
-        EXPECT_EQ(q.front().arrival, e.arrival);
-        q.pop();
-      }
-      // The compacted ring keeps working as a FIFO.
-      q.push(200, 3);
-      EXPECT_EQ(q.front().arrival, 200u);
-    }
-  }
-}
-
-/// Entries keep only the low 16 bits of their arrival cycle. Drive one
-/// link pipeline the way the simulator does (arrivals drain due flits,
-/// then at most one flit enters with arrival = now + delay) across the
-/// 65,535 -> 65,536 wrap and a later one, and check every pop and every
-/// due() verdict against a 64-bit reference queue.
-TEST(InFlightQueueTest, ArrivalWrapMatches64BitReference) {
-  struct Ref {
-    Cycle arrival;
-    std::uint8_t tag;  // carried in the entry's vc byte
-  };
-  for (const unsigned delay : {1u, 2u, 4u, 7u}) {
-    for (const Cycle start : {Cycle{65536 - 40}, Cycle{3 * 65536 - 40}}) {
-      SCOPED_TRACE("delay=" + std::to_string(delay) +
-                   " start=" + std::to_string(start));
-      InFlightQueue q;
-      std::deque<Ref> ref;
-      std::uint8_t next_tag = 0;
-      for (Cycle now = start; now < start + 80; ++now) {
-        while (!ref.empty() && ref.front().arrival <= now) {
-          ASSERT_TRUE(q.due(now)) << "now=" << now;
-          EXPECT_EQ(q.front().vc, ref.front().tag) << "now=" << now;
-          EXPECT_EQ(q.front().arrival,
-                    static_cast<std::uint16_t>(ref.front().arrival));
-          q.pop();
-          ref.pop_front();
-        }
-        ASSERT_FALSE(q.due(now)) << "now=" << now;
-        ASSERT_EQ(q.size(), ref.size());
-        // Leave a gap every fifth cycle so the ring also sees partial
-        // occupancy straddling the wrap.
-        if (now % 5 != 0) {
-          q.push(now + delay, next_tag);
-          ref.push_back({now + delay, next_tag});
-          ++next_tag;
-        }
       }
     }
   }

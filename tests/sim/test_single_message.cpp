@@ -45,9 +45,11 @@ TEST(SingleMessage, ExactLatencyOneHop) {
                    static_cast<double>(ideal_latency(*sim, 0, dst, 16)));
 }
 
-/// In-flight entries store their arrival cycle modulo 2^16: a message
-/// injected a few cycles before 65,536 crosses that wrap on every hop
-/// and must still see the closed-form latency, at every link delay.
+/// Flits on the wire wait in the bucket of their arrival cycle modulo
+/// link_delay + 1, and the per-VC flit counters are 16 bits wide: a
+/// message injected a few cycles before 65,536 crosses that boundary on
+/// every hop and must still see the closed-form latency, at every link
+/// delay.
 TEST(SingleMessage, ExactLatencyAcrossSixteenBitCycleWrap) {
   for (const unsigned delay : {1u, 2u, 4u, 7u}) {
     SCOPED_TRACE("link_delay=" + std::to_string(delay));

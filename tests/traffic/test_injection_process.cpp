@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/stats.hpp"
 
@@ -16,10 +17,26 @@ TEST(InjectionProcess, ParseNames) {
   EXPECT_THROW(parse_process("wat"), std::invalid_argument);
 }
 
+/// Negative, non-finite and runaway rates (past the 8 messages a poll
+/// can return) are rejected at construction and by set_rate; a huge
+/// exponential rate would otherwise spin on draws too small to advance
+/// the arrival clock.
 TEST(InjectionProcess, RejectsNegativeRate) {
   EXPECT_THROW(ExponentialProcess(-0.1), std::invalid_argument);
   EXPECT_THROW(BernoulliProcess(-0.1), std::invalid_argument);
   EXPECT_THROW(BernoulliProcess(1.5), std::invalid_argument);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf, 1e308, 8.5}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(ExponentialProcess{bad}, std::invalid_argument);
+    EXPECT_THROW(BernoulliProcess{bad}, std::invalid_argument);
+    EXPECT_THROW(BurstyProcess(bad, BurstyProcess::Params{}),
+                 std::invalid_argument);
+    ExponentialProcess ok(0.5);
+    EXPECT_THROW(ok.set_rate(bad), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(ExponentialProcess{8.0});
 }
 
 TEST(InjectionProcess, ZeroRateNeverFires) {
