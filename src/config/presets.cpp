@@ -7,6 +7,7 @@
 
 #include "fault/schedule.hpp"
 #include "routing/routing_lut.hpp"
+#include "util/fifo_arena.hpp"
 
 namespace wormsim::config {
 
@@ -73,11 +74,14 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
     f.lut_bytes = nodes * nodes * sizeof(routing::RouteCode);
   }
   // SoA status rows: per-net-link free/admissible masks, the route
-  // coder's per-node coordinates and, with the route memo, the per-node
-  // queue-head (dst, code) cache. Blocked headers keep their memo in
-  // their route-pending entry, which scales with traffic, not size.
+  // coder's per-node coordinates, the source and recovery queues'
+  // per-node list heads and, with the route memo, the per-node
+  // queue-head (dst, code) cache. Queued messages live in the queues'
+  // shared slot arenas and blocked headers keep their memo in their
+  // route-pending entry: both scale with traffic, not network size.
   f.status_bytes = net_links * sizeof(std::uint8_t) * 2 +
-                   nodes * cfg.n * sizeof(std::uint16_t);
+                   nodes * cfg.n * sizeof(std::uint16_t) +
+                   nodes * 2 * util::FifoArena<int>::kOwnerBytes;
   if (cfg.sim.core == sim::SimCore::Active && cfg.sim.fastpath.route_memo) {
     f.status_bytes +=
         nodes * (sizeof(topo::NodeId) + sizeof(routing::RouteCode));
@@ -128,10 +132,11 @@ void validate(const SimConfig& cfg) {
           std::to_string(longest) + " flits)");
     }
   }
-  // NetworkParams and routing constraints are validated by their
-  // constructors; trigger them early for a clear error site.
+  // NetworkParams and routing constraints: the checks their
+  // constructors run, here for a clear error site (and without
+  // allocating a network only to throw it away).
   const topo::KAryNCube topo(cfg.k, cfg.n);
-  sim::Network probe_net(topo, cfg.sim.net);
+  sim::Network::check_params(topo, cfg.sim.net);
   (void)routing::make_routing(cfg.sim.algorithm, topo, cfg.sim.net.num_vcs);
   if (!cfg.sim.faults.empty()) {
     if (cfg.sim.algorithm != routing::Algorithm::TFAR) {

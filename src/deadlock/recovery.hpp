@@ -3,11 +3,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
 #include "deadlock/detection.hpp"
+#include "util/fifo_arena.hpp"
 
 namespace wormsim::deadlock {
 
@@ -22,31 +22,26 @@ class RecoveryManager {
   /// Absorbed message becomes re-injectable at `ready` (absorption +
   /// software handling cost already added by the caller).
   void enqueue(NodeId node, MsgId msg, Cycle ready) {
-    queues_[node].push_back({msg, ready});
-    ++pending_;
+    queues_.push_back(node, {msg, ready});
   }
 
   /// Is the oldest absorbed message at `node` ready for re-injection?
   bool has_ready(NodeId node, Cycle now) const noexcept {
-    return !queues_[node].empty() && queues_[node].front().ready <= now;
+    return !queues_.empty(node) && queues_.front(node).ready <= now;
   }
 
   MsgId pop(NodeId node) {
-    const MsgId id = queues_[node].front().msg;
-    queues_[node].pop_front();
-    --pending_;
+    const MsgId id = queues_.front(node).msg;
+    queues_.pop_front(node);
     return id;
   }
 
   std::size_t pending(NodeId node) const noexcept {
-    return queues_[node].size();
+    return queues_.size(node);
   }
-  std::size_t pending_total() const noexcept { return pending_; }
+  std::size_t pending_total() const noexcept { return queues_.total(); }
 
-  void clear() {
-    for (auto& q : queues_) q.clear();
-    pending_ = 0;
-  }
+  void clear() { queues_.clear(); }
 
   /// Remove every queued entry for which `drop(node, msg)` returns true
   /// (fault reconfiguration: the re-injection node died or the
@@ -54,17 +49,12 @@ class RecoveryManager {
   /// are appended to `removed` in deterministic node-then-FIFO order.
   template <typename Pred>
   void purge(Pred&& drop, std::vector<std::pair<NodeId, MsgId>>& removed) {
-    for (NodeId node = 0; node < queues_.size(); ++node) {
-      auto& q = queues_[node];
-      for (std::size_t i = 0; i < q.size();) {
-        if (drop(node, q[i].msg)) {
-          removed.emplace_back(node, q[i].msg);
-          q.erase(q.begin() + static_cast<std::ptrdiff_t>(i));
-          --pending_;
-        } else {
-          ++i;
-        }
-      }
+    for (NodeId node = 0; node < queues_.owners(); ++node) {
+      queues_.erase_if(node, [&](const Entry& e) {
+        if (!drop(node, e.msg)) return false;
+        removed.emplace_back(node, e.msg);
+        return true;
+      });
     }
   }
 
@@ -73,8 +63,8 @@ class RecoveryManager {
     MsgId msg;
     Cycle ready;
   };
-  std::vector<std::deque<Entry>> queues_;
-  std::size_t pending_ = 0;
+  /// Per-node queues in one shared slot arena.
+  util::FifoArena<Entry> queues_;
 };
 
 }  // namespace wormsim::deadlock

@@ -78,7 +78,11 @@ struct Link {
 };
 // At scale transmit loads this record for nearly every network link
 // every cycle, so its size is its per-link memory traffic. Do not
-// over-align it: alignas(64) vectors raised peak RSS.
+// over-align it: a std::vector of an over-aligned type allocates through
+// the aligned operator new, glibc's memalign, whose freed chunk the next
+// simulator's equal request cannot reuse. alignas(64) Links raised peak
+// RSS that way; the 32-aligned VcState array avoids it by aligning
+// plain storage by hand (Network::vcs_).
 static_assert(sizeof(Link) <= 32, "Link grew: keep the link array compact");
 
 /// Round-robin order over the VCs in `mask` from `first` (< vcs) on: VCs

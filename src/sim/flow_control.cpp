@@ -78,9 +78,9 @@ bool CreditFlowControl::check(const Network& net, std::string* why) const {
   const std::size_t net_slots =
       static_cast<std::size_t>(net.num_net_links()) * vcs;
   std::vector<std::uint32_t> pending(net_slots, 0);
-  for (const PendingReturn& r : returns_) {
+  returns_.for_each(0, [&](const PendingReturn& r) {
     if (r.slot < net_slots && gen_[r.slot] == r.gen) ++pending[r.slot];
-  }
+  });
   for (std::size_t slot = 0; slot < net_slots; ++slot) {
     const auto l = static_cast<LinkId>(slot / vcs);
     const auto v = static_cast<std::uint8_t>(slot % vcs);

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -36,6 +35,7 @@
 
 #include "core/limiter.hpp"
 #include "sim/types.hpp"
+#include "util/fifo_arena.hpp"
 
 namespace wormsim::sim {
 
@@ -148,9 +148,9 @@ class CreditFlowControl final : public FlowControlScheme {
   bool gates_admission() const noexcept override { return false; }
 
   void begin_cycle(Cycle now) override {
-    while (!returns_.empty() && returns_.front().due <= now) {
-      const PendingReturn r = returns_.front();
-      returns_.pop_front();
+    while (!returns_.empty(0) && returns_.front(0).due <= now) {
+      const PendingReturn r = returns_.front(0);
+      returns_.pop_front(0);
       // A teardown since the flit drained bumped the slot's generation
       // and already restored every credit; drop the stale return.
       if (gen_[r.slot] == r.gen) --in_use_[r.slot];
@@ -170,7 +170,7 @@ class CreditFlowControl final : public FlowControlScheme {
       --in_use_[slot];
     } else {
       // Constant delay keeps the queue sorted by construction.
-      returns_.push_back({now + delay_, slot, gen_[slot]});
+      returns_.push_back(0, {now + delay_, slot, gen_[slot]});
     }
   }
 
@@ -228,7 +228,9 @@ class CreditFlowControl final : public FlowControlScheme {
   /// Bumped on slot reset so in-flight returns from a torn-down tenancy
   /// cannot underflow the fresh credit count.
   std::vector<std::uint32_t> gen_;
-  std::deque<PendingReturn> returns_;  // sorted: constant delay, FIFO drains
+  /// Returns on the wire, one FIFO (owner 0), sorted by due: the delay
+  /// is constant, so FIFO drains.
+  util::FifoArena<PendingReturn> returns_{1};
   std::uint64_t credit_messages_ = 0;
 };
 

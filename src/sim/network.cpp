@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 namespace wormsim::sim {
 
-Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
-    : topo_(&topo), params_(params) {
+void Network::check_params(const topo::KAryNCube& topo,
+                           const NetworkParams& params) {
   if (params.num_vcs < 1 || params.num_vcs > 8) {
     throw std::invalid_argument("num_vcs must be in [1, 8]");
   }
@@ -25,13 +27,26 @@ Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
                   params.inj_channels) >= kNoLink) {
     throw std::invalid_argument("network too large: link ids need 29 bits");
   }
+}
+
+Network::Network(const topo::KAryNCube& topo, const NetworkParams& params)
+    : topo_(&topo), params_(params) {
+  check_params(topo, params);
   const NodeId nodes = topo.num_nodes();
   num_net_links_ = nodes * topo.num_channels();
   num_inj_links_ = nodes * params.inj_channels;
   net_vc_count_ = static_cast<std::size_t>(num_net_links_) * params.num_vcs;
 
   links_.resize(num_net_links_ + num_inj_links_);
-  vcs_.resize(net_vc_count_ + num_inj_links_);
+  static_assert(std::is_trivially_destructible_v<VcState>,
+                "vc_storage_ is released without destroying its VcStates");
+  const std::size_t slots = net_vc_count_ + num_inj_links_;
+  std::size_t space = slots * sizeof(VcState) + alignof(VcState) - 1;
+  vc_storage_.reset(new std::byte[space]);
+  void* first = vc_storage_.get();
+  std::align(alignof(VcState), slots * sizeof(VcState), first, space);
+  vcs_ = {static_cast<VcState*>(first), slots};
+  std::uninitialized_value_construct(vcs_.begin(), vcs_.end());
   progress_.resize(vcs_.size());
   eject_.resize(static_cast<std::size_t>(nodes) * params.eje_channels);
   free_mask_.assign(num_net_links_,

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -33,8 +35,14 @@ class Network final : public core::ChannelStatus {
 
   Network(const topo::KAryNCube& topo, const NetworkParams& params);
 
-  /// Links of a network with these counts. The constructor rejects
-  /// kNoLink or more (ids VcRef cannot encode) before allocating.
+  /// Throws std::invalid_argument unless a Network of `params` over
+  /// `topo` can be built. Allocates nothing: the constructor runs it
+  /// first, and config::validate runs it without building a network.
+  static void check_params(const topo::KAryNCube& topo,
+                           const NetworkParams& params);
+
+  /// Links of a network with these counts. check_params rejects kNoLink
+  /// or more (ids VcRef cannot encode).
   static std::uint64_t count_links(std::uint64_t nodes, unsigned channels,
                                    unsigned inj_channels) noexcept {
     return nodes * (std::uint64_t{channels} + inj_channels);
@@ -316,7 +324,13 @@ class Network final : public core::ChannelStatus {
   std::size_t net_vc_count_ = 0;
 
   std::vector<Link> links_;
-  std::vector<VcState> vcs_;
+  /// VC storage from plain operator new, aligned to 32 by hand. A
+  /// std::vector<VcState> would take glibc's memalign (aligned operator
+  /// new), whose freed chunk the next simulator's equal request cannot
+  /// reuse, so a process building simulators in turn grew its heap by
+  /// one VC array per build (DESIGN.md, "Allocation").
+  std::unique_ptr<std::byte[]> vc_storage_;
+  std::span<VcState> vcs_;
   std::vector<Cycle> progress_;  // per VC slot, indexed like vcs_
   std::vector<EjectPort> eject_;
 

@@ -102,9 +102,11 @@ void Simulator::enqueue_source(NodeId node, NodeId dst, std::uint32_t length,
     count_lost(collector_.in_window(t));
     return;
   }
-  queues_[node].push_back({dst, length, t, collector_.in_window(t)});
-  if (queues_[node].size() == 1) head_since_[node] = t;
-  ++queue_total_;
+  static_assert(traffic::kMaxMessageFlits <= 0xFFFF, "PendingMessage length");
+  assert(length <= traffic::kMaxMessageFlits);
+  queues_.push_back(node, {t, dst, static_cast<std::uint16_t>(length),
+                           collector_.in_window(t)});
+  if (queues_.size(node) == 1) head_since_[node] = t;
   ++generated_total_;
   inject_nodes_.insert(node);
   collector_.on_generated(t);
@@ -112,11 +114,18 @@ void Simulator::enqueue_source(NodeId node, NodeId dst, std::uint32_t length,
   if (tracer_) {
     tracer_->record(t, obs::EventKind::QueueEnqueue, node,
                     /*aux8=*/0, static_cast<std::uint16_t>(length),
-                    static_cast<std::uint32_t>(queues_[node].size()));
+                    static_cast<std::uint32_t>(queues_.size(node)));
   }
 }
 
 bool Simulator::push_message(NodeId src, NodeId dst, std::uint32_t length) {
+  const NodeId nodes = topo_.num_nodes();
+  if (src >= nodes || dst >= nodes) {
+    throw std::invalid_argument(
+        "push_message: node id out of range (src " + std::to_string(src) +
+        ", dst " + std::to_string(dst) + "; the network has " +
+        std::to_string(nodes) + " nodes)");
+  }
   traffic::check_message_length(length);
   if (src == dst || length == 0) return false;
   enqueue_source(src, dst, length, cycle_);
@@ -144,12 +153,12 @@ void Simulator::step() {
   scan_.active_nodes_sum +=
       cfg_.core == SimCore::Active ? inject_nodes_.size() : 0;
   if (t % kQueueSamplePeriod == 0) {
-    const std::size_t total = queue_total_;
+    const std::size_t total = queues_.total();
     collector_.on_queue_sample(total);
     if (timeseries_) timeseries_->on_queue_sample(t, total);
     if (spatial_) {
       for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
-        spatial_->on_queue_sample(node, queues_[node].size());
+        spatial_->on_queue_sample(node, queues_.size(node));
       }
       for (LinkId l = 0; l < net_.num_net_links(); ++l) {
         spatial_->on_link_occupancy_sample(
@@ -203,7 +212,7 @@ metrics::WindowSample Simulator::online_sample() {
   }
   s.free_vcs = free_vcs;
   s.total_vcs = static_cast<std::uint64_t>(topo_.num_nodes()) * chans * vcs;
-  s.queue_total = queue_total_;
+  s.queue_total = queues_.total();
   s.credit_messages = flow_->credit_messages();
   return s;
 }
@@ -635,8 +644,8 @@ void Simulator::inject_node(NodeId node, Cycle t) {
       continue;
     }
 
-    if (queues_[node].empty()) break;
-    const PendingMessage& pm = queues_[node].front();
+    if (queues_.empty(node)) break;
+    const PendingMessage& pm = queues_.front(node);
 
     core::InjectionRequest req;
     req.node = node;
@@ -645,7 +654,7 @@ void Simulator::inject_node(NodeId node, Cycle t) {
     req.route = &route_buf_;
     req.cycle = t;
     req.head_wait = t - head_since_[node];
-    req.queue_len = queues_[node].size();
+    req.queue_len = queues_.size(node);
     head_route(node, pm.dst);
     const bool allowed = limiter_->allow(req, *status_);
     if (!allowed) {
@@ -675,13 +684,12 @@ void Simulator::inject_node(NodeId node, Cycle t) {
     m.length = pm.length;
     m.gen_time = pm.gen_time;
     m.measured = pm.measured;
-    queues_[node].pop_front();
-    --queue_total_;
+    queues_.pop_front(node);
     head_since_[node] = t;
     if (tracer_) {
       tracer_->record(t, obs::EventKind::QueueDequeue, node, 0,
                       static_cast<std::uint16_t>(m.length),
-                      static_cast<std::uint32_t>(queues_[node].size()));
+                      static_cast<std::uint32_t>(queues_.size(node)));
     }
     if (spatial_) spatial_->on_injected(node);
 
@@ -708,14 +716,14 @@ void Simulator::phase_inject(Cycle t) {
     if (next < nodes) {  // cache hint, as in phase_transmit
       const VcState* row = net_.inj_vc_row(static_cast<NodeId>(next));
       for (unsigned i = 0; i < inj; ++i) __builtin_prefetch(row + i);
-      __builtin_prefetch(&queues_[next]);
+      queues_.prefetch_front(next);
     }
     const auto node = static_cast<NodeId>(n);
     inject_node(node, t);
     // Retire once fully idle: no injection tenancy to stream, nothing
     // queued, nothing awaiting recovery re-injection. Any future event
     // (queue push, recovery enqueue) re-inserts the node.
-    if (queues_[node].empty() && recovery_.pending(node) == 0) {
+    if (queues_.empty(node) && recovery_.pending(node) == 0) {
       const VcState* const inj_row = net_.inj_vc_row(node);
       bool any_occupied = false;
       for (unsigned i = 0; i < inj; ++i) {
@@ -837,10 +845,10 @@ void Simulator::fault_absorb(MsgId id, Cycle t) {
 
 void Simulator::kill_node_state(NodeId node, Cycle t) {
   // Source-queued messages die with their node.
-  auto& q = queues_[node];
-  for (const PendingMessage& pm : q) count_lost(pm.measured);
-  queue_total_ -= q.size();
-  q.clear();
+  queues_.erase_if(node, [this](const PendingMessage& pm) {
+    count_lost(pm.measured);
+    return true;
+  });
   // Worms still inside the node's injection channels are torn down like
   // any displaced worm; their absorb node is the dead node itself, so
   // purge_undeliverable drops them right after.
@@ -903,20 +911,14 @@ void Simulator::purge_undeliverable(Cycle t) {
   // Source-queued messages to dead or unreachable destinations (a dead
   // node's own queue was already cleared by kill_node_state).
   for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
-    auto& q = queues_[node];
-    if (q.empty()) continue;
-    bool head_changed = false;
-    for (std::size_t qi = 0; qi < q.size();) {
-      if (!deliverable(node, q[qi].dst)) {
-        count_lost(q[qi].measured);
-        q.erase(q.begin() + static_cast<std::ptrdiff_t>(qi));
-        --queue_total_;
-        head_changed |= qi == 0;
-      } else {
-        ++qi;
-      }
-    }
-    if (head_changed && !q.empty()) head_since_[node] = t;
+    if (queues_.empty(node)) continue;
+    const bool head_changed =
+        queues_.erase_if(node, [&](const PendingMessage& pm) {
+          if (deliverable(node, pm.dst)) return false;
+          count_lost(pm.measured);
+          return true;
+        });
+    if (head_changed && !queues_.empty(node)) head_since_[node] = t;
   }
 }
 
@@ -1084,14 +1086,14 @@ bool Simulator::check_active_sets(std::string* why) const {
   const unsigned inj = net.params().inj_channels;
   std::size_t queue_sum = 0;
   for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
-    queue_sum += queues_[node].size();
+    queue_sum += queues_.size(node);
     bool busy = false;
     for (unsigned p = 0; p < ports; ++p) busy |= net.eject_port(node, p).busy();
     if (busy && !eject_nodes_.contains(node)) {
       return fail("busy ejection port not in eject set, node " +
                   std::to_string(node));
     }
-    bool inject_active = !queues_[node].empty() || recovery_.pending(node) > 0;
+    bool inject_active = !queues_.empty(node) || recovery_.pending(node) > 0;
     for (unsigned i = 0; i < inj; ++i) {
       inject_active |= !net.vc({net.inj_link(node, i), 0}).free();
     }
@@ -1100,7 +1102,7 @@ bool Simulator::check_active_sets(std::string* why) const {
                   std::to_string(node));
     }
   }
-  if (queue_sum != queue_total_) {
+  if (queue_sum != queues_.total()) {
     return fail("incremental queue total drifted from recount");
   }
   if (eject_nodes_.size() != eject_nodes_.recount() ||
@@ -1137,13 +1139,13 @@ bool Simulator::check_conservation(std::string* why) const {
     return false;
   };
   const std::uint64_t accounted =
-      delivered_ + active_.size() + queue_total_ + lost_total_;
+      delivered_ + active_.size() + queues_.total() + lost_total_;
   if (generated_total_ != accounted) {
     return fail("message conservation violated: generated=" +
                 std::to_string(generated_total_) + " delivered=" +
                 std::to_string(delivered_) + " in-flight=" +
                 std::to_string(active_.size()) + " queued=" +
-                std::to_string(queue_total_) + " lost=" +
+                std::to_string(queues_.total()) + " lost=" +
                 std::to_string(lost_total_));
   }
   if (active_.empty() && net_.flits_in_network() != 0) {
@@ -1199,7 +1201,7 @@ bool Simulator::check_fault_invariants(std::string* why) const {
                     " has an occupied injection channel");
       }
     }
-    if (!queues_[node].empty()) {
+    if (!queues_.empty(node)) {
       return fail("dead node " + std::to_string(node) +
                   " has a non-empty source queue");
     }

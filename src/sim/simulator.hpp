@@ -34,7 +34,6 @@
 // tests/sim/test_core_equivalence.cpp enforces byte-identical results.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -59,6 +58,7 @@
 #include "sim/message.hpp"
 #include "sim/network.hpp"
 #include "traffic/workload.hpp"
+#include "util/fifo_arena.hpp"
 
 namespace wormsim::sim {
 
@@ -191,7 +191,9 @@ class Simulator {
   Cycle cycle() const noexcept { return cycle_; }
 
   /// Enqueue one message directly at `src`'s source queue (test hook and
-  /// trace-driven workloads). Returns false for src == dst.
+  /// trace-driven workloads). Returns false for src == dst; throws
+  /// std::invalid_argument for a node id outside the network or a
+  /// length over traffic::kMaxMessageFlits.
   bool push_message(NodeId src, NodeId dst, std::uint32_t length);
 
   /// Run the full warm-up / measure / drain protocol and summarize.
@@ -288,9 +290,9 @@ class Simulator {
 
   std::size_t messages_in_flight() const noexcept { return active_.size(); }
   std::size_t source_queue_len(NodeId node) const noexcept {
-    return queues_[node].size();
+    return queues_.size(node);
   }
-  std::size_t source_queue_total() const noexcept { return queue_total_; }
+  std::size_t source_queue_total() const noexcept { return queues_.total(); }
   std::size_t recovery_pending() const noexcept {
     return recovery_.pending_total();
   }
@@ -320,12 +322,15 @@ class Simulator {
   std::optional<Cycle> header_arrival(VcRef ref) const;
 
  private:
+  /// A source-queue entry: 16 bytes, so an arena slot (entry plus its
+  /// link) is 24. Lengths fit 16 bits: traffic::kMaxMessageFlits.
   struct PendingMessage {
-    NodeId dst = 0;
-    std::uint32_t length = 0;
     Cycle gen_time = 0;
+    NodeId dst = 0;
+    std::uint16_t length = 0;
     bool measured = false;
   };
+  static_assert(sizeof(PendingMessage) == 16);
 
   void phase_generate(Cycle t);
   void phase_arrivals(Cycle t);
@@ -508,7 +513,8 @@ class Simulator {
   MessagePool pool_;
   std::vector<MsgId> active_;
 
-  std::vector<std::deque<PendingMessage>> queues_;
+  /// Per-node source queues in one shared slot arena.
+  util::FifoArena<PendingMessage> queues_;
   std::vector<Cycle> head_since_;     // cycle the current queue head became head
   std::vector<std::uint32_t> alloc_rr_;  // per-node selector rotation
 
@@ -587,7 +593,6 @@ class Simulator {
   std::uint64_t gen_epoch_ = ~std::uint64_t{0};  // forces initial refill
 
   CoreScanStats scan_;
-  std::size_t queue_total_ = 0;         // sum of queues_[*].size()
   std::uint64_t generated_total_ = 0;   // every source-queue push ever
 
   Cycle cycle_ = 0;

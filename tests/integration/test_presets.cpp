@@ -4,6 +4,12 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
+#include <string>
+
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+#define WORMSIM_HAVE_MALLINFO2 1
+#include <malloc.h>  // mallinfo2
+#endif
 
 #include "config/presets.hpp"
 #include "fault/schedule.hpp"
@@ -75,6 +81,40 @@ TEST(Presets, ValidationCatchesBadConfigs) {
   cfg = config::small_base();
   cfg.workload.offered_flits_per_node_cycle = 1e308;
   EXPECT_THROW(config::build_simulator(cfg), std::invalid_argument);
+
+  // Router parameters outside what a Network can hold, each with the
+  // Network constructor's own message.
+  struct BadNet {
+    void (*set)(sim::NetworkParams&);
+    const char* message;
+  };
+  const BadNet bad_nets[] = {
+      {[](sim::NetworkParams& p) { p.num_vcs = 0; }, "num_vcs"},
+      {[](sim::NetworkParams& p) { p.num_vcs = 9; }, "num_vcs"},
+      {[](sim::NetworkParams& p) { p.buf_flits = 0; }, "buf_flits"},
+      {[](sim::NetworkParams& p) { p.buf_flits = 256; }, "buf_flits"},
+      {[](sim::NetworkParams& p) { p.inj_channels = 0; }, "injection"},
+      {[](sim::NetworkParams& p) { p.eje_channels = 0; }, "ejection"},
+      {[](sim::NetworkParams& p) { p.link_delay = 0; }, "link_delay"},
+      {[](sim::NetworkParams& p) { p.link_delay = 8; }, "link_delay"},
+  };
+  for (const BadNet& bad : bad_nets) {
+    SCOPED_TRACE(bad.message);
+    cfg = config::small_base();
+    bad.set(cfg.sim.net);
+    try {
+      config::validate(cfg);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(bad.message), std::string::npos)
+          << e.what();
+    }
+  }
+  cfg = config::small_base();
+  cfg.sim.net.link_delay = sim::Network::kMaxLinkDelay;
+  cfg.sim.net.buf_flits = 255;
+  cfg.sim.net.num_vcs = 8;
+  EXPECT_NO_THROW(config::validate(cfg));
 }
 
 /// network_bytes from the record sizes: 32-byte VcState plus an 8-byte
@@ -91,20 +131,24 @@ TEST(Presets, MemoryEstimatePinsNetworkBytes) {
 }
 
 /// status_bytes: free and admissible masks per network link, the route
-/// coder's 16-bit coordinates per (node, dimension) and, with the route
+/// coder's 16-bit coordinates per (node, dimension), the source and
+/// recovery queues' 12-byte list heads per node and, with the route
 /// memo on, an 8-byte queue-head (dst, code) per node. Nothing scales
-/// with VC slots: blocked headers keep their memo in their own
-/// route-pending entry.
+/// with VC slots or traffic: blocked headers keep their memo in their
+/// own route-pending entry, and queued messages sit in arena slots.
 TEST(Presets, MemoryEstimatePinsStatusBytes) {
   auto cfg = config::paper_base();  // 512 nodes, 6 channels, 3 VCs
   const std::uint64_t net_links = 512 * 6;
-  const std::uint64_t base = net_links * 2 + 512 * 3 * 2;
+  const std::uint64_t base = net_links * 2 + 512 * 3 * 2 + 512 * 2 * 12;
   EXPECT_EQ(config::estimate_memory(cfg).status_bytes, base + 512 * 8);
   cfg.sim.fastpath.route_memo = false;
   EXPECT_EQ(config::estimate_memory(cfg).status_bytes, base);
   cfg.sim.fastpath.route_memo = true;
   cfg.sim.core = sim::SimCore::Dense;  // the memo is an active-core path
   EXPECT_EQ(config::estimate_memory(cfg).status_bytes, base);
+  cfg.k = 16;  // 4096 nodes: every per-node row, list heads included, x8
+  EXPECT_EQ(config::estimate_memory(cfg).status_bytes,
+            4096 * 6 * 2 + 4096 * 3 * 2 + 4096 * 2 * 12);
 }
 
 /// Healthy networks route in closed form and build no routing table;
@@ -118,6 +162,28 @@ TEST(Presets, MemoryEstimateCountsLutOnlyWithFaults) {
   });
   EXPECT_EQ(config::estimate_memory(cfg).lut_bytes, 1024u * 1024u);
 }
+
+#if defined(WORMSIM_HAVE_MALLINFO2)
+/// A process that builds simulators one after another (a sweep builds
+/// one per point) must not grow its heap per build: each build's large
+/// arrays fit the chunks the previous one freed. An aligned VC array
+/// (glibc memalign) broke this, growing the heap by one array per build.
+TEST(Presets, RepeatedBuildsKeepTheHeapFlat) {
+  auto cfg = config::paper_base();
+  cfg.k = 16;  // perfbench's single_4096: 4096 nodes, ALO at 0.35
+  cfg.sim.limiter.kind = core::LimiterKind::ALO;
+  cfg.workload.offered_flits_per_node_cycle = 0.35;
+  std::size_t after_second = 0;
+  for (int build = 1; build <= 8; ++build) {
+    config::build_simulator(cfg).reset();
+    const std::size_t arena = mallinfo2().arena;
+    if (build == 2) after_second = arena;
+    if (build == 8) {
+      EXPECT_LE(arena, after_second);
+    }
+  }
+}
+#endif
 
 TEST(Presets, BuildSimulatorProducesRunnableInstance) {
   auto cfg = config::small_base();

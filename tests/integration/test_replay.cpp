@@ -2,6 +2,8 @@
 // reproduce the live simulation exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/replay.hpp"
 #include "sim/utilization.hpp"
 
@@ -48,6 +50,21 @@ TEST(Replay, MatchesLiveWorkloadExactly) {
             replay.total_deadlock_detections());
   EXPECT_EQ(live.network().flits_in_network(),
             replay.network().flits_in_network());
+}
+
+/// A trace recorded on a larger network names nodes the replaying one
+/// does not have: replay must refuse it, not index past its queues.
+TEST(Replay, TraceForALargerNetworkThrows) {
+  const traffic::Trace trace = traffic::Trace::from_workload(
+      topo::KAryNCube(8, 3), workload_cfg(0.3), 11, 200);
+  const auto& records = trace.records();
+  ASSERT_TRUE(std::any_of(records.begin(), records.end(), [](const auto& r) {
+    return r.src >= 64 || r.dst >= 64;
+  }));
+  const topo::KAryNCube small(8, 2);
+  sim::Simulator sim(small, sim_cfg(), nullptr);
+  harness::TraceReplayer replayer(trace);
+  EXPECT_THROW(replayer.run_to_completion(sim, 100), std::invalid_argument);
 }
 
 TEST(Replay, RunToCompletionDrains) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/flow_control.hpp"
@@ -59,6 +61,23 @@ TEST_F(NetworkTest, ParamsValidation) {
   bad = small_params();
   bad.buf_flits = 0;
   EXPECT_THROW(Network(topo_, bad), std::invalid_argument);
+}
+
+/// VcState is 32-aligned so each record stays within one cache line;
+/// the hand-aligned storage must deliver that for any row count.
+TEST(NetworkLimits, VcStorageIs32ByteAligned) {
+  for (const auto& [k, n] : {std::pair{4u, 2u}, {3u, 1u}, {8u, 3u}}) {
+    const topo::KAryNCube topo(k, n);
+    for (unsigned inj = 1; inj <= 3; ++inj) {
+      NetworkParams p = small_params();
+      p.inj_channels = inj;
+      Network net(topo, p);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(net.vc_row(0)) % 32, 0u);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(net.inj_vc_row(0)) % 32, 0u);
+      EXPECT_TRUE(net.vc(VcRef{0, 0}).free());
+      EXPECT_TRUE(net.inj_vc_row(topo.num_nodes() - 1)[inj - 1].free());
+    }
+  }
 }
 
 /// The constructor's 29-bit link-id budget, through its counting helper

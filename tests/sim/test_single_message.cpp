@@ -35,6 +35,23 @@ TEST(SingleMessage, RejectsMessagesAbove16BitFlits) {
   EXPECT_TRUE(sim->push_message(0, 1, 65535));
 }
 
+/// Node ids come from outside (trace replay, tests): one past the
+/// network is refused with both ids named, and nothing is queued.
+TEST(SingleMessage, RejectsNodeIdsOutsideTheNetwork) {
+  auto sim = make_sim(8, 2);  // 64 nodes
+  EXPECT_THROW(sim->push_message(1000000, 3, 16), std::invalid_argument);
+  EXPECT_THROW(sim->push_message(3, 64, 16), std::invalid_argument);
+  try {
+    sim->push_message(64, 3, 16);
+    ADD_FAILURE() << "src 64 accepted on a 64-node network";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("src 64, dst 3"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sim->source_queue_total(), 0u);
+  EXPECT_TRUE(sim->push_message(63, 0, 16));
+}
+
 TEST(SingleMessage, ExactLatencyOneHop) {
   auto sim = make_sim(4, 2);
   const topo::NodeId dst = sim->topology().neighbor(0, 0);
