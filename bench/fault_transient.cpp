@@ -35,10 +35,10 @@
 namespace wormsim::bench {
 namespace {
 
-/// Time-series interval width for the transient analysis; coarse enough
-/// that per-interval accepted traffic is not shot noise, fine enough to
+/// Recording-window width for the transient analysis; coarse enough
+/// that per-window accepted traffic is not shot noise, fine enough to
 /// bound the recovery time usefully.
-constexpr std::uint64_t kIntervalCycles = 250;
+constexpr std::uint64_t kWindowCycles = 250;
 
 struct TransientMetrics {
   double pre_accepted = 0.0;   // mean accepted traffic before the kill
@@ -48,42 +48,47 @@ struct TransientMetrics {
 };
 
 /// One instrumented run of `cfg` (which carries a fault schedule whose
-/// first event is the kill): per-interval accepted traffic before the
-/// kill versus after, and the first interval boundary at which
-/// throughput is back above 80% of the pre-fault mean.
+/// first event is the kill): per-window accepted traffic before the
+/// kill versus after, and the first window boundary at which
+/// throughput is back above 80% of the pre-fault mean. Windows that do
+/// not end inside the measurement window are skipped.
 TransientMetrics measure_transient(const config::SimConfig& cfg) {
   const std::uint64_t kill_cycle = cfg.sim.faults.events().front().cycle;
   auto simulator = config::build_simulator(cfg);
-  simulator->enable_timeseries(kIntervalCycles);
+  metrics::OnlineConfig online_cfg;
+  online_cfg.window_cycles = kWindowCycles;
+  metrics::OnlineStats online(simulator->topology().num_nodes(), online_cfg);
+  simulator->set_online(&online);
   simulator->run(cfg.protocol);
-  const metrics::TimeSeries* ts = simulator->timeseries();
-  const topo::KAryNCube topo(cfg.k, cfg.n);
-  const std::uint32_t nodes = topo.num_nodes();
+  const double nodes = simulator->topology().num_nodes();
   const std::uint64_t window_end = cfg.protocol.warmup + cfg.protocol.measure;
+  const auto accepted = [&](const metrics::Window& w) {
+    return static_cast<double>(w.accepted_flits) /
+           (static_cast<double>(w.cycles) * nodes);
+  };
 
   TransientMetrics m;
   util::RunningStats pre;
-  const auto& intervals = ts->intervals();
-  for (std::size_t i = 0; i < intervals.size(); ++i) {
-    const std::uint64_t start = intervals[i].start_cycle;
-    if (start >= cfg.protocol.warmup &&
-        start + kIntervalCycles <= kill_cycle) {
-      pre.add(ts->accepted(i, nodes));
+  for (const metrics::Window& w : online.windows()) {
+    if (w.start_cycle >= cfg.protocol.warmup &&
+        w.start_cycle + kWindowCycles <= kill_cycle) {
+      pre.add(accepted(w));
     }
   }
   m.pre_accepted = pre.mean();
 
   const double recovery_floor = 0.8 * m.pre_accepted;
   util::RunningStats post;
-  for (std::size_t i = 0; i < intervals.size(); ++i) {
-    const std::uint64_t start = intervals[i].start_cycle;
-    if (start < kill_cycle || start + kIntervalCycles > window_end) continue;
-    const double accepted = ts->accepted(i, nodes);
-    if (!m.recovered && accepted >= recovery_floor) {
-      m.recovered = true;
-      m.recovery_cycles = start + kIntervalCycles - kill_cycle;
+  for (const metrics::Window& w : online.windows()) {
+    if (w.start_cycle < kill_cycle ||
+        w.start_cycle + kWindowCycles > window_end) {
+      continue;
     }
-    if (m.recovered) post.add(ts->accepted(i, nodes));
+    if (!m.recovered && accepted(w) >= recovery_floor) {
+      m.recovered = true;
+      m.recovery_cycles = w.start_cycle + kWindowCycles - kill_cycle;
+    }
+    if (m.recovered) post.add(accepted(w));
   }
   m.post_accepted = post.mean();
   if (!m.recovered) m.recovery_cycles = window_end - kill_cycle;

@@ -1,14 +1,16 @@
-// Transient dynamics under bursty traffic, seen through the per-interval
-// time series: how a burst drives the network into saturation and how
-// the ALO mechanism changes what happens next.
+// Transient dynamics under bursty traffic, seen through the online
+// statistics' recording windows: how a burst drives the network into
+// saturation and how the ALO mechanism changes what happens next.
 //
 //   ./burst_dynamics [--offered 0.45 --duty 0.3 --burst-len 800
 //                     --interval 256 --cycles 20000]
 //
-// Prints one CSV row per interval and mechanism: accepted traffic,
-// mean latency of deliveries, deadlock detections and total queued
-// messages. Feed it to any plotting tool to watch the collapse (None)
-// versus the queue-absorbed burst (ALO).
+// Prints one CSV row per window and mechanism: accepted traffic, p99
+// latency of the window's deliveries, deadlock detections and the
+// messages queued at the sources when the window closed (the last
+// window is partial when --cycles is not a multiple of --interval).
+// Feed it to any plotting tool to watch the collapse (None) versus the
+// queue-absorbed burst (ALO).
 #include <cstdio>
 #include <exception>
 #include <iostream>
@@ -47,19 +49,22 @@ int main(int argc, char** argv) {
 
     util::CsvWriter csv(std::cout);
     csv.header({"mechanism", "interval_start", "accepted_flits_node_cycle",
-                "latency_avg_cycles", "deadlocks", "queued_msgs"});
+                "latency_p99_cycles", "deadlocks", "queued_msgs"});
     for (const auto kind : {core::LimiterKind::None, core::LimiterKind::ALO}) {
       cfg.sim.limiter.kind = kind;
       auto sim = config::build_simulator(cfg);
-      sim->enable_timeseries(interval);
+      metrics::OnlineConfig online_cfg;
+      online_cfg.window_cycles = interval;
+      metrics::OnlineStats online(sim->topology().num_nodes(), online_cfg);
+      sim->set_online(&online);
       sim->step_cycles(cycles);
-      const auto nodes = sim->topology().num_nodes();
-      const auto* ts = sim->timeseries();
-      for (std::size_t i = 0; i < ts->intervals().size(); ++i) {
-        const auto& iv = ts->intervals()[i];
-        csv.row(core::limiter_name(kind), iv.start_cycle,
-                ts->accepted(i, nodes), iv.latency.mean(),
-                iv.deadlock_detections, iv.queue_total);
+      sim->finish_online();
+      const double nodes = sim->topology().num_nodes();
+      for (const metrics::Window& w : online.windows()) {
+        csv.row(core::limiter_name(kind), w.start_cycle,
+                static_cast<double>(w.accepted_flits) /
+                    (static_cast<double>(w.cycles) * nodes),
+                w.latency_p99, w.deadlocks, w.end.queue_total);
       }
     }
     return 0;

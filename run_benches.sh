@@ -1,6 +1,6 @@
 #!/bin/sh
-# Regenerates bench_output.txt: every figure/ablation/micro bench at
-# full paper scale (8-ary 3-cube). Takes on the order of an hour on one
+# Runs every figure/ablation/micro bench at full paper scale (8-ary
+# 3-cube) and prints their output. Takes on the order of an hour on one
 # core. Sweep benches also drop JSONL telemetry (one record per sweep
 # point plus a summary) and a wormsim.timeseries/1 windowed-series
 # stream into bench_telemetry/ so throughput, saturation-onset and
@@ -12,18 +12,34 @@ status=0
 # The gate checker validates itself before it is trusted with any
 # real bench JSON.
 python3 tools/check_bench.py --self-test || status=1
-# TSan preflight over the parallel-labelled tests: the --jobs thread
-# pool, the parallel sweep engine and the multi-threaded tracer must be
-# provably race-free before any parallel sweep number means anything.
-# Builds a separate instrumented tree (slow the first time, incremental
-# after); WORMSIM_SKIP_TSAN_PREFLIGHT=1 skips, e.g. on hosts without
-# TSan runtime support.
+# Sanitizer preflights, each in its own instrumented tree (slow the
+# first time, incremental after). TSan runs the parallel-labelled tests:
+# the --jobs thread pool, the parallel sweep engine and the
+# multi-threaded tracer must be provably race-free before any parallel
+# sweep number means anything. ASan+UBSan runs the simulator, deadlock,
+# fault, traffic, metrics, integration and util test binaries, so
+# lifetime, bounds and undefined-behaviour bugs fail here first.
+# WORMSIM_SKIP_TSAN_PREFLIGHT=1 skips both, e.g. on hosts without
+# sanitizer runtime support.
 if [ "${WORMSIM_SKIP_TSAN_PREFLIGHT:-0}" != "1" ]; then
   echo "===== tsan preflight (ctest -L parallel; WORMSIM_SKIP_TSAN_PREFLIGHT=1 to skip)"
   cmake -B build-tsan -S . -DWORMSIM_TSAN=ON >/dev/null \
     && cmake --build build-tsan -j >/dev/null \
     && (cd build-tsan && ctest -L parallel --output-on-failure) \
     || status=1
+  echo "===== asan+ubsan preflight (WORMSIM_SKIP_TSAN_PREFLIGHT=1 to skip)"
+  asan_tests="test_util test_sim test_deadlock test_fault test_traffic"
+  asan_tests="$asan_tests test_metrics test_integration"
+  if cmake -B build-asan -S . -DWORMSIM_ASAN=ON -DWORMSIM_UBSAN=ON \
+       >/dev/null \
+     && cmake --build build-asan -j --target $asan_tests >/dev/null; then
+    for t in $asan_tests; do
+      UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+        "build-asan/tests/$t" --gtest_brief=1 || status=1
+    done
+  else
+    status=1
+  fi
 fi
 for b in build/bench/*; do
   [ -x "$b" ] && [ -f "$b" ] || continue

@@ -183,7 +183,6 @@ metrics::SimResult run_experiment(const SimConfig& cfg,
   simulator->set_spatial(hooks.spatial);
   simulator->set_online(hooks.online);
   metrics::SimResult r = simulator->run(cfg.protocol);
-  simulator->finish_spatial();
   simulator->finish_online();
   return r;
 }

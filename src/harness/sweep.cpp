@@ -217,8 +217,9 @@ std::vector<ReplicatedPoint> run_replicated_sweep(const SweepSpec& spec,
     {
       const std::lock_guard<std::mutex> lock(progress_mu);
       meter.on_done(p, runs[task]);
-      if (spec.on_point) spec.on_point(SweepPoint{p.limiter, p.offered,
-                                                  runs[task]});
+      if (spec.on_point) {
+        spec.on_point(SweepPoint{p.limiter, p.offered, runs[task], nullptr});
+      }
     }
   });
   if (spec.stats) {

@@ -1,5 +1,6 @@
 #include "harness/telemetry.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <optional>
 #include <ostream>
@@ -330,14 +331,28 @@ ObsSession::ObsSession(const util::ArgParser& args)
       timeseries_path_(args.get_string("timeseries-out", "")),
       trace_path_(args.get_string("trace", "")),
       spatial_prefix_(args.get_string("spatial-out", "")),
-      spatial_limiter_(args.get_string("spatial-limiter", "none")),
       spatial_load_(args.get_double("spatial-load", 1.2)),
       online_window_(args.get_uint("online-window", 256)),
       profile_period_(0) {
-  if (args.has("profile")) {
-    // Bare "--profile" parses as the string "true": default period 64.
-    const std::string v = args.get_string("profile", "true");
-    profile_period_ = v == "true" ? 64 : std::stoull(v);
+  // Every flag is checked here, before the sweep runs.
+  const std::string limiter = args.get_string("spatial-limiter", "none");
+  try {
+    spatial_limiter_ = core::parse_limiter(limiter);
+  } catch (const std::invalid_argument&) {
+    throw std::invalid_argument(
+        "--spatial-limiter expects none, alo, lf or dril, got '" + limiter +
+        "'");
+  }
+  if (!std::isfinite(spatial_load_) || spatial_load_ < 0.0) {
+    throw std::invalid_argument(
+        "--spatial-load expects a finite load >= 0, got '" +
+        args.get_string("spatial-load", "") + "'");
+  }
+  // Bare "--profile" parses as the string "true": default period 64.
+  if (args.get_string("profile", "") == "true") {
+    profile_period_ = 64;
+  } else {
+    profile_period_ = args.get_uint("profile", 0);
   }
   // Read even when no tracer is built, so the flag always counts as
   // known to ArgParser::reject_unknown.
@@ -385,8 +400,8 @@ void ObsSession::finish(const SweepSpec& spec,
               static_cast<unsigned long long>(tracer_->events_dropped()));
   }
   if (!spatial_prefix_.empty()) {
-    capture_spatial(spec.base, core::parse_limiter(spatial_limiter_),
-                    spatial_load_, spatial_prefix_);
+    capture_spatial(spec.base, spatial_limiter_, spatial_load_,
+                    spatial_prefix_);
   }
 }
 

@@ -96,7 +96,7 @@ class ObsSession {
   std::string timeseries_path_;
   std::string trace_path_;
   std::string spatial_prefix_;
-  std::string spatial_limiter_;
+  core::LimiterKind spatial_limiter_ = core::LimiterKind::None;
   double spatial_load_;
   std::uint64_t online_window_;
   std::uint64_t profile_period_;

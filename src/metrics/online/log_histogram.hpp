@@ -94,7 +94,8 @@ class LogHistogram {
 
   static std::size_t bucket_index(std::uint64_t v) noexcept {
     if (v < kSubBuckets) return static_cast<std::size_t>(v);
-    const unsigned shift = std::bit_width(v) - 1 - kSubBits;
+    const unsigned shift =
+        static_cast<unsigned>(std::bit_width(v)) - 1 - kSubBits;
     const std::uint64_t sub = v >> shift;  // in [kSubBuckets, 2*kSubBuckets)
     return static_cast<std::size_t>(shift * kSubBuckets + sub);
   }

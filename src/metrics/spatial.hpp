@@ -44,10 +44,8 @@ class SpatialMetrics {
                                 unsigned busy_vcs) noexcept {
     ++occ_hist_[link * (num_vcs_ + 1) + busy_vcs];
   }
-  /// Final copy of a link's cumulative flit counter (end of run).
-  void set_link_flits(std::uint32_t link, std::uint64_t flits) noexcept {
-    link_flits_[link] = flits;
-  }
+  /// One flit sent over network link `link`.
+  void on_link_flit(std::uint32_t link) noexcept { ++link_flits_[link]; }
 
   // --- Accessors -------------------------------------------------------
   std::uint32_t num_nodes() const noexcept {

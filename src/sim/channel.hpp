@@ -72,7 +72,6 @@ struct Link {
   std::uint8_t rr_next = 0;          // round-robin VC arbitration pointer
   std::uint8_t active_vc_mask = 0;   // bit v set iff VC v has a tenant
   ChannelId src_channel = 0;  // output-channel index at src (network links)
-  std::uint64_t flits_carried = 0;   // cumulative utilization counter
   NodeId src = topo::kInvalidNode;  // kInvalidNode for injection links
   NodeId dst = topo::kInvalidNode;
 };
@@ -83,7 +82,7 @@ struct Link {
 // simulator's equal request cannot reuse. alignas(64) Links raised peak
 // RSS that way; the 32-aligned VcState array avoids it by aligning
 // plain storage by hand (Network::vcs_).
-static_assert(sizeof(Link) <= 32, "Link grew: keep the link array compact");
+static_assert(sizeof(Link) == 12, "Link grew: keep the link array compact");
 
 /// Round-robin order over the VCs in `mask` from `first` (< vcs) on: VCs
 /// below `first` move up `vcs` bits, so set bit b, visited in ascending

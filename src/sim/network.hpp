@@ -145,13 +145,13 @@ class Network final : public core::ChannelStatus {
   /// destination node.
   void bind_eject(VcRef from, NodeId node, unsigned port, MsgId msg) noexcept;
   /// Put one flit from `u` on the wire toward VC `vc` of link `id`
-  /// (`l` = link(id), `d` = its VcState, fed by `u`), after
-  /// process_arrivals(now). The caller has checked transmissibility and
-  /// passes the records it holds, so no address here depends on `u`.
-  /// Returns true if the tail left `u` (the VC was freed). Inline: the
-  /// hottest Network mutator when saturated.
-  bool transmit_flit(Link& l, LinkId id, std::uint8_t vc, VcState& d,
-                     VcState& u, Cycle now) noexcept {
+  /// (`d` = its VcState, fed by `u`), after process_arrivals(now). The
+  /// caller has checked transmissibility and passes the records it
+  /// holds, so no address here depends on `u`. Returns true if the tail
+  /// left `u` (the VC was freed). Inline: the hottest Network mutator
+  /// when saturated.
+  bool transmit_flit(LinkId id, std::uint8_t vc, VcState& d, VcState& u,
+                     Cycle now) noexcept {
     assert(u.buffered() > 0 && u.out_kind == VcState::OutKind::Vc);
     assert(d.occupancy < params_.buf_flits);
     assert(now == wire_now_ && id < num_net_links_);
@@ -160,7 +160,6 @@ class Network final : public core::ChannelStatus {
     assert(len == 0 || bucket[len - 1].link < id);  // one per link, ascending
     bucket[len++] = VcRef{id, vc};
     ++wire_flits_;
-    ++l.flits_carried;
     ++d.occupancy;
     progress_[static_cast<std::size_t>(id) * params_.num_vcs + vc] = now;
     ++u.out_count;
@@ -285,8 +284,8 @@ class Network final : public core::ChannelStatus {
     assert(link < num_net_links_);
     assert(!dead ||
            (links_[link].active_vc_mask == 0 && !wire_carries(link)));
-    vc_field_[link] =
-        dead ? 0 : static_cast<std::uint8_t>((1u << params_.num_vcs) - 1u);
+    vc_field_[link] = static_cast<std::uint8_t>(
+        dead ? 0u : (1u << params_.num_vcs) - 1u);
     free_mask_[link] =
         static_cast<std::uint8_t>(~links_[link].active_vc_mask) &
         vc_field_[link];

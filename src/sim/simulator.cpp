@@ -153,9 +153,7 @@ void Simulator::step() {
   scan_.active_nodes_sum +=
       cfg_.core == SimCore::Active ? inject_nodes_.size() : 0;
   if (t % kQueueSamplePeriod == 0) {
-    const std::size_t total = queues_.total();
-    collector_.on_queue_sample(total);
-    if (timeseries_) timeseries_->on_queue_sample(t, total);
+    collector_.on_queue_sample(queues_.total());
     if (spatial_) {
       for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
         spatial_->on_queue_sample(node, queues_.size(node));
@@ -331,7 +329,6 @@ void Simulator::eject_node(NodeId node, Cycle t) {
       fc_on_drained(net_.vc_flat_index(port.src), t);
     }
     collector_.on_flits_ejected(t, 1);
-    if (timeseries_) timeseries_->on_flits_ejected(t, 1);
     if (online_) online_->on_flits_ejected(1);
     if (spatial_) spatial_->on_ejected_flit(node);
     if (u.out_count == u.msg_length) {
@@ -549,7 +546,8 @@ void Simulator::transmit_link(LinkId l, Cycle t, unsigned vcs, unsigned cap) {
     if (!fc_may_send(slot_base + vcn, w.occupancy, cap)) continue;
     assert(u.out_kind == VcState::OutKind::Vc && (u.out == VcRef{l, vcn}));
     const VcRef up = w.upstream;  // transmit may clear it when the tail leaves
-    const bool freed = net_.transmit_flit(link, l, vcn, w, u, t);
+    const bool freed = net_.transmit_flit(l, vcn, w, u, t);
+    if (spatial_) spatial_->on_link_flit(l);
     fc_on_sent(slot_base + vcn, t);
     if (!net_.is_injection(up.link)) {
       fc_on_drained(net_.vc_flat_index(up), t);
@@ -696,7 +694,6 @@ void Simulator::inject_node(NodeId node, Cycle t) {
     activate(id);
     start_injection(node, static_cast<unsigned>(ch), id, t);
     collector_.on_injected(node, t, /*counts_fairness=*/true);
-    if (timeseries_) timeseries_->on_injected(t);
     if (online_) online_->on_injected();
     limiter_->on_injected(node, t);
   }
@@ -796,7 +793,6 @@ void Simulator::absorb_deadlocked(MsgId id, Cycle t) {
   ++m.deadlock_detections;
   ++deadlock_events_;
   collector_.on_deadlock(t);
-  if (timeseries_) timeseries_->on_deadlock(t);
   if (online_) online_->on_deadlock();
 
   const NodeId absorb_node = net_.link(m.head.link).dst;
@@ -977,9 +973,6 @@ void Simulator::apply_faults(Cycle t) {
 void Simulator::deliver(MsgId id, Cycle t) {
   const Message& m = pool_[id];
   collector_.on_delivered(m.gen_time, t, m.measured);
-  if (timeseries_) {
-    timeseries_->on_delivered(t, static_cast<double>(t - m.gen_time));
-  }
   if (online_) online_->on_delivered(t - m.gen_time, m.measured);
   ++delivered_;
   deactivate(id);
@@ -1222,13 +1215,6 @@ bool Simulator::check_fault_invariants(std::string* why) const {
     }
   }
   return true;
-}
-
-void Simulator::finish_spatial() {
-  if (!spatial_) return;
-  for (LinkId l = 0; l < net_.num_net_links(); ++l) {
-    spatial_->set_link_flits(l, net_.link(l).flits_carried);
-  }
 }
 
 // --- Run protocol -----------------------------------------------------

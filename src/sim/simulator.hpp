@@ -49,7 +49,6 @@
 #include "metrics/collector.hpp"
 #include "metrics/online/online_stats.hpp"
 #include "metrics/spatial.hpp"
-#include "metrics/timeseries.hpp"
 #include "obs/tracer.hpp"
 #include "routing/routing.hpp"
 #include "routing/routing_lut.hpp"
@@ -217,17 +216,6 @@ class Simulator {
   traffic::Workload* workload() noexcept { return workload_.get(); }
   const metrics::Collector& collector() const noexcept { return collector_; }
 
-  /// Record per-interval dynamics (accepted traffic, latency, deadlocks,
-  /// queue depth) from now on; pass 0 to disable. Survives run().
-  void enable_timeseries(Cycle interval_cycles) {
-    timeseries_ = interval_cycles
-                      ? std::make_unique<metrics::TimeSeries>(interval_cycles)
-                      : nullptr;
-  }
-  const metrics::TimeSeries* timeseries() const noexcept {
-    return timeseries_.get();
-  }
-
   /// Attach an event tracer (nullptr detaches). Observation only: every
   /// hook is a branch-on-null, results are bit-identical with or
   /// without it, and the instrumented-off hot path stays unchanged
@@ -236,16 +224,12 @@ class Simulator {
   obs::Tracer* tracer() const noexcept { return tracer_; }
 
   /// Attach per-channel/per-node spatial metrics (nullptr detaches).
-  /// Counters are fed incrementally plus a periodic link-occupancy
-  /// sweep; call `finish_spatial()` after the run to copy the
-  /// cumulative link flit counters in.
+  /// Counters, per-link flit counts included, are fed incrementally
+  /// while attached, plus a periodic link-occupancy sweep.
   void set_spatial(metrics::SpatialMetrics* spatial) noexcept {
     spatial_ = spatial;
   }
   metrics::SpatialMetrics* spatial() const noexcept { return spatial_; }
-  /// Copy end-of-run link utilization counters into the attached
-  /// SpatialMetrics (no-op when none is attached).
-  void finish_spatial();
 
   /// Attach streaming online statistics (nullptr detaches): latency
   /// histogram, windowed time series, saturation-onset detector and the
@@ -505,7 +489,6 @@ class Simulator {
   std::unique_ptr<fault::FaultManager> faults_;
   deadlock::RecoveryManager recovery_;
   metrics::Collector collector_;
-  std::unique_ptr<metrics::TimeSeries> timeseries_;
   obs::Tracer* tracer_ = nullptr;            // non-owning; null = off
   metrics::SpatialMetrics* spatial_ = nullptr;  // non-owning; null = off
   metrics::OnlineStats* online_ = nullptr;      // non-owning; null = off

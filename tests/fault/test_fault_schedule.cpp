@@ -68,7 +68,9 @@ TEST(FaultMask, NodeKillLayersOverLinkState) {
     EXPECT_TRUE(mask.link_dead(node, c));
     const topo::NodeId nbr = t.neighbor(node, c);
     EXPECT_TRUE(mask.link_dead(nbr, c ^ 1));
-    if (c != 0) EXPECT_FALSE(mask.link_killed(node, c));
+    if (c != 0) {
+      EXPECT_FALSE(mask.link_killed(node, c));
+    }
   }
 
   // Restoring the node revives exactly the links not killed outright.

@@ -13,7 +13,7 @@
 #include "../sim/sim_test_util.hpp"
 #include "../support/invariants.hpp"
 #include "fault/schedule.hpp"
-#include "metrics/timeseries.hpp"
+#include "metrics/online/online_stats.hpp"
 #include "sim/flow_control.hpp"
 
 namespace wormsim::sim {
@@ -43,24 +43,24 @@ TEST_P(FaultTransientSoak, BurstyThroughputRecoversAfterLinkKills) {
   wcfg.length.fixed = 16;
   auto workload = std::make_unique<traffic::Workload>(topo, wcfg, 0xB5E5);
   Simulator sim(topo, cfg, std::move(workload));
-  sim.enable_timeseries(kInterval);
+  metrics::OnlineConfig online_cfg;
+  online_cfg.window_cycles = kInterval;
+  metrics::OnlineStats online(topo.num_nodes(), online_cfg);
+  sim.set_online(&online);
 
   sim.step_cycles(kSoakCycles);
   ASSERT_EQ(sim.fault_events_applied(), 2u);
   ASSERT_EQ(sim.lut_rebuilds(), 1u);
   ASSERT_TRUE(testing::check_all_invariants(sim));
 
-  const metrics::TimeSeries* ts = sim.timeseries();
-  ASSERT_NE(ts, nullptr);
-  const std::uint32_t nodes = topo.num_nodes();
+  const double nodes = topo.num_nodes();
   const auto mean_accepted = [&](std::uint64_t from, std::uint64_t to) {
     double sum = 0.0;
     unsigned count = 0;
-    const auto& intervals = ts->intervals();
-    for (std::size_t i = 0; i < intervals.size(); ++i) {
-      const std::uint64_t start = intervals[i].start_cycle;
-      if (start >= from && start + kInterval <= to) {
-        sum += ts->accepted(i, nodes);
+    for (const metrics::Window& w : online.windows()) {
+      if (w.start_cycle >= from && w.start_cycle + kInterval <= to) {
+        sum += static_cast<double>(w.accepted_flits) /
+               (static_cast<double>(w.cycles) * nodes);
         ++count;
       }
     }
@@ -82,9 +82,9 @@ INSTANTIATE_TEST_SUITE_P(Schemes, FaultTransientSoak,
                          ::testing::Values(FlowControl::Wormhole,
                                            FlowControl::Credit,
                                            FlowControl::Vct),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            return std::string(
-                               flow_control_name(info.param));
+                               flow_control_name(param_info.param));
                          });
 
 }  // namespace

@@ -127,7 +127,7 @@ TEST(Presets, MemoryEstimatePinsNetworkBytes) {
   EXPECT_EQ(config::estimate_memory(cfg).network_bytes,
             (net_links + inj_links) * sizeof(sim::Link) + slots * (32 + 8) +
                 3 * net_links * 4 + 512 * 4 * sizeof(sim::EjectPort));
-  EXPECT_LE(sizeof(sim::Link), 32u);
+  EXPECT_EQ(sizeof(sim::Link), 12u);
 }
 
 /// status_bytes: free and admissible masks per network link, the route

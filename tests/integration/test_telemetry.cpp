@@ -10,13 +10,16 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/presets.hpp"
 #include "harness/sweep.hpp"
 #include "harness/telemetry.hpp"
 #include "obs/tracer.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -222,6 +225,55 @@ TEST(Telemetry, CaptureSpatialWritesParseableCsvs) {
     in.close();
     std::remove(path.c_str());
   }
+}
+
+/// Parse `argv` (program name first) and attach the session to a spec;
+/// returns the profiler period the sweep would run with.
+std::uint64_t session_profile_period(std::vector<const char*> argv) {
+  const util::ArgParser args(static_cast<int>(argv.size()), argv.data());
+  ObsSession session(args);
+  args.reject_unknown();
+  SweepSpec spec;
+  session.attach(spec);
+  return spec.online_config.profile_period;
+}
+
+/// A bad observability flag fails in the ObsSession constructor, before
+/// any sweep runs, with an error that names the flag.
+TEST(Telemetry, ObsSessionRejectsBadFlagsByName) {
+  const std::vector<std::pair<std::vector<const char*>, std::string>> bad = {
+      {{"prog", "--profile", "abc"}, "--profile"},
+      {{"prog", "--profile", "12x"}, "--profile"},
+      {{"prog", "--profile", "-1"}, "--profile"},
+      {{"prog", "--spatial-limiter", "bogus"}, "--spatial-limiter"},
+      {{"prog", "--spatial-load", "nan"}, "--spatial-load"},
+      {{"prog", "--spatial-load", "inf"}, "--spatial-load"},
+      {{"prog", "--spatial-load", "-0.5"}, "--spatial-load"},
+  };
+  for (const auto& [argv, flag] : bad) {
+    SCOPED_TRACE(std::string(argv[1]) + " " + argv[2]);
+    try {
+      session_profile_period(argv);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Telemetry, ObsSessionProfileFlagForms) {
+  EXPECT_EQ(session_profile_period({"prog", "--timeseries-out", "x"}), 0u);
+  EXPECT_EQ(
+      session_profile_period({"prog", "--timeseries-out", "x", "--profile"}),
+      64u);
+  EXPECT_EQ(session_profile_period(
+                {"prog", "--timeseries-out", "x", "--profile", "12"}),
+            12u);
+  EXPECT_EQ(session_profile_period({"prog", "--timeseries-out", "x",
+                                    "--spatial-limiter", "alo",
+                                    "--spatial-load", "0"}),
+            0u);
 }
 
 }  // namespace

@@ -244,7 +244,7 @@ void feed_window(OnlineStats& s, std::uint64_t index, std::uint64_t offered,
   s.on_generated(offered);
   s.on_flits_ejected(accepted);
   // A spread of delivery latencies so window p99 is meaningful.
-  for (int i = 0; i < 16; ++i) s.on_delivered(20 + i, true);
+  for (std::uint64_t i = 0; i < 16; ++i) s.on_delivered(20 + i, true);
   WindowSample sample;
   sample.free_vcs = free_vcs;
   sample.total_vcs = total_vcs;
@@ -391,6 +391,17 @@ TEST(SaturationDetector, FinishFlushesPartialWindowOnce) {
   EXPECT_EQ(s.windows()[0].start_cycle, 0u);
   EXPECT_EQ(s.windows()[0].cycles, 42u);
   EXPECT_EQ(s.windows()[0].offered_flits, 10u);
+}
+
+/// A zero window width is clamped to one cycle: every cycle closes a
+/// window instead of none ever closing.
+TEST(SaturationDetector, ZeroWindowClampedToOne) {
+  OnlineConfig cfg = detector_config();
+  cfg.window_cycles = 0;
+  OnlineStats s(64, cfg);
+  EXPECT_EQ(s.config().window_cycles, 1u);
+  EXPECT_TRUE(s.window_closes(0));
+  EXPECT_TRUE(s.window_closes(7));
 }
 
 TEST(SaturationDetector, ProfileDueRespectsPeriod) {

@@ -56,7 +56,7 @@ TEST(SpatialMetrics, ResetClearsEverything) {
   sm.on_injected(0);
   sm.on_queue_sample(0, 9);
   sm.on_link_occupancy_sample(3, 2);
-  sm.set_link_flits(3, 1234);
+  for (int i = 0; i < 1234; ++i) sm.on_link_flit(3);
   sm.reset();
   EXPECT_EQ(sm.node_injected(0), 0u);
   EXPECT_DOUBLE_EQ(sm.node_queue_avg(0), 0.0);
@@ -71,7 +71,7 @@ TEST(SpatialMetrics, ChannelCsvShapeAndUtilization) {
   SpatialMetrics sm(topo.num_nodes(),
                     static_cast<std::uint32_t>(topo.num_links()),
                     /*num_vcs=*/3);
-  sm.set_link_flits(0, 500);
+  for (int i = 0; i < 500; ++i) sm.on_link_flit(0);
 
   std::ostringstream os;
   sm.write_channel_csv(os, topo, /*cycles=*/1000);

@@ -71,10 +71,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          Algorithm::Duato),
                        ::testing::Values(2u, 3u, 4u, 5u),
                        ::testing::Values(1u, 2u, 3u)),
-    [](const auto& info) {
-      return std::string(algorithm_name(std::get<0>(info.param))) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "n" +
-             std::to_string(std::get<2>(info.param));
+    [](const auto& param_info) {
+      return std::string(algorithm_name(std::get<0>(param_info.param))) + "_k" +
+             std::to_string(std::get<1>(param_info.param)) + "n" +
+             std::to_string(std::get<2>(param_info.param));
     });
 
 /// Larger network, more VCs (distinct Duato adaptive/escape split),

@@ -83,6 +83,29 @@ void expect_results_identical(const metrics::SimResult& d,
 
 void expect_networks_equal(const Simulator& ds, const Simulator& as, Cycle at);
 
+/// Per-link flit counts for a lock-step pair: a SpatialMetrics attached
+/// to each simulator for its lifetime, compared link by link in
+/// expect_networks_equal.
+class LinkCounters {
+ public:
+  LinkCounters(Simulator& dense, Simulator& active)
+      : dense_(counters_for(dense)), active_(counters_for(active)) {
+    dense.set_spatial(&dense_);
+    active.set_spatial(&active_);
+  }
+  LinkCounters(const LinkCounters&) = delete;
+  LinkCounters& operator=(const LinkCounters&) = delete;
+
+ private:
+  static metrics::SpatialMetrics counters_for(const Simulator& sim) {
+    return metrics::SpatialMetrics(sim.topology().num_nodes(),
+                                   sim.network().num_net_links(),
+                                   sim.network().params().num_vcs);
+  }
+
+  metrics::SpatialMetrics dense_, active_;
+};
+
 /// The full differential matrix the PR promises: every limitation
 /// mechanism under three traffic patterns at a low, a near-saturation
 /// and an oversaturated load, as one sweep per core per pattern. The
@@ -124,8 +147,9 @@ INSTANTIATE_TEST_SUITE_P(Patterns, CoreEquivalence,
                          ::testing::Values(traffic::PatternKind::Uniform,
                                            traffic::PatternKind::Complement,
                                            traffic::PatternKind::BitReversal),
-                         [](const auto& info) {
-                           std::string name(traffic::pattern_name(info.param));
+                         [](const auto& param_info) {
+                           std::string name(
+                               traffic::pattern_name(param_info.param));
                            // gtest param names must be alphanumeric.
                            std::erase_if(name,
                                          [](char c) { return !std::isalnum(
@@ -436,6 +460,7 @@ TEST_P(FlowControlLockStep, ChannelStateAgreesEveryCycle) {
   };
   auto dense = make(SimCore::Dense);
   auto active = make(SimCore::Active);
+  const LinkCounters counters(*dense, *active);
 
   for (int block = 0; block < 200; ++block) {
     for (int i = 0; i < 10; ++i) {
@@ -465,9 +490,9 @@ INSTANTIATE_TEST_SUITE_P(Schemes, FlowControlLockStep,
                          ::testing::Values(FlowControl::Wormhole,
                                            FlowControl::Credit,
                                            FlowControl::Vct),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            return std::string(
-                               flow_control_name(info.param));
+                               flow_control_name(param_info.param));
                          });
 
 /// Observability must observe, never participate: attaching a tracer
@@ -524,8 +549,6 @@ void expect_networks_equal(const Simulator& ds, const Simulator& as,
     ASSERT_EQ(dl.active_vc_mask, al.active_vc_mask)
         << "link " << l << " cycle " << at;
     ASSERT_EQ(dl.rr_next, al.rr_next) << "link " << l << " cycle " << at;
-    ASSERT_EQ(dl.flits_carried, al.flits_carried)
-        << "link " << l << " cycle " << at;
     for (unsigned v = 0; v < d.vcs_on(l); ++v) {
       const VcRef ref{l, static_cast<std::uint8_t>(v)};
       const VcState& dv = d.vc(ref);
@@ -547,6 +570,13 @@ void expect_networks_equal(const Simulator& ds, const Simulator& as,
       ASSERT_EQ(dv.pending_route, av.pending_route)
           << "vc " << l << "/" << v << " cycle " << at;
     }
+  }
+  // Every network link carried the same number of flits so far.
+  ASSERT_NE(ds.spatial(), nullptr);
+  ASSERT_NE(as.spatial(), nullptr);
+  for (LinkId l = 0; l < d.num_net_links(); ++l) {
+    ASSERT_EQ(ds.spatial()->link_flits(l), as.spatial()->link_flits(l))
+        << "link " << l << " cycle " << at;
   }
   // The wire: the same flits toward the same VCs, due in the same
   // cycles, in the same order.
@@ -574,6 +604,7 @@ TEST_P(LockStep, ChannelStateAgreesEveryCycle) {
   };
   auto dense = make(SimCore::Dense);
   auto active = make(SimCore::Active);
+  const LinkCounters counters(*dense, *active);
 
   for (int block = 0; block < 300; ++block) {
     for (int i = 0; i < 10; ++i) {
@@ -609,9 +640,9 @@ INSTANTIATE_TEST_SUITE_P(Limiters, LockStep,
                                            core::LimiterKind::ALO,
                                            core::LimiterKind::LF,
                                            core::LimiterKind::DRIL),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            return std::string(
-                               core::limiter_name(info.param));
+                               core::limiter_name(param_info.param));
                          });
 
 /// The fault subsystem at rest must be invisible: a sweep whose base
@@ -685,6 +716,7 @@ TEST_P(FaultLockStep, AgreesThroughFaultTransients) {
   };
   auto dense = make(SimCore::Dense);
   auto active = make(SimCore::Active);
+  const LinkCounters counters(*dense, *active);
 
   for (int block = 0; block < 250; ++block) {
     for (int i = 0; i < 10; ++i) {
@@ -712,9 +744,9 @@ INSTANTIATE_TEST_SUITE_P(Schemes, FaultLockStep,
                          ::testing::Values(FlowControl::Wormhole,
                                            FlowControl::Credit,
                                            FlowControl::Vct),
-                         [](const auto& info) {
+                         [](const auto& param_info) {
                            return std::string(
-                               flow_control_name(info.param));
+                               flow_control_name(param_info.param));
                          });
 
 /// A mid-run offered-load change (the epoch path): dense re-polls
@@ -733,6 +765,7 @@ TEST(CoreEquivalence, LoadChangeMidRunStaysIdentical) {
   };
   auto dense = make(SimCore::Dense);
   auto active = make(SimCore::Active);
+  const LinkCounters counters(*dense, *active);
   const auto lockstep = [&](Cycle cycles) {
     for (Cycle i = 0; i < cycles; ++i) {
       dense->step();

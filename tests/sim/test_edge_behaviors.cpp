@@ -18,6 +18,9 @@ TEST(EdgeBehavior, WraparoundPathIsMinimal) {
   // 7 -> 1 on an 8-ring: minimal route crosses the wraparound (2 hops
   // Plus), not the 6-hop interior path.
   auto sim = make_sim(8, 1);
+  metrics::SpatialMetrics spatial(8, sim->network().num_net_links(),
+                                  sim->config().net.num_vcs);
+  sim->set_spatial(&spatial);
   sim->push_message(7, 1, 16);
   ASSERT_TRUE(run_until_delivered(*sim, 1, 1000));
   const auto r = sim->collector().finish(8);
@@ -26,7 +29,7 @@ TEST(EdgeBehavior, WraparoundPathIsMinimal) {
   // The wrap link 7->0 (dim 0 Plus) carried all 16 flits.
   const auto wrap = sim->network().net_link(
       7, topo::make_channel(0, topo::Dir::Plus));
-  EXPECT_EQ(sim->network().link(wrap).flits_carried, 16u);
+  EXPECT_EQ(spatial.link_flits(wrap), 16u);
 }
 
 TEST(EdgeBehavior, DorCrossesDatelineWithoutDeadlockDetectionArmed) {
