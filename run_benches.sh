@@ -18,7 +18,9 @@ python3 tools/check_bench.py --self-test || status=1
 # multi-threaded tracer must be provably race-free before any parallel
 # sweep number means anything. ASan+UBSan runs the simulator, deadlock,
 # fault, traffic, metrics, integration and util test binaries, so
-# lifetime, bounds and undefined-behaviour bugs fail here first.
+# lifetime, bounds and undefined-behaviour bugs fail here first. Its
+# tree also builds with -Werror, so a new warning in src/ or in those
+# seven test binaries fails the preflight.
 # WORMSIM_SKIP_TSAN_PREFLIGHT=1 skips both, e.g. on hosts without
 # sanitizer runtime support.
 if [ "${WORMSIM_SKIP_TSAN_PREFLIGHT:-0}" != "1" ]; then
@@ -31,7 +33,7 @@ if [ "${WORMSIM_SKIP_TSAN_PREFLIGHT:-0}" != "1" ]; then
   asan_tests="test_util test_sim test_deadlock test_fault test_traffic"
   asan_tests="$asan_tests test_metrics test_integration"
   if cmake -B build-asan -S . -DWORMSIM_ASAN=ON -DWORMSIM_UBSAN=ON \
-       >/dev/null \
+       -DCMAKE_CXX_FLAGS=-Werror >/dev/null \
      && cmake --build build-asan -j --target $asan_tests >/dev/null; then
     for t in $asan_tests; do
       UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \

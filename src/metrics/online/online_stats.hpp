@@ -98,6 +98,12 @@ class OnlineStats {
   }
   void on_deadlock() noexcept { ++cur_.deadlocks; }
 
+  /// Start the current window at cycle `t`, with `credit_messages` as
+  /// the running credit count it is measured from (the attach point).
+  void start_window(Cycle t, std::uint64_t credit_messages) noexcept {
+    cur_start_ = t;
+    last_credit_messages_ = credit_messages;
+  }
   /// True when cycle t is the last cycle of the current window.
   bool window_closes(Cycle t) const noexcept {
     return (t + 1) % cfg_.window_cycles == 0;

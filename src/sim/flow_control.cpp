@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/network.hpp"
-
 namespace wormsim::sim {
 
 FlowControl parse_flow_control(std::string_view name) {
@@ -31,9 +29,8 @@ bool fail(std::string* why, const std::string& msg) {
   return false;
 }
 
-/// Buffer sanity every scheme guarantees: no VC holds more flits than
-/// its capacity, counters never run backwards, and the credit-tracked
-/// occupancy covers everything actually buffered.
+}  // namespace
+
 bool check_buffers(const Network& net, std::string* why) {
   const unsigned cap = net.params().buf_flits;
   const unsigned vcs = net.params().num_vcs;
@@ -61,29 +58,22 @@ bool check_buffers(const Network& net, std::string* why) {
   return true;
 }
 
-}  // namespace
-
-bool FlowControlScheme::check(const Network& net, std::string* why) const {
-  return check_buffers(net, why);
-}
-
-bool CreditFlowControl::check(const Network& net, std::string* why) const {
-  if (!check_buffers(net, why)) return false;
+bool CreditFlowControl::check(std::string* why) const {
+  const Network& net = *net_;
   const unsigned cap = net.params().buf_flits;
-  const unsigned vcs = net.params().num_vcs;
   // Credit conservation per network slot: credits consumed equal the
   // flits the downstream buffer still accounts for (buffered plus in
   // flight toward it) plus the returns currently on the wire for the
   // live generation.
   const std::size_t net_slots =
-      static_cast<std::size_t>(net.num_net_links()) * vcs;
+      static_cast<std::size_t>(net.num_net_links()) * vcs_;
   std::vector<std::uint32_t> pending(net_slots, 0);
   returns_.for_each(0, [&](const PendingReturn& r) {
     if (r.slot < net_slots && gen_[r.slot] == r.gen) ++pending[r.slot];
   });
   for (std::size_t slot = 0; slot < net_slots; ++slot) {
-    const auto l = static_cast<LinkId>(slot / vcs);
-    const auto v = static_cast<std::uint8_t>(slot % vcs);
+    const auto l = static_cast<LinkId>(slot / vcs_);
+    const auto v = static_cast<std::uint8_t>(slot % vcs_);
     const VcState& w = net.vc({l, v});
     if (in_use_[slot] > cap) {
       return fail(why, "credit overdraft: in_use " +
@@ -109,20 +99,6 @@ bool CreditFlowControl::check(const Network& net, std::string* why) const {
     }
   }
   return true;
-}
-
-std::unique_ptr<FlowControlScheme> make_flow_control(
-    const FlowControlConfig& cfg, std::size_t num_slots) {
-  switch (cfg.scheme) {
-    case FlowControl::Wormhole:
-      return std::make_unique<WormholeFlowControl>();
-    case FlowControl::Credit:
-      return std::make_unique<CreditFlowControl>(num_slots,
-                                                 cfg.credit_return_delay);
-    case FlowControl::Vct:
-      return std::make_unique<VctFlowControl>();
-  }
-  throw std::invalid_argument("invalid flow-control scheme");
 }
 
 }  // namespace wormsim::sim

@@ -78,15 +78,12 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
   // every visit afresh, so core equivalence differentially checks it.
   memo_on_ = cfg_.core == SimCore::Active && cfg_.fastpath.route_memo;
   if (memo_on_) head_route_.resize(topo_.num_nodes());
-  flow_ = make_flow_control(cfg_.flow, net_.num_vc_slots());
-  fc_tracks_ = flow_->tracks_flits();
-  fc_vetoes_ = flow_->veto_sends();
-  fc_admits_ = flow_->gates_admission();
-  if (flow_->kind() == FlowControl::Credit) {
-    credit_status_ = std::make_unique<CreditChannelStatus>(
-        net_, static_cast<const CreditFlowControl&>(*flow_));
-    status_ = credit_status_.get();
+  if (cfg_.flow.scheme == FlowControl::Credit) {
+    credit_ = std::make_unique<CreditFlowControl>(
+        net_, cfg_.flow.credit_return_delay);
+    status_ = credit_.get();
   }
+  vct_ = cfg_.flow.scheme == FlowControl::Vct;
 }
 
 void Simulator::enqueue_source(NodeId node, NodeId dst, std::uint32_t length,
@@ -137,7 +134,7 @@ void Simulator::step() {
   scan_.cycles += 1;
   scan_.scan_total += net_.num_net_links() +
                       3 * static_cast<std::uint64_t>(topo_.num_nodes());
-  if (fc_tracks_) flow_->begin_cycle(t);
+  if (credit_) credit_->begin_cycle(t);
   if (online_ && online_->profile_due(t)) {
     run_phases_profiled(t);
   } else {
@@ -211,7 +208,7 @@ metrics::WindowSample Simulator::online_sample() {
   s.free_vcs = free_vcs;
   s.total_vcs = static_cast<std::uint64_t>(topo_.num_nodes()) * chans * vcs;
   s.queue_total = queues_.total();
-  s.credit_messages = flow_->credit_messages();
+  s.credit_messages = credit_messages();
   return s;
 }
 
@@ -325,8 +322,8 @@ void Simulator::eject_node(NodeId node, Cycle t) {
     // injection VC, which sits outside the credit loop (a recovery
     // re-injection at the absorb node can eject straight from one when
     // that node happens to be the destination).
-    if (!net_.is_injection(port.src.link)) {
-      fc_on_drained(net_.vc_flat_index(port.src), t);
+    if (credit_ && !net_.is_injection(port.src.link)) {
+      credit_->on_flit_drained(net_.vc_flat_index(port.src), t);
     }
     collector_.on_flits_ejected(t, 1);
     if (online_) online_->on_flits_ejected(1);
@@ -449,7 +446,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
   // selection. The verdict is a constant of the tenancy, so the entry
   // records it and stays blocked on it.
   if (!still_blocked) {
-    e.refused = !fc_admit(v.msg_length, net_.params().buf_flits);
+    e.refused = vct_ && v.msg_length > net_.params().buf_flits;
     if (!e.refused) {
       pick = selector_.select(route(), net_.free_mask_row(node),
                               alloc_rr_[node]);
@@ -535,22 +532,23 @@ void Simulator::transmit_link(LinkId l, Cycle t, unsigned vcs, unsigned cap) {
     const unsigned bit = static_cast<unsigned>(std::countr_zero(m));
     const auto vcn = static_cast<std::uint8_t>(bit < vcs ? bit : bit - vcs);
     VcState& w = row[vcn];
-    // Cheap structural checks first; the scheme veto runs last so it is
-    // consulted only when a send is otherwise possible (every scheme's
-    // may_send implies occupancy < cap, so the physical-space check is
-    // a pure pre-filter, not a semantic change).
+    // Cheap structural checks first; the credit veto runs last so it is
+    // consulted only when a send is otherwise possible (credits can
+    // veto a send occupancy allows, never permit one it forbids).
     if (w.occupancy >= cap) continue;
     if (!w.upstream.valid()) continue;
     VcState& u = net_.vc(w.upstream);
     if (u.buffered() == 0) continue;
-    if (!fc_may_send(slot_base + vcn, w.occupancy, cap)) continue;
+    if (credit_ && !credit_->may_send(slot_base + vcn, cap)) continue;
     assert(u.out_kind == VcState::OutKind::Vc && (u.out == VcRef{l, vcn}));
     const VcRef up = w.upstream;  // transmit may clear it when the tail leaves
     const bool freed = net_.transmit_flit(l, vcn, w, u, t);
     if (spatial_) spatial_->on_link_flit(l);
-    fc_on_sent(slot_base + vcn, t);
-    if (!net_.is_injection(up.link)) {
-      fc_on_drained(net_.vc_flat_index(up), t);
+    if (credit_) {
+      credit_->on_flit_sent(slot_base + vcn);
+      if (!net_.is_injection(up.link)) {
+        credit_->on_flit_drained(net_.vc_flat_index(up), t);
+      }
     }
     if (freed && tracer_) {
       tracer_->record(t, obs::EventKind::VcRelease, up.link, up.vc, 0, w.msg);
@@ -776,7 +774,7 @@ void Simulator::teardown_worm(MsgId id, Cycle t) {
     net_.force_free(cur);
     // The slot's buffered and in-flight flits just vanished: restore
     // its full credit stock and invalidate returns still on the wire.
-    fc_on_reset(net_.vc_flat_index(cur));
+    if (credit_) credit_->on_slot_reset(net_.vc_flat_index(cur));
     if (tracer_) {
       tracer_->record(t, obs::EventKind::VcRelease, cur.link, cur.vc, 0, id);
     }
@@ -813,8 +811,7 @@ void Simulator::count_lost(bool measured) {
   collector_.on_lost(measured);
 }
 
-void Simulator::drop_active_message(MsgId id, Cycle t) {
-  (void)t;
+void Simulator::drop_active_message(MsgId id) {
   count_lost(pool_[id].measured);
   deactivate(id);
   pool_.release(id);
@@ -886,7 +883,7 @@ void Simulator::purge_undeliverable(Cycle t) {
       const NodeId here = net_.link(m.head.link).dst;
       if (!deliverable(here, m.dst)) {
         teardown_worm(id, t);
-        drop_active_message(id, t);
+        drop_active_message(id);
         continue;
       }
     }
@@ -900,10 +897,7 @@ void Simulator::purge_undeliverable(Cycle t) {
         return !deliverable(node, pool_[id].dst);
       },
       purge_buf_);
-  for (const auto& [node, id] : purge_buf_) {
-    (void)node;
-    drop_active_message(id, t);
-  }
+  for (const auto& [node, id] : purge_buf_) drop_active_message(id);
   // Source-queued messages to dead or unreachable destinations (a dead
   // node's own queue was already cleared by kill_node_state).
   for (NodeId node = 0; node < topo_.num_nodes(); ++node) {

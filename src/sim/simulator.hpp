@@ -235,7 +235,11 @@ class Simulator {
   /// histogram, windowed time series, saturation-onset detector and the
   /// optional phase profiler. Same contract as the tracer: every hook
   /// branches on null and attaching never changes simulation results.
-  void set_online(metrics::OnlineStats* online) noexcept { online_ = online; }
+  /// The recorder's current window starts at the attach cycle.
+  void set_online(metrics::OnlineStats* online) noexcept {
+    online_ = online;
+    if (online_) online_->start_window(cycle_, credit_messages());
+  }
   metrics::OnlineStats* online() const noexcept { return online_; }
   /// Flush the final (possibly partial) recording window into the
   /// attached OnlineStats (no-op when none is attached).
@@ -267,10 +271,14 @@ class Simulator {
   /// under Credit additionally per-slot credit conservation (credits
   /// consumed == occupancy + returns on the wire). Same convention.
   bool check_flow_control(std::string* why = nullptr) const {
-    return flow_->check(net_, why);
+    return check_buffers(net_, why) && (!credit_ || credit_->check(why));
   }
 
-  const FlowControlScheme& flow_control() const noexcept { return *flow_; }
+  /// Buffer-management messages (credit returns) sent so far; 0 unless
+  /// the scheme is Credit.
+  std::uint64_t credit_messages() const noexcept {
+    return credit_ ? credit_->credit_messages() : 0;
+  }
 
   std::size_t messages_in_flight() const noexcept { return active_.size(); }
   std::size_t source_queue_len(NodeId node) const noexcept {
@@ -406,35 +414,6 @@ class Simulator {
     expand_route(h.code, route_buf_);
   }
 
-  // --- Flow-control gates and hooks (see flow_control.hpp): every one
-  // goes through the FlowControlScheme interface, minus the calls the
-  // scheme declared it never needs (resolved once at construction).
-
-  /// May one more flit advance toward VC slot `slot`? The caller has
-  /// already checked occupancy < cap, so schemes whose gate is exactly
-  /// that test (veto_sends() false) are never consulted.
-  bool fc_may_send(std::size_t slot, std::uint8_t occupancy,
-                   unsigned cap) const {
-    return !fc_vetoes_ || flow_->may_send(slot, occupancy, cap);
-  }
-  /// May a header claim a free downstream VC for this packet? Schemes
-  /// that admit unconditionally (gates_admission() false) skip the
-  /// per-claim call entirely.
-  bool fc_admit(std::uint32_t msg_length, unsigned cap) const {
-    return !fc_admits_ || flow_->admit(msg_length, cap);
-  }
-  // The per-flit event hooks are gated on tracks_flits(): stateless
-  // schemes never pay a virtual call per flit.
-  void fc_on_sent(std::size_t slot, Cycle t) {
-    if (fc_tracks_) flow_->on_flit_sent(slot, t);
-  }
-  void fc_on_drained(std::size_t slot, Cycle t) {
-    if (fc_tracks_) flow_->on_flit_drained(slot, t);
-  }
-  void fc_on_reset(std::size_t slot) {
-    if (fc_tracks_) flow_->on_slot_reset(slot);
-  }
-
   /// Append `ref`'s new header to the route-pending list; `node` is the
   /// router it waits at (the link's dst, known to both callers).
   void enroll_for_routing(VcRef ref, NodeId node, Cycle t);
@@ -469,7 +448,7 @@ class Simulator {
   bool deliverable(NodeId from, NodeId dst) const;
   void count_lost(bool measured);
   /// Deactivate + release an in-network/recovery message as lost.
-  void drop_active_message(MsgId id, Cycle t);
+  void drop_active_message(MsgId id);
 
   topo::KAryNCube topo_;
   SimulatorConfig cfg_;
@@ -541,18 +520,17 @@ class Simulator {
 
   bool memo_on_ = false;  // active core && fastpath.route_memo
 
-  // --- Flow control (resolved once at construction) --------------------
-  std::unique_ptr<FlowControlScheme> flow_;
-  bool fc_tracks_ = false;  // scheme consumes the per-flit event stream
-  bool fc_vetoes_ = true;   // scheme's may_send can veto past occupancy
-  bool fc_admits_ = true;   // scheme's admit can reject a VC claim
+  // --- Flow control (see flow_control.hpp) -----------------------------
+  /// The credit loop; null unless the scheme is Credit. Wormhole's gate
+  /// is the transmit loop's occupancy < cap test itself.
+  std::unique_ptr<CreditFlowControl> credit_;
+  bool vct_ = false;  // VCT's whole-packet admission gates VC claims
   /// The VC status register the limiters and the Figure-2 probe read:
-  /// the Network itself, or under Credit a view of it in which VCs with
-  /// outstanding credits read as busy (a channel is only completely
+  /// the Network itself, or under Credit the credit loop, in which VCs
+  /// with outstanding credits read as busy (a channel is only completely
   /// free once its credits came home). Selection reads the raw row —
   /// claimability is a tenancy property in every scheme, so the raw row
   /// is also the one the blocked-header test reads.
-  std::unique_ptr<CreditChannelStatus> credit_status_;
   const core::ChannelStatus* status_ = &net_;
 
   // --- Active-set state (maintained in both cores where the cost is

@@ -1,9 +1,9 @@
 // RoutingLut must be a drop-in for the routing function it wraps: for
 // every (here, dst) pair the expanded RouteResult — candidate order,
 // per-candidate VC masks, escape flags and the useful-channel mask —
-// equals what fn.route() computes on the fly. The simulator relies on
-// this equality for bit-identical sweep CSVs when fastpath.routing_lut
-// toggles, so the comparison here is exact, not structural.
+// equals what fn.route() computes on the fly. Fault-schedule runs route
+// through the LUT and every other run through the function, so the
+// comparison here is exact, not structural.
 #include "routing/routing_lut.hpp"
 
 #include <gtest/gtest.h>

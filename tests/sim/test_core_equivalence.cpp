@@ -213,7 +213,7 @@ TEST(CoreEquivalence, FastPathTogglesKeepSweepCsvByteIdentical) {
 /// Sweep CSV captured from the pre-flow-control-refactor tree (commit
 /// 1a11c95) for the exact configuration below: equivalence_base(), all
 /// four limiters, loads {0.1, 1.0}, serial sweep on the dense core.
-/// The FlowControlScheme extraction promises the default wormhole
+/// Every flow-control refactor since promises the default wormhole
 /// scheme is byte-identical to the fused pre-refactor channel logic;
 /// this string is the proof anchor — it must never be regenerated to
 /// make a refactor pass.
@@ -479,10 +479,9 @@ TEST_P(FlowControlLockStep, ChannelStateAgreesEveryCycle) {
     ASSERT_TRUE(testing::check_all_invariants(*active));
   }
   // Both cores must account credit messages identically.
-  ASSERT_EQ(dense->flow_control().credit_messages(),
-            active->flow_control().credit_messages());
+  ASSERT_EQ(dense->credit_messages(), active->credit_messages());
   if (GetParam() == FlowControl::Credit) {
-    EXPECT_GT(dense->flow_control().credit_messages(), 0u);
+    EXPECT_GT(dense->credit_messages(), 0u);
   }
 }
 

@@ -150,7 +150,7 @@ TEST(FlowControlFuzz, CreditsAllReturnAtQuiescence) {
   Simulator sim(topo, cfg, std::move(workload));
 
   sim.step_cycles(2000);
-  EXPECT_GT(sim.flow_control().credit_messages(), 0u);
+  EXPECT_GT(sim.credit_messages(), 0u);
   sim.workload()->set_offered_load(0.0);
   const Cycle limit = sim.cycle() + 50000;
   while ((sim.messages_in_flight() > 0 || sim.source_queue_total() > 0 ||

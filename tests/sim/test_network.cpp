@@ -372,10 +372,9 @@ TEST(CreditStatus, FreeRowMasksVcsWithOutstandingCredits) {
   Network net(topo, small_params());
   const unsigned chans = topo.num_channels();
   net.set_active({net.net_link(5, 1), 0}, true);  // raw row is not all-free
-  const auto expect_row = [&](const CreditChannelStatus& status,
-                              NodeId node,
+  const auto expect_row = [&](const CreditFlowControl& credit, NodeId node,
                               const std::vector<std::uint8_t>& want) {
-    const std::uint8_t* row = status.free_row(node);
+    const std::uint8_t* row = credit.free_row(node);
     for (unsigned c = 0; c < chans; ++c) {
       EXPECT_EQ(row[c], want[c]) << "node " << node << " channel " << c;
     }
@@ -394,30 +393,29 @@ TEST(CreditStatus, FreeRowMasksVcsWithOutstandingCredits) {
 
   for (const unsigned delay : {0u, 2u}) {
     SCOPED_TRACE("delay " + std::to_string(delay));
-    CreditFlowControl credit(net.num_vc_slots(), delay);
-    const CreditChannelStatus status(net, credit);
-    EXPECT_EQ(status.num_phys_channels(), chans);
-    EXPECT_EQ(status.num_vcs(), 3u);
+    CreditFlowControl credit(net, delay);
+    EXPECT_EQ(credit.num_phys_channels(), chans);
+    EXPECT_EQ(credit.num_vcs(), 3u);
     for (NodeId node = 0; node < topo.num_nodes(); ++node) {
-      expect_row(status, node, raw(node));
+      expect_row(credit, node, raw(node));
     }
 
-    for (const VcRef ref : owed) credit.on_flit_sent(net.vc_flat_index(ref), 0);
-    expect_row(status, 5, masked);
-    expect_row(status, 4, raw(4));  // neighbouring rows untouched
-    expect_row(status, 6, raw(6));
+    for (const VcRef ref : owed) credit.on_flit_sent(net.vc_flat_index(ref));
+    expect_row(credit, 5, masked);
+    expect_row(credit, 4, raw(4));  // neighbouring rows untouched
+    expect_row(credit, 6, raw(6));
 
     for (const VcRef ref : owed) {
       credit.on_flit_drained(net.vc_flat_index(ref), 10);
     }
     if (delay == 0) {
-      expect_row(status, 5, raw(5));  // ideal loop: credits already home
+      expect_row(credit, 5, raw(5));  // ideal loop: credits already home
       continue;
     }
     credit.begin_cycle(11);
-    expect_row(status, 5, masked);  // returns still on the wire
+    expect_row(credit, 5, masked);  // returns still on the wire
     credit.begin_cycle(12);
-    expect_row(status, 5, raw(5));
+    expect_row(credit, 5, raw(5));
   }
 }
 

@@ -183,5 +183,26 @@ TEST(OnlineWindows, CaptureBurstDynamics) {
   }
 }
 
+/// A recorder attached mid-run starts its first window at the attach
+/// cycle and closes it on the next window boundary; later windows are
+/// whole.
+TEST(OnlineWindows, FirstWindowStartsAtAttachCycle) {
+  auto sim = make_traffic_sim(4, 2, 0.4, 16);
+  sim->step_cycles(200);
+  metrics::OnlineConfig cfg;
+  cfg.window_cycles = 256;
+  metrics::OnlineStats online(sim->topology().num_nodes(), cfg);
+  sim->set_online(&online);
+  sim->step_cycles(1000);
+  const auto& windows = online.windows();
+  ASSERT_EQ(windows.size(), 4u);
+  EXPECT_EQ(windows[0].start_cycle, 200u);
+  EXPECT_EQ(windows[0].cycles, 56u);
+  for (std::size_t i = 1; i < windows.size(); ++i) {
+    EXPECT_EQ(windows[i].start_cycle, i * 256) << "window " << i;
+    EXPECT_EQ(windows[i].cycles, 256u) << "window " << i;
+  }
+}
+
 }  // namespace
 }  // namespace wormsim::sim
