@@ -18,8 +18,8 @@
 
 #include "fig_common.hpp"
 #include "util/csv.hpp"
+#include "util/parallel_for.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace wormsim;
 

@@ -13,8 +13,8 @@
 #include "core/alo.hpp"
 #include "fig_common.hpp"
 #include "util/csv.hpp"
+#include "util/parallel_for.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace wormsim;
 
@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
                 "accepted_flits_node_cycle", "deadlock_pct",
                 "avg_queue_len"});
 
-    // Flatten the variant × load grid and run the points on the shared
-    // thread pool; slots are indexed by grid position (which also fixes
+    // Flatten the variant × load grid and run the points with
+    // parallel_for; slots are indexed by grid position (which also fixes
     // each point's RNG stream), so rows print in the serial order for
     // any --jobs value.
     struct Cell {

@@ -11,8 +11,8 @@
 
 #include "fig_common.hpp"
 #include "util/csv.hpp"
+#include "util/parallel_for.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace wormsim;
 
@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
                 "deadlock_pct"});
 
     // Enumerate the grid first (the enumeration order fixes both the
-    // row order and each point's RNG stream), then run the points on
-    // the shared thread pool and emit rows from their slots.
+    // row order and each point's RNG stream), then run the points with
+    // parallel_for and emit rows from their slots.
     struct Cell {
       unsigned vcs;
       unsigned buf;

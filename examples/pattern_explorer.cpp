@@ -13,7 +13,7 @@
 #include "obs/log.hpp"
 #include "traffic/patterns.hpp"
 #include "util/cli.hpp"
-#include "util/thread_pool.hpp"
+#include "util/parallel_for.hpp"
 
 using namespace wormsim;
 
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
         traffic::PatternKind::Tornado};
 
     // The two simulations per pattern are independent; run the whole
-    // pattern × {None, ALO} grid on the thread pool (seeds unchanged:
+    // pattern × {None, ALO} grid with parallel_for (seeds unchanged:
     // both limiters see the identical workload at base.seed).
     std::vector<metrics::SimResult> sims(kinds.size() * 2);
     util::parallel_for(

@@ -92,7 +92,7 @@ FaultSchedule parse_schedule(std::istream& in) {
   return FaultSchedule(std::move(events));
 }
 
-FaultSchedule make_transient(const topo::KAryNCube& topo, unsigned links,
+FaultSchedule make_transient(const topo::KAryNCube& topo, std::uint64_t links,
                              Cycle at, Cycle duration, std::uint64_t seed) {
   // Physical (undirected) links: each directed (node, c) pairs with
   // (neighbor, c ^ 1), except k = 2 where both directions of a
@@ -161,8 +161,7 @@ FaultSchedule load_faults(std::string_view spec, const topo::KAryNCube& topo,
     }
     const Cycle links = parse_number(rest.substr(0, at_pos), "link count");
     const Cycle at = parse_number(cycle_part, "cycle");
-    schedule = make_transient(topo, static_cast<unsigned>(links), at, duration,
-                              seed);
+    schedule = make_transient(topo, links, at, duration, seed);
   } else {
     std::ifstream in{std::string(spec)};
     if (!in) {

@@ -73,7 +73,7 @@ FaultSchedule parse_schedule(std::istream& in);
 
 /// Seed-chosen transient: `links` distinct physical links killed at
 /// `at`, each restored `duration` cycles later (duration 0 = never).
-FaultSchedule make_transient(const topo::KAryNCube& topo, unsigned links,
+FaultSchedule make_transient(const topo::KAryNCube& topo, std::uint64_t links,
                              Cycle at, Cycle duration, std::uint64_t seed);
 
 /// Resolve a --faults spec: the "transient:..." preset, else a path to

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <iomanip>
 #include <mutex>
@@ -12,8 +11,8 @@
 #include "fault/schedule.hpp"
 #include "obs/log.hpp"
 #include "util/csv.hpp"
+#include "util/parallel_for.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace wormsim::harness {
 
@@ -95,13 +94,12 @@ config::SimConfig point_config(const SweepSpec& spec, const GridPoint& p,
 
 class SweepTimer {
  public:
-  SweepTimer(metrics::SweepStats* stats, unsigned jobs,
-             std::uint64_t points, std::uint64_t simulations)
+  SweepTimer(metrics::SweepStats* stats, unsigned jobs, std::uint64_t points)
       : stats_(stats), start_(std::chrono::steady_clock::now()) {
     if (!stats_) return;
     stats_->jobs = jobs;
     stats_->points = points;
-    stats_->simulations = simulations;
+    stats_->simulations = points;
   }
   ~SweepTimer() {
     if (!stats_) return;
@@ -120,8 +118,8 @@ class SweepTimer {
 
 std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
   const std::vector<GridPoint> grid = flatten_grid(spec);
-  const unsigned jobs = util::ThreadPool::resolve_jobs(spec.jobs);
-  const SweepTimer timer(spec.stats, jobs, grid.size(), grid.size());
+  const unsigned jobs = util::resolve_jobs(spec.jobs);
+  const SweepTimer timer(spec.stats, jobs, grid.size());
 
   std::vector<SweepPoint> points(grid.size());
   std::mutex progress_mu;
@@ -177,84 +175,6 @@ void write_sweep_csv(std::ostream& out,
             r.latency_stddev, r.latency_p99, r.accepted_flits_per_node_cycle,
             r.deadlock_pct, r.avg_queue_len,
             static_cast<int>(r.fully_drained), static_cast<int>(r.saturated));
-  }
-}
-
-std::vector<ReplicatedPoint> run_replicated_sweep(const SweepSpec& spec,
-                                                  unsigned replications) {
-  std::vector<ReplicatedPoint> points;
-  if (replications == 0) return points;
-  const std::vector<GridPoint> grid = flatten_grid(spec);
-  const std::uint64_t total =
-      static_cast<std::uint64_t>(grid.size()) * replications;
-  const unsigned jobs = util::ThreadPool::resolve_jobs(spec.jobs);
-  const SweepTimer timer(spec.stats, jobs, grid.size(), total);
-
-  // Every (point, replication) simulation is one task. Results land in
-  // slots first; folding into the RunningStats happens afterwards in
-  // replication-index order, because Welford accumulation is
-  // order-sensitive in the last bits — folding in completion order
-  // would make the reported mean/sd depend on thread scheduling.
-  std::vector<metrics::SimResult> runs(total);
-  std::mutex progress_mu;
-  ProgressMeter meter(spec.progress, total);
-  config::RunHooks hooks;
-  hooks.tracer = spec.tracer;
-  util::parallel_for(total, jobs, [&](std::size_t task) {
-    const GridPoint& p = grid[task / replications];
-    const config::SimConfig cfg = point_config(spec, p, task);
-    if (spec.tracer) {
-      spec.tracer->begin_point(
-          static_cast<std::uint32_t>(task),
-          point_label(p) + " rep " +
-              std::to_string(task % replications));
-    }
-    runs[task] = config::run_experiment(cfg, hooks);
-    if (spec.tracer) {
-      spec.tracer->end_point(static_cast<std::uint32_t>(task),
-                             runs[task].total_cycles);
-    }
-    {
-      const std::lock_guard<std::mutex> lock(progress_mu);
-      meter.on_done(p, runs[task]);
-      if (spec.on_point) {
-        spec.on_point(SweepPoint{p.limiter, p.offered, runs[task], nullptr});
-      }
-    }
-  });
-  if (spec.stats) {
-    for (const auto& r : runs) spec.stats->sim_cycles += r.total_cycles;
-  }
-
-  points.reserve(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    ReplicatedPoint agg;
-    agg.limiter = grid[i].limiter;
-    agg.offered = grid[i].offered;
-    agg.replications = replications;
-    for (unsigned rep = 0; rep < replications; ++rep) {
-      const metrics::SimResult& r = runs[i * replications + rep];
-      agg.latency.add(r.latency_mean);
-      agg.accepted.add(r.accepted_flits_per_node_cycle);
-      agg.deadlock_pct.add(r.deadlock_pct);
-    }
-    points.push_back(std::move(agg));
-  }
-  return points;
-}
-
-void write_replicated_csv(std::ostream& out,
-                          const std::vector<ReplicatedPoint>& points) {
-  util::CsvWriter csv(out);
-  csv.header({"mechanism", "offered_flits_node_cycle", "replications",
-              "latency_mean", "latency_run_sd", "accepted_mean",
-              "accepted_run_sd", "deadlock_pct_mean", "deadlock_pct_run_sd"});
-  for (const auto& p : points) {
-    csv.row(core::limiter_name(p.limiter), p.offered, p.replications,
-            p.latency.mean(), std::sqrt(p.latency.sample_variance()),
-            p.accepted.mean(), std::sqrt(p.accepted.sample_variance()),
-            p.deadlock_pct.mean(),
-            std::sqrt(p.deadlock_pct.sample_variance()));
   }
 }
 

@@ -4,11 +4,12 @@
 // prints CSV rows compatible with the paper's figures: latency and
 // accepted traffic versus offered traffic, per mechanism.
 //
-// Parallel execution: points are fully independent, so the engine
-// submits each one to a work-stealing thread pool (`jobs` workers;
-// 0 = WORMSIM_JOBS env or hardware concurrency, 1 = the serial code
-// path with no pool). Every point derives its own RNG stream from the
-// base seed by index (util::derive_stream_seed), and results land in
+// Parallel execution: points are fully independent, so the engine runs
+// them with util::parallel_for (`jobs` threads, each running a
+// round-robin share of the points and then any point not yet started;
+// 0 = WORMSIM_JOBS env or hardware concurrency, 1 = the serial code path
+// with no thread at all). Every point derives its own RNG stream from
+// the base seed by index (util::derive_stream_seed), and results land in
 // pre-sized slots indexed by point, so CSV output is bit-identical
 // regardless of thread count or scheduling order.
 //
@@ -29,7 +30,6 @@
 #include "metrics/online/online_stats.hpp"
 #include "metrics/sweep_stats.hpp"
 #include "obs/tracer.hpp"
-#include "util/stats.hpp"
 #include "util/cli.hpp"
 
 namespace wormsim::harness {
@@ -52,8 +52,9 @@ struct SweepSpec {
   /// needs no locking of its own — but under `jobs > 1` points complete
   /// in an arbitrary order, so it must not assume sweep order.
   std::function<void(const SweepPoint&)> on_point;
-  /// Worker threads: 0 = WORMSIM_JOBS env override or hardware
-  /// concurrency; 1 = serial fallback path (no thread pool at all).
+  /// Threads that run the points (at most one per point): 0 =
+  /// WORMSIM_JOBS env override or hardware concurrency; 1 = serial path
+  /// on the calling thread (no thread at all).
   unsigned jobs = 0;
   /// Optional out-param: wall-clock/throughput counters for this sweep.
   metrics::SweepStats* stats = nullptr;
@@ -82,31 +83,6 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec);
 /// Emit the standard figure CSV:
 /// mechanism,offered,latency_avg,latency_sd,accepted,deadlock_pct,...
 void write_sweep_csv(std::ostream& out, const std::vector<SweepPoint>& points);
-
-/// One sweep point aggregated over several independent seeds: reports
-/// mean and spread so figure shapes can be checked against run-to-run
-/// noise.
-struct ReplicatedPoint {
-  core::LimiterKind limiter;
-  double offered = 0.0;
-  unsigned replications = 0;
-  util::RunningStats latency;       // of per-run latency means
-  util::RunningStats accepted;      // of per-run accepted traffic
-  util::RunningStats deadlock_pct;  // of per-run deadlock percentages
-};
-
-/// Like run_sweep but each point is run `replications` times with
-/// decorrelated seeds (one derived stream per simulation). Replications
-/// execute in parallel under `spec.jobs`, but per-run results are
-/// accumulated into slots first and folded into the RunningStats in
-/// replication-index order, so the reported mean/sd are identical no
-/// matter which replication finishes first.
-std::vector<ReplicatedPoint> run_replicated_sweep(const SweepSpec& spec,
-                                                  unsigned replications);
-
-/// CSV with mean and sample standard deviation per metric.
-void write_replicated_csv(std::ostream& out,
-                          const std::vector<ReplicatedPoint>& points);
 
 /// Evenly spaced loads in [lo, hi].
 std::vector<double> load_range(double lo, double hi, unsigned points);

@@ -9,12 +9,6 @@ double SweepStats::points_per_second() const noexcept {
                             : 0.0;
 }
 
-double SweepStats::simulations_per_second() const noexcept {
-  return wall_seconds > 0.0
-             ? static_cast<double>(simulations) / wall_seconds
-             : 0.0;
-}
-
 double SweepStats::cycles_per_second() const noexcept {
   return wall_seconds > 0.0
              ? static_cast<double>(sim_cycles) / wall_seconds

@@ -54,9 +54,6 @@ struct alignas(32) VcState {
 
   std::uint32_t buffered() const noexcept { return in_count - out_count; }
   bool free() const noexcept { return msg == kNoMsg; }
-  bool header_at_head() const noexcept {
-    return msg != kNoMsg && out_count == 0 && in_count > 0;
-  }
 
   void clear() noexcept { *this = VcState{}; }
 };

@@ -304,10 +304,6 @@ class Simulator {
     return faults_.get();
   }
 
-  /// All in-flight message ids (diagnostics/tests).
-  const std::vector<MsgId>& active_messages() const noexcept {
-    return active_;
-  }
   const Message& message(MsgId id) const noexcept { return pool_[id]; }
   /// Cycle the route-pending header at `ref` entered its buffer, or
   /// nullopt (tests; scans the pending list).

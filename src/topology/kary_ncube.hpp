@@ -63,14 +63,6 @@ class KAryNCube {
   /// The node reached by following output channel `c` from `node`.
   NodeId neighbor(NodeId node, ChannelId c) const noexcept;
 
-  /// The input channel index at the receiving node for a flit sent on
-  /// output channel `c` (the opposite direction in the same dimension:
-  /// a flit leaving on (d, Plus) arrives on the receiver's (d, Plus)
-  /// *input* port — we index input ports by the sender's channel
-  /// direction so that input port (d, Plus) carries traffic moving in
-  /// the plus direction).
-  static constexpr ChannelId input_port_for(ChannelId c) noexcept { return c; }
-
   /// Minimal-route info for one dimension between two coordinates.
   DimRoute dim_route(std::uint16_t from, std::uint16_t to) const noexcept;
 

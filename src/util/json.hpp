@@ -1,20 +1,15 @@
-// Minimal JSON emission and parsing for machine-readable telemetry.
+// Minimal JSON emission for machine-readable telemetry.
 //
 // The writer streams structurally-checked JSON (object/array nesting is
 // tracked, commas are inserted automatically) so exporters cannot emit
-// malformed records. The parser is a strict recursive-descent reader
-// used by tests to validate emitted telemetry/trace files against their
-// schema and by benches to read committed baseline JSON. Neither side
-// aims to be a general-purpose library: no comments, no NaN/Inf (the
-// writer maps them to null), UTF-8 passed through untouched.
+// malformed records. It does not aim to be a general-purpose library:
+// no NaN/Inf (mapped to null), UTF-8 passed through untouched.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace wormsim::util {
@@ -67,35 +62,5 @@ class JsonWriter {
   std::vector<bool> first_;
   bool after_key_ = false;
 };
-
-/// Parsed JSON value (object keys preserve insertion order).
-struct JsonValue {
-  enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };
-
-  Kind kind = Kind::Null;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  bool is_null() const noexcept { return kind == Kind::Null; }
-  bool is_bool() const noexcept { return kind == Kind::Bool; }
-  bool is_number() const noexcept { return kind == Kind::Number; }
-  bool is_string() const noexcept { return kind == Kind::String; }
-  bool is_array() const noexcept { return kind == Kind::Array; }
-  bool is_object() const noexcept { return kind == Kind::Object; }
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* find(std::string_view key) const noexcept;
-  /// Dotted-path lookup through nested objects, e.g. "perf.cycles_per_second".
-  const JsonValue* at_path(std::string_view dotted) const noexcept;
-};
-
-/// Strict parse of a complete JSON document (trailing whitespace
-/// allowed, trailing garbage is an error). On failure returns nullopt
-/// and, if `error` is non-null, a message with the byte offset.
-std::optional<JsonValue> json_parse(std::string_view text,
-                                    std::string* error = nullptr);
 
 }  // namespace wormsim::util

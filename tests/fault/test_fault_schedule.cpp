@@ -193,6 +193,18 @@ TEST(LoadFaults, ResolvesPresetAndFile) {
   EXPECT_EQ(from_file.events()[0], (FaultEvent{10, FaultKind::LinkKill, 1, 0}));
 }
 
+
+TEST(LoadFaults, RejectsLinkCountsPast32Bits) {
+  // A 4-ary 2-cube has 32 physical links. Counts of 2^32 and 2^32 + 1
+  // must not wrap to "no faults" or "kill one link".
+  const topo::KAryNCube t(4, 2);
+  EXPECT_THROW(load_faults("transient:4294967296@100", t, 7),
+               std::invalid_argument);
+  EXPECT_THROW(load_faults("transient:4294967297@100", t, 7),
+               std::invalid_argument);
+  EXPECT_EQ(load_faults("transient:32@100", t, 7).size(), 32u);
+  EXPECT_THROW(load_faults("transient:33@100", t, 7), std::invalid_argument);
+}
 TEST(Validate, RejectsOutOfRangeComponents) {
   const topo::KAryNCube t(4, 2);  // 16 nodes, 4 channels
   EXPECT_NO_THROW(validate(

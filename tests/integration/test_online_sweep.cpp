@@ -14,10 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "../support/json_parse.hpp"
 #include "config/presets.hpp"
 #include "harness/sweep.hpp"
 #include "harness/telemetry.hpp"
-#include "util/json.hpp"
 
 namespace wormsim::harness {
 namespace {

@@ -231,36 +231,6 @@ TEST(Sweep, RunsEveryPointAndEmitsCsv) {
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 5);
 }
 
-TEST(Sweep, ReplicatedSweepAggregatesRuns) {
-  harness::SweepSpec spec;
-  spec.base = config::small_base();
-  spec.base.protocol.warmup = 500;
-  spec.base.protocol.measure = 1500;
-  spec.base.protocol.drain_max = 2000;
-  spec.limiters = {core::LimiterKind::ALO};
-  spec.offered_loads = {0.2};
-  const auto points = harness::run_replicated_sweep(spec, 3);
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0].replications, 3u);
-  EXPECT_EQ(points[0].latency.count(), 3u);
-  // Independent seeds: some run-to-run spread, but a stable mean.
-  EXPECT_GT(points[0].latency.sample_variance(), 0.0);
-  EXPECT_NEAR(points[0].accepted.mean(), 0.2, 0.02);
-
-  std::ostringstream os;
-  harness::write_replicated_csv(os, points);
-  EXPECT_NE(os.str().find("replications"), std::string::npos);
-  EXPECT_NE(os.str().find("alo,"), std::string::npos);
-}
-
-TEST(Sweep, ReplicatedSweepZeroReplicationsEmpty) {
-  harness::SweepSpec spec;
-  spec.base = config::small_base();
-  spec.limiters = {core::LimiterKind::ALO};
-  spec.offered_loads = {0.2};
-  EXPECT_TRUE(harness::run_replicated_sweep(spec, 0).empty());
-}
-
 TEST(Sweep, CommonFlagsOverrideConfig) {
   const char* argv[] = {"prog",          "--k=4",        "--n=2",
                         "--vcs=2",       "--msg-len=32", "--pattern=butterfly",

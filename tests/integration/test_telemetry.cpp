@@ -15,12 +15,12 @@
 #include <utility>
 #include <vector>
 
+#include "../support/json_parse.hpp"
 #include "config/presets.hpp"
 #include "harness/sweep.hpp"
 #include "harness/telemetry.hpp"
 #include "obs/tracer.hpp"
 #include "util/cli.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace wormsim::harness {

@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/json.hpp"
+#include "../support/json_parse.hpp"
 
 namespace wormsim::obs {
 namespace {

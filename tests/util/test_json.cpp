@@ -8,6 +8,8 @@
 #include <sstream>
 #include <string>
 
+#include "../support/json_parse.hpp"
+
 namespace wormsim::util {
 namespace {
 
