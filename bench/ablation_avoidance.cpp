@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     sweep.limiters = {core::LimiterKind::None, core::LimiterKind::ALO};
     sweep.offered_loads = harness::load_range(
         args.get_double("min-load", 0.1), args.get_double("max-load", 1.2),
-        static_cast<unsigned>(args.get_uint("loads", 7)));
+        args.get_u32("loads", 7));
     sweep.jobs = harness::jobs_flag(args);
     metrics::SweepStats stats;
     sweep.stats = &stats;

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
 
     const auto means = harness::load_range(
         args.get_double("min-load", 0.2), args.get_double("max-load", 0.5),
-        static_cast<unsigned>(args.get_uint("loads", 4)));
+        args.get_u32("loads", 4));
     const unsigned jobs = harness::jobs_flag(args);
     args.reject_unknown();
 

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
 
     const auto loads = harness::load_range(
         args.get_double("min-load", 0.3), args.get_double("max-load", 1.2),
-        static_cast<unsigned>(args.get_uint("loads", 5)));
+        args.get_u32("loads", 5));
     const unsigned jobs = harness::jobs_flag(args);
     args.reject_unknown();
 

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
     const auto loads = harness::load_range(
         args.get_double("min-load", 0.05),
         args.get_double("max-load", 0.8),
-        static_cast<unsigned>(args.get_uint("loads", 8)));
+        args.get_u32("loads", 8));
     args.reject_unknown();
 
     std::cout << "# Figure 2 — ALO routing-occurrence probe, uniform "

@@ -95,7 +95,7 @@ inline int run_figure(const FigureSpec& spec, int argc, char** argv) {
     sweep.offered_loads = harness::load_range(
         args.get_double("min-load", spec.min_load),
         args.get_double("max-load", spec.max_load),
-        static_cast<unsigned>(args.get_uint("loads", spec.loads)));
+        args.get_u32("loads", spec.loads));
     sweep.jobs = harness::jobs_flag(args);
     metrics::SweepStats stats;
     sweep.stats = &stats;

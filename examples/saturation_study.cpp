@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     harness::apply_common_flags(base, args);
     harness::apply_scale_env(base);
 
-    const auto points = static_cast<unsigned>(args.get_uint("loads", 8));
+    const auto points = args.get_u32("loads", 8);
     const double min_load = args.get_double("min-load", 0.1);
     const double max_load = args.get_double("max-load", 1.2);
 

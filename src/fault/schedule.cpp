@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/read_uint.hpp"
 #include "util/rng.hpp"
 
 namespace wormsim::fault {
@@ -60,10 +61,8 @@ FaultSchedule parse_schedule(std::istream& in) {
     std::istringstream ls(line);
     FaultEvent e;
     std::string word;
-    if (!(ls >> e.cycle)) {
-      if (ls.eof()) continue;  // blank / comment-only line
-      bad("expected a cycle number");
-    }
+    if ((ls >> std::ws).eof()) continue;  // blank / comment-only line
+    if (!util::read_uint(ls, e.cycle)) bad("expected an unsigned cycle");
     if (!(ls >> word)) bad("expected an event kind after the cycle");
     bool link_event = false;
     if (word == "kill-link") {
@@ -79,10 +78,12 @@ FaultSchedule parse_schedule(std::istream& in) {
     } else {
       bad("unknown event kind '" + word + "'");
     }
-    if (!(ls >> e.node)) bad("expected a node id");
+    if (!util::read_uint(ls, e.node)) bad("expected an unsigned node id");
     if (link_event) {
       unsigned channel = 0;
-      if (!(ls >> channel)) bad("expected a channel after the node");
+      if (!util::read_uint(ls, channel)) {
+        bad("expected an unsigned channel after the node");
+      }
       if (channel > 0xFFu) bad("channel out of range");
       e.channel = static_cast<ChannelId>(channel);
     }

@@ -194,14 +194,12 @@ std::vector<double> load_range(double lo, double hi, unsigned points) {
 }
 
 void apply_common_flags(config::SimConfig& cfg, const util::ArgParser& args) {
-  cfg.k = static_cast<unsigned>(args.get_uint("k", cfg.k));
-  cfg.n = static_cast<unsigned>(args.get_uint("n", cfg.n));
-  cfg.sim.net.num_vcs =
-      static_cast<unsigned>(args.get_uint("vcs", cfg.sim.net.num_vcs));
-  cfg.sim.net.buf_flits =
-      static_cast<unsigned>(args.get_uint("buf", cfg.sim.net.buf_flits));
-  cfg.workload.length.fixed = static_cast<std::uint32_t>(
-      args.get_uint("msg-len", cfg.workload.length.fixed));
+  cfg.k = args.get_u32("k", cfg.k);
+  cfg.n = args.get_u32("n", cfg.n);
+  cfg.sim.net.num_vcs = args.get_u32("vcs", cfg.sim.net.num_vcs);
+  cfg.sim.net.buf_flits = args.get_u32("buf", cfg.sim.net.buf_flits);
+  cfg.workload.length.fixed =
+      args.get_u32("msg-len", cfg.workload.length.fixed);
   if (auto p = args.get("pattern")) {
     cfg.workload.pattern = traffic::parse_pattern(*p);
   }
@@ -217,10 +215,10 @@ void apply_common_flags(config::SimConfig& cfg, const util::ArgParser& args) {
   if (auto fc = args.get("flow-control")) {
     cfg.sim.flow.scheme = sim::parse_flow_control(*fc);
   }
-  cfg.sim.flow.credit_return_delay = static_cast<unsigned>(args.get_uint(
-      "credit-delay", cfg.sim.flow.credit_return_delay));
-  cfg.sim.detection.threshold = static_cast<std::uint32_t>(
-      args.get_uint("deadlock-threshold", cfg.sim.detection.threshold));
+  cfg.sim.flow.credit_return_delay =
+      args.get_u32("credit-delay", cfg.sim.flow.credit_return_delay);
+  cfg.sim.detection.threshold =
+      args.get_u32("deadlock-threshold", cfg.sim.detection.threshold);
   cfg.protocol.warmup = args.get_uint("warmup", cfg.protocol.warmup);
   cfg.protocol.measure = args.get_uint("measure", cfg.protocol.measure);
   cfg.protocol.drain_max = args.get_uint("drain", cfg.protocol.drain_max);
@@ -238,7 +236,7 @@ void apply_fault_flag(config::SimConfig& cfg, const util::ArgParser& args) {
 }
 
 unsigned jobs_flag(const util::ArgParser& args) {
-  return static_cast<unsigned>(args.get_uint("jobs", 0));
+  return args.get_u32("jobs", 0);
 }
 
 void apply_scale_env(config::SimConfig& cfg) {

@@ -158,7 +158,7 @@ class CreditFlowControl final : public core::ChannelStatus {
   unsigned delay_;
   /// Credits outstanding per slot: flits sent toward it minus returns
   /// received. >= the slot's occupancy at all times (returns lag the
-  /// drain), which keeps transmit_flit's occupancy < cap assert safe.
+  /// drain), so credits never permit a send occupancy forbids.
   std::vector<std::uint16_t> in_use_;
   /// Bumped on slot reset so in-flight returns from a torn-down tenancy
   /// cannot underflow the fresh credit count.

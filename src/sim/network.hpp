@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -108,12 +109,6 @@ class Network final : public core::ChannelStatus {
            static_cast<std::size_t>(node) * topo_->num_channels();
   }
 
-  /// Contiguous VcState row of one *network* link (vcs_on(link) slots).
-  VcState* vc_row(LinkId link) noexcept {
-    assert(link < num_net_links_);
-    return vcs_.data() + static_cast<std::size_t>(link) * params_.num_vcs;
-  }
-
   /// Contiguous VcState row of one node's injection-channel VCs
   /// (params.inj_channels slots — injection links are laid out per node
   /// after all network-link VCs).
@@ -144,39 +139,6 @@ class Network final : public core::ChannelStatus {
   /// Bind the worm ending at `from` to ejection port `port` of its
   /// destination node.
   void bind_eject(VcRef from, NodeId node, unsigned port, MsgId msg) noexcept;
-  /// Put one flit from `u` on the wire toward VC `vc` of link `id`
-  /// (`d` = its VcState, fed by `u`), after process_arrivals(now). The
-  /// caller has checked transmissibility and passes the records it
-  /// holds, so no address here depends on `u`. Returns true if the tail
-  /// left `u` (the VC was freed). Inline: the hottest Network mutator
-  /// when saturated.
-  bool transmit_flit(LinkId id, std::uint8_t vc, VcState& d, VcState& u,
-                     Cycle now) noexcept {
-    assert(u.buffered() > 0 && u.out_kind == VcState::OutKind::Vc);
-    assert(d.occupancy < params_.buf_flits);
-    assert(now == wire_now_ && id < num_net_links_);
-    VcRef* const bucket = wire_.data() + bucket_base(send_bucket_);
-    LinkId& len = wire_len_[send_bucket_];
-    assert(len == 0 || bucket[len - 1].link < id);  // one per link, ascending
-    bucket[len++] = VcRef{id, vc};
-    ++wire_flits_;
-    ++d.occupancy;
-    progress_[static_cast<std::size_t>(id) * params_.num_vcs + vc] = now;
-    ++u.out_count;
-    --u.occupancy;
-    u.last_activity = now;
-
-    if (u.out_count == d.msg_length) {
-      // Tail left: free the upstream VC; this one will receive no more
-      // flits from it.
-      const VcRef from = d.upstream;
-      d.upstream = VcRef{};
-      set_active(from, false);
-      u.clear();
-      return true;
-    }
-    return false;
-  }
   /// Open cycle `now` on the wire: deliver its due bucket in ascending
   /// link order, invoking `on_header(VcRef)` for each header flit that
   /// enters an empty buffer (so the simulator can enroll it for
@@ -207,6 +169,29 @@ class Network final : public core::ChannelStatus {
     wire_now_ = now;
     send_bucket_ = due == 0 ? params_.link_delay : due - 1;  // now + d
   }
+  /// The transmit phase of cycle `now` (after process_arrivals(now)):
+  /// each link, in ascending order, sends at most one flit, from the
+  /// first VC, round robin from rr_next, in its branch-free candidate
+  /// mask (tenant, occupancy < buf_flits, a feeder) whose feeder holds a
+  /// flit and, if `credit` is not null, that credit->may_send allows.
+  /// `all_links` visits every network link (the dense core), else the
+  /// tenant links. A non-null `after_send` is called as (to, up, freed)
+  /// after each send; `freed`: the tail left, so feeder `up` is free.
+  template <typename Credit, typename AfterSend>
+  void transmit(Cycle now, bool all_links, const Credit* credit,
+                AfterSend* after_send) {
+    switch (params_.num_vcs) {  // check_params admits 1 to 8
+      case 1: return transmit_kernel<1>(now, all_links, credit, after_send);
+      case 2: return transmit_kernel<2>(now, all_links, credit, after_send);
+      case 3: return transmit_kernel<3>(now, all_links, credit, after_send);
+      case 4: return transmit_kernel<4>(now, all_links, credit, after_send);
+      case 5: return transmit_kernel<5>(now, all_links, credit, after_send);
+      case 6: return transmit_kernel<6>(now, all_links, credit, after_send);
+      case 7: return transmit_kernel<7>(now, all_links, credit, after_send);
+      case 8: return transmit_kernel<8>(now, all_links, credit, after_send);
+      default: assert(false && "num_vcs outside [1, 8]");
+    }
+  }
 
   // --- FC3D progress: per-VC-slot stamps of the last cycle a flit of
   // the tenant moved or the worm grew. The maximum over a worm's chain
@@ -222,18 +207,6 @@ class Network final : public core::ChannelStatus {
       last = std::max(last, progress(cur));
     }
     return last;
-  }
-
-  /// Cache hint for the per-cycle loop over the tenant links: start
-  /// loading `link`'s record and VC row while an earlier link is being
-  /// processed. At scale these arrays outgrow the private caches, and
-  /// the set's ascending-with-gaps visit order defeats the hardware
-  /// prefetchers.
-  void prefetch_link(LinkId link) const noexcept {
-    __builtin_prefetch(&links_[link]);
-    const VcState* row =
-        vcs_.data() + static_cast<std::size_t>(link) * params_.num_vcs;
-    for (unsigned v = 0; v < params_.num_vcs; ++v) __builtin_prefetch(row + v);
   }
 
   /// Free one VC unconditionally (deadlock absorption).
@@ -314,6 +287,76 @@ class Network final : public core::ChannelStatus {
   }
   std::size_t bucket_base(unsigned b) const noexcept {
     return static_cast<std::size_t>(b) * num_net_links_;
+  }
+
+  /// transmit with the VC count a constant. The arrays, the send bucket
+  /// and its length live in locals; set_active, which a tail's send
+  /// calls, touches none of them but the link records.
+  template <unsigned V, typename Credit, typename AfterSend>
+  void transmit_kernel(Cycle now, bool all_links, const Credit* credit,
+                       AfterSend* after_send) {
+    assert(now == wire_now_ && V == params_.num_vcs);
+    Link* const links = links_.data();
+    VcState* const vcs = vcs_.data();
+    Cycle* const progress = progress_.data();
+    const unsigned cap = params_.buf_flits;
+    const LinkId net_links = num_net_links_;
+    const std::size_t net_vcs = net_vc_count_;
+    VcRef* const bucket = wire_.data() + bucket_base(send_bucket_);
+    const LinkId first = wire_len_[send_bucket_];
+    LinkId len = first;
+
+    const auto visit = [&](LinkId l) {
+      Link& link = links[l];
+      const unsigned active = link.active_vc_mask;
+      if (active == 0) return;
+      VcState* const row = vcs + static_cast<std::size_t>(l) * V;
+      unsigned cand = 0;
+      for (unsigned v = 0; v < V; ++v) {
+        cand |= (static_cast<unsigned>(row[v].occupancy < cap) &
+                 static_cast<unsigned>(row[v].upstream.valid()))
+                << v;
+      }
+      for (unsigned m = rr_rotate(cand & active, link.rr_next, V); m != 0;
+           m &= m - 1) {
+        const auto bit = static_cast<unsigned>(std::countr_zero(m));
+        const unsigned vc = bit < V ? bit : bit - V;
+        VcState& d = row[vc];
+        const VcRef up = d.upstream;
+        VcState& u = vcs[up.link < net_links
+                             ? static_cast<std::size_t>(up.link) * V + up.vc
+                             : net_vcs + (up.link - net_links)];
+        if (u.buffered() == 0) continue;
+        const std::size_t slot = static_cast<std::size_t>(l) * V + vc;
+        if (credit && !credit->may_send(slot, cap)) continue;
+        assert(u.out_kind == VcState::OutKind::Vc && (u.out == VcRef{l, vc}));
+        assert(len == 0 || bucket[len - 1].link < l);  // ascending links
+        bucket[len++] = VcRef{l, vc};
+        ++d.occupancy;
+        progress[slot] = now;
+        ++u.out_count;
+        --u.occupancy;
+        u.last_activity = now;
+        // The tail left: free the feeder, which feeds this VC no more.
+        const bool freed = u.out_count == d.msg_length;
+        if (freed) {
+          d.upstream = VcRef{};
+          set_active(up, false);
+          u.clear();
+        }
+        if (after_send) (*after_send)(VcRef{l, vc}, up, freed);
+        link.rr_next = static_cast<std::uint8_t>(vc + 1 == V ? 0 : vc + 1);
+        return;  // one flit per physical link per cycle
+      }
+    };
+    if (all_links) {
+      for (LinkId l = 0; l < net_links; ++l) visit(l);
+    } else {
+      tenant_links_.for_each(
+          [&](std::size_t l) { visit(static_cast<LinkId>(l)); });
+    }
+    wire_len_[send_bucket_] = len;
+    wire_flits_ += len - first;
   }
 
   const topo::KAryNCube* topo_;

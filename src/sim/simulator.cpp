@@ -519,62 +519,25 @@ void Simulator::phase_route(Cycle t) {
 
 // --- Transmission -----------------------------------------------------
 
-void Simulator::transmit_link(LinkId l, Cycle t, unsigned vcs, unsigned cap) {
-  Link& link = net_.link(l);
-  const unsigned active = link.active_vc_mask;
-  if (active == 0) return;
-  // Round-robin across this physical channel's allocated VCs: send from
-  // the first, starting at rr_next, whose upstream buffer has a flit and
-  // whose own buffer has room.
-  VcState* const row = net_.vc_row(l);
-  const std::size_t slot_base = static_cast<std::size_t>(l) * vcs;
-  for (unsigned m = rr_rotate(active, link.rr_next, vcs); m != 0; m &= m - 1) {
-    const unsigned bit = static_cast<unsigned>(std::countr_zero(m));
-    const auto vcn = static_cast<std::uint8_t>(bit < vcs ? bit : bit - vcs);
-    VcState& w = row[vcn];
-    // Cheap structural checks first; the credit veto runs last so it is
-    // consulted only when a send is otherwise possible (credits can
-    // veto a send occupancy allows, never permit one it forbids).
-    if (w.occupancy >= cap) continue;
-    if (!w.upstream.valid()) continue;
-    VcState& u = net_.vc(w.upstream);
-    if (u.buffered() == 0) continue;
-    if (credit_ && !credit_->may_send(slot_base + vcn, cap)) continue;
-    assert(u.out_kind == VcState::OutKind::Vc && (u.out == VcRef{l, vcn}));
-    const VcRef up = w.upstream;  // transmit may clear it when the tail leaves
-    const bool freed = net_.transmit_flit(l, vcn, w, u, t);
-    if (spatial_) spatial_->on_link_flit(l);
+void Simulator::phase_transmit(Cycle t) {
+  const bool dense = cfg_.core == SimCore::Dense;
+  scan_.scan_visited +=
+      dense ? net_.num_net_links() : net_.tenant_links().size();
+  const auto after_send = [this, t](VcRef to, VcRef up, bool freed) {
+    if (spatial_) spatial_->on_link_flit(to.link);
     if (credit_) {
-      credit_->on_flit_sent(slot_base + vcn);
+      credit_->on_flit_sent(net_.vc_flat_index(to));
       if (!net_.is_injection(up.link)) {
         credit_->on_flit_drained(net_.vc_flat_index(up), t);
       }
     }
     if (freed && tracer_) {
-      tracer_->record(t, obs::EventKind::VcRelease, up.link, up.vc, 0, w.msg);
+      tracer_->record(t, obs::EventKind::VcRelease, up.link, up.vc, 0,
+                      net_.vc(to).msg);
     }
-    link.rr_next = vcn + 1u == vcs ? 0 : static_cast<std::uint8_t>(vcn + 1u);
-    break;  // one flit per physical link per cycle
-  }
-}
-
-void Simulator::phase_transmit(Cycle t) {
-  const unsigned vcs = net_.params().num_vcs;
-  const unsigned cap = net_.params().buf_flits;
-  if (cfg_.core == SimCore::Dense) {
-    const LinkId n = net_.num_net_links();
-    scan_.scan_visited += n;
-    for (LinkId l = 0; l < n; ++l) transmit_link(l, t, vcs, cap);
-    return;
-  }
-  scan_.scan_visited += net_.tenant_links().size();
-  // Prefetching the next link's record is a pure cache hint (see
-  // Network::prefetch_link); it never changes what is visited.
-  const LinkId links = net_.num_net_links();
-  net_.tenant_links().for_each_with_next([&](std::size_t l, std::size_t next) {
-    if (next < links) net_.prefetch_link(static_cast<LinkId>(next));
-    transmit_link(static_cast<LinkId>(l), t, vcs, cap);
-  });
+  };
+  const bool hooked = spatial_ || credit_ || tracer_;
+  net_.transmit(t, dense, credit_.get(), hooked ? &after_send : nullptr);
 }
 
 // --- Injection --------------------------------------------------------
@@ -708,7 +671,7 @@ void Simulator::phase_inject(Cycle t) {
   scan_.scan_visited += inject_nodes_.size();
   const NodeId nodes = topo_.num_nodes();
   inject_nodes_.for_each_with_next([&](std::size_t n, std::size_t next) {
-    if (next < nodes) {  // cache hint, as in phase_transmit
+    if (next < nodes) {  // cache hint: start loading the next node's row
       const VcState* row = net_.inj_vc_row(static_cast<NodeId>(next));
       for (unsigned i = 0; i < inj; ++i) __builtin_prefetch(row + i);
       queues_.prefetch_front(next);

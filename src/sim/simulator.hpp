@@ -337,9 +337,6 @@ class Simulator {
   // Per-element phase bodies shared by both cores (the cores differ
   // only in which elements they visit).
   void eject_node(NodeId node, Cycle t);
-  /// `vcs`/`cap` are the network's num_vcs and buf_flits, hoisted by
-  /// phase_transmit so the per-link call avoids the parameter loads.
-  void transmit_link(LinkId l, Cycle t, unsigned vcs, unsigned cap);
   void inject_node(NodeId node, Cycle t);
   /// One pending_route_ entry of the sequential route phase, start to
   /// finish (parked check through allocation). Returns true when the

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/read_uint.hpp"
+
 namespace wormsim::traffic {
 
 namespace {
@@ -61,7 +63,10 @@ Trace Trace::load(std::istream& in) {
     }
     std::istringstream ls(line);
     TraceRecord r;
-    if (!(ls >> r.cycle >> r.src >> r.dst >> r.length)) {
+    std::string rest;
+    if (!(util::read_uint(ls, r.cycle) && util::read_uint(ls, r.src) &&
+          util::read_uint(ls, r.dst) && util::read_uint(ls, r.length)) ||
+        ls >> rest) {
       throw std::invalid_argument("malformed trace line " +
                                   std::to_string(lineno) + ": " + line);
     }

@@ -70,11 +70,13 @@ long long ArgParser::get_int(std::string_view key, long long def) const {
 }
 
 unsigned long long ArgParser::get_uint(std::string_view key,
-                                       unsigned long long def) const {
+                                       unsigned long long def,
+                                       unsigned long long max) const {
   const long long v = get_int(key, static_cast<long long>(def));
-  if (v < 0) {
+  if (v < 0 || static_cast<unsigned long long>(v) > max) {
     throw std::invalid_argument("--" + std::string(key) +
-                                " expects a non-negative integer");
+                                " expects an integer in [0, " +
+                                std::to_string(max) + "]");
   }
   return static_cast<unsigned long long>(v);
 }

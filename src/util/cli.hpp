@@ -5,6 +5,7 @@
 // a typo or a retired flag fails loudly instead of running defaults.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -22,8 +23,14 @@ class ArgParser {
 
   std::string get_string(std::string_view key, std::string_view def) const;
   long long get_int(std::string_view key, long long def) const;
-  unsigned long long get_uint(std::string_view key,
-                              unsigned long long def) const;
+  /// Throws std::invalid_argument naming the flag if the value is
+  /// negative or above `max`.
+  unsigned long long get_uint(std::string_view key, unsigned long long def,
+                              unsigned long long max = ~0ull) const;
+  /// A 32-bit setting: above 2^32 - 1 throws rather than wrapping.
+  std::uint32_t get_u32(std::string_view key, std::uint32_t def) const {
+    return static_cast<std::uint32_t>(get_uint(key, def, UINT32_MAX));
+  }
   double get_double(std::string_view key, double def) const;
   bool get_bool(std::string_view key, bool def) const;
 

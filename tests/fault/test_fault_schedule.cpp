@@ -137,6 +137,25 @@ TEST(FaultSchedule, ParseRejectsMalformedLinesWithLineNumbers) {
   expect_throw_with("100 kill-link 0 999\n", "line 1");   // channel > 255
 }
 
+/// A sign is not part of any field: `istream >> unsigned` used to read
+/// "-5" as 2^64 - 5, an event that never fires.
+TEST(FaultSchedule, ParseRejectsSignedNumbers) {
+  for (const char* text :
+       {"-5 kill-link 0 1\n", "5 kill-link -1 1\n", "5 kill-link 0 -1\n",
+        "5 kill-node -0\n", "+5 kill-node 0\n", "5 restore-link 0 +1\n",
+        "5 kill-node 3-1\n"}) {
+    std::istringstream in(std::string("# header\n") + text);
+    try {
+      parse_schedule(in);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2: expected an unsigned"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(MakeTransient, DeterministicDistinctLinksWithRestores) {
   const topo::KAryNCube t(4, 2);
   const FaultSchedule a = make_transient(t, 3, 1000, 500, 42);

@@ -24,17 +24,39 @@ NetworkParams small_params() {
   return p;
 }
 
+/// One send of the transmit phase: the VC the flit went to, and whether
+/// its tail left the feeder.
+struct Sent {
+  VcRef to;
+  bool freed = false;
+};
+
+/// Run the transmit phase once in cycle `now` (the cycle already open on
+/// the wire), with no credit veto, and return its sends in link order.
+std::vector<Sent> transmit(Network& net, Cycle now) {
+  std::vector<Sent> sent;
+  const auto record = [&](VcRef to, VcRef, bool freed) {
+    sent.push_back({to, freed});
+  };
+  net.transmit(now, /*all_links=*/false,
+               static_cast<const CreditFlowControl*>(nullptr), &record);
+  return sent;
+}
+
 class NetworkTest : public ::testing::Test {
  protected:
   /// Send one flit from `from` along its allocated output in cycle
-  /// `now`, handing transmit_flit the records the simulator's transmit
-  /// phase holds. The cycle opens on the wire first, as the simulator's
-  /// arrivals phase does.
+  /// `now` through the transmit phase, which must find no other flit to
+  /// send. The cycle opens on the wire first, as the simulator's
+  /// arrivals phase does. Returns true if the tail left `from`.
   bool send(VcRef from, Cycle now) {
     net_.process_arrivals(now, [](VcRef) {});
     const VcRef out = net_.vc(from).out;
-    return net_.transmit_flit(out.link, static_cast<std::uint8_t>(out.vc),
-                              net_.vc(out), net_.vc(from), now);
+    const std::vector<Sent> sent = transmit(net_, now);
+    EXPECT_EQ(sent.size(), 1u);
+    if (sent.empty()) return false;
+    EXPECT_EQ(sent[0].to, out);
+    return sent[0].freed;
   }
 
   topo::KAryNCube topo_{4, 2};
@@ -71,7 +93,8 @@ TEST(NetworkLimits, VcStorageIs32ByteAligned) {
       NetworkParams p = small_params();
       p.inj_channels = inj;
       Network net(topo, p);
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(net.vc_row(0)) % 32, 0u);
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&net.vc(VcRef{0, 0})) % 32,
+                0u);
       EXPECT_EQ(reinterpret_cast<std::uintptr_t>(net.inj_vc_row(0)) % 32, 0u);
       EXPECT_TRUE(net.vc(VcRef{0, 0}).free());
       EXPECT_TRUE(net.inj_vc_row(topo.num_nodes() - 1)[inj - 1].free());
@@ -218,8 +241,9 @@ TEST(WireTest, AbsorbDropRemovesOnlyThatVc) {
         net.set_active(w.from, true);
         net.allocate_out_vc(w.from, w.out, id++, 0);
       }
-      // Worms 0 and 1 share a link and alternate; worm 3 sends every
-      // third cycle.
+      // Worms 0 and 1 share a link, so round robin alternates them; worm
+      // 3's source writes one flit every third cycle.
+      net.vc(worms[3].from).in_count = 0;
       const auto sends_in = [](unsigned worm, Cycle t) {
         return worm == 0 ? t % 2 == 0
              : worm == 1 ? t % 2 == 1
@@ -229,14 +253,18 @@ TEST(WireTest, AbsorbDropRemovesOnlyThatVc) {
       std::vector<std::vector<VcRef>> expect(delay + 1);
       for (Cycle t = 0; t < delay; ++t) {
         net.process_arrivals(t, [](VcRef) { FAIL() << "nothing is due"; });
+        if (t % 3 == 0) ++net.vc(worms[3].from).in_count;
+        std::vector<VcRef> want;
         for (unsigned k = 0; k < worms.size(); ++k) {
           if (!sends_in(k, t)) continue;
           Worm& w = worms[k];
-          net.transmit_flit(w.out.link, static_cast<std::uint8_t>(w.out.vc),
-                            net.vc(w.out), net.vc(w.from), t);
+          want.push_back(w.out);
           ++w.sent;
           if (k != victim) expect[(t + delay) % (delay + 1)].push_back(w.out);
         }
+        std::vector<VcRef> got;
+        for (const Sent& s : transmit(net, t)) got.push_back(s.to);
+        ASSERT_EQ(got, want) << "cycle " << t;
       }
       const VcRef gone = worms[victim].out;
       // A VC with nothing on the wire (every injection VC) is a no-op.

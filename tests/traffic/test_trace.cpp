@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace wormsim::traffic {
 namespace {
@@ -39,6 +40,24 @@ TEST(Trace, LoadRejectsMissingHeader) {
 TEST(Trace, LoadRejectsMalformedLine) {
   std::stringstream ss("#wormsim-trace v1\n0 0 zebra 16\n");
   EXPECT_THROW(Trace::load(ss), std::invalid_argument);
+}
+
+/// Fields are unsigned: `istream >> unsigned` used to read a leading
+/// '-' and wrap the value. Trailing text is refused too.
+TEST(Trace, LoadRejectsSignedFieldsNamingTheLine) {
+  for (const char* line : {"-5 0 1 16", "5 -0 1 16", "5 0 -1 16",
+                           "5 0 1 -16", "+5 0 1 16", "5 0 1 16 -2"}) {
+    std::stringstream ss(std::string("#wormsim-trace v1\n0 0 1 16\n") +
+                         line + "\n");
+    try {
+      Trace::load(ss);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed trace line 3"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Trace, RejectsOversizeLength) {

@@ -66,6 +66,19 @@ TEST(Cli, NegativeUintThrows) {
   EXPECT_THROW(args.get_uint("k", 0), std::invalid_argument);
 }
 
+TEST(Cli, U32RejectsValuesThatWouldWrap) {
+  auto args = parse({"prog", "--k", "4294967300", "--n", "4294967295"});
+  EXPECT_EQ(args.get_u32("n", 0), 4294967295u);
+  EXPECT_EQ(args.get_u32("vcs", 3), 3u);
+  try {
+    args.get_u32("k", 8);
+    FAIL() << "--k 4294967300 was narrowed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--k expects an integer in [0, 4294967295]");
+  }
+}
+
 TEST(Cli, BoolSpellings) {
   auto args = parse({"prog", "--a=yes", "--b=0", "--c=on", "--d=false"});
   EXPECT_TRUE(args.get_bool("a", false));

@@ -1,9 +1,10 @@
 // Seeded mutation fuzz over every text input the simulator reads: fault
 // schedules, the `transient:` fault preset, message traces, CLI flag
 // values and the observability flags ObsSession checks, the enum names
-// the flags select, and the test-side JSON reader. Valid seed inputs are mutated by byte flips, inserts, deletes
-// and digit-run splices; every mutant must either parse or throw
-// std::invalid_argument. Any other exception fails the test, and a
+// the flags select, and the test-side JSON reader. Valid seed inputs are
+// mutated by byte flips, inserts, deletes and digit-run splices; every
+// mutant must either parse or throw std::invalid_argument. Sign-prefixed
+// numbers in schedules and traces must throw. Any other exception fails the test, and a
 // crash fails the binary (it runs in the ASan+UBSan preflight).
 #include <gtest/gtest.h>
 
@@ -127,15 +128,59 @@ const topo::KAryNCube& torus() {
   return t;
 }
 
+const std::vector<std::string> kScheduleSeeds = {
+    "100 kill-link 3 1\n200 restore-link 3 1\n",
+    "# comment\n50 kill-node 7 # trailing\n60 restore-node 7\n\n",
+    "0 kill-link 15 3\n"};
+const std::vector<std::string> kTraceSeeds = {
+    "#wormsim-trace v1\n0 1 2 16\n5 3 4 16\n5 4 3 8\n",
+    "# recorded\n#wormsim-trace v1\n\n10 0 15 1\n"};
+
+void parse_schedule_text(const std::string& text) {
+  std::istringstream in(text);
+  fault::validate(fault::parse_schedule(in), torus());
+}
+
+void load_trace_text(const std::string& text) {
+  std::istringstream in(text);
+  traffic::Trace::load(in).validate(torus());
+}
+
+/// Every variant of `text` with a '-' or '+' put before one of its
+/// numbers (digit runs that start a word).
+std::vector<std::string> signed_mutants(const std::string& text) {
+  std::vector<std::string> out;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const bool starts_word = i == 0 || text[i - 1] == ' ' || text[i - 1] == '\n';
+    if (!is_digit(text[i]) || !starts_word) continue;
+    for (const char sign : {'-', '+'}) {
+      out.push_back(text.substr(0, i) + sign + text.substr(i));
+    }
+  }
+  return out;
+}
+
+/// Every field of a schedule or trace line is unsigned, so a signed
+/// number must be refused, never read as its 2^64 wrap.
+TEST(ParserFuzz, SignedNumbersAreRefused) {
+  const auto refuse_all = [](const std::vector<std::string>& seeds,
+                             void (*parse)(const std::string&)) {
+    int variants = 0;
+    for (const std::string& seed : seeds) {
+      ASSERT_NO_THROW(parse(seed)) << seed;
+      for (const std::string& text : signed_mutants(seed)) {
+        ++variants;
+        EXPECT_THROW(parse(text), std::invalid_argument) << text;
+      }
+    }
+    EXPECT_GT(variants, 10);
+  };
+  refuse_all(kScheduleSeeds, parse_schedule_text);
+  refuse_all(kTraceSeeds, load_trace_text);
+}
+
 TEST(ParserFuzz, FaultScheduleFile) {
-  const int ok = fuzz(1, {"100 kill-link 3 1\n200 restore-link 3 1\n",
-                          "# comment\n50 kill-node 7 # trailing\n"
-                          "60 restore-node 7\n\n",
-                          "0 kill-link 15 3\n"},
-                      [](const std::string& text) {
-                        std::istringstream in(text);
-                        fault::validate(fault::parse_schedule(in), torus());
-                      });
+  const int ok = fuzz(1, kScheduleSeeds, parse_schedule_text);
   EXPECT_GT(ok, 3);
 }
 
@@ -150,13 +195,7 @@ TEST(ParserFuzz, TransientFaultPreset) {
 }
 
 TEST(ParserFuzz, MessageTrace) {
-  const int ok = fuzz(3,
-                      {"#wormsim-trace v1\n0 1 2 16\n5 3 4 16\n5 4 3 8\n",
-                       "# recorded\n#wormsim-trace v1\n\n10 0 15 1\n"},
-                      [](const std::string& text) {
-                        std::istringstream in(text);
-                        traffic::Trace::load(in).validate(torus());
-                      });
+  const int ok = fuzz(3, kTraceSeeds, load_trace_text);
   EXPECT_GT(ok, 2);
 }
 
