@@ -8,8 +8,8 @@
 //   --loads N             number of offered-load points (default 7)
 //   --min-load/--max-load sweep range in flits/node/cycle
 //   --warmup/--measure/--drain, --k/--n/--vcs/--msg-len/--pattern/--seed
-//   --core dense|active   cycle-loop implementation (default: active;
-//                         results are bit-identical, only speed differs)
+//   --routing/--selection routing algorithm (tfar|dor|duato) and
+//                         selection (max-free|first-fit|round-robin)
 //   --flow-control SCHEME wormhole (default) | credit | vct; credit adds
 //                         --credit-delay N return-latency cycles, vct
 //                         needs --buf >= the longest message
@@ -33,7 +33,8 @@
 //   --spatial-out PREFIX  per-channel/per-node heatmap CSVs from one
 //                         extra instrumented run (--spatial-load,
 //                         --spatial-limiter select the point)
-// Any other flag is rejected by name (exit 1) before anything runs.
+// Any other flag, or any flag given twice, is rejected by name (exit 1)
+// before anything runs.
 //
 // Output: a banner line, the expectation note from the paper, then CSV
 // on stdout; per-point progress/ETA and the sweep's wall-clock/points-

@@ -3,7 +3,10 @@
 // headline metrics.
 //
 //   ./quickstart [--k 8 --n 3 --offered 0.4 --pattern uniform
-//                 --msg-len 16 --limiter alo --core dense|active ...]
+//                 --msg-len 16 --flow-control credit ...]
+//
+// It always runs None and ALO; every flag of harness::apply_common_flags
+// is accepted, and an unknown or repeated flag is an error.
 //
 // With no arguments it runs a small 64-node network so it finishes in a
 // few seconds.

@@ -16,11 +16,11 @@ python3 tools/check_bench.py --self-test || status=1
 # first time, incremental after). TSan runs the parallel-labelled tests:
 # the --jobs parallel_for, the parallel sweep engine and the
 # multi-threaded tracer must be provably race-free before any parallel
-# sweep number means anything. ASan+UBSan runs the simulator, deadlock,
-# fault, traffic, metrics, integration and util test binaries, so
-# lifetime, bounds and undefined-behaviour bugs fail here first. Its
-# tree also builds with -Werror, so a new warning in src/ or in those
-# seven test binaries fails the preflight.
+# sweep number means anything. ASan+UBSan runs the simulator, reference
+# lock-step, deadlock, fault, traffic, metrics, integration and util
+# test binaries, so lifetime, bounds and undefined-behaviour bugs fail
+# here first. Its tree also builds with -Werror, so a new warning in
+# src/ or in those eight test binaries fails the preflight.
 # WORMSIM_SKIP_TSAN_PREFLIGHT=1 skips both, e.g. on hosts without
 # sanitizer runtime support.
 if [ "${WORMSIM_SKIP_TSAN_PREFLIGHT:-0}" != "1" ]; then
@@ -30,8 +30,8 @@ if [ "${WORMSIM_SKIP_TSAN_PREFLIGHT:-0}" != "1" ]; then
     && (cd build-tsan && ctest -L parallel --output-on-failure) \
     || status=1
   echo "===== asan+ubsan preflight (WORMSIM_SKIP_TSAN_PREFLIGHT=1 to skip)"
-  asan_tests="test_util test_sim test_deadlock test_fault test_traffic"
-  asan_tests="$asan_tests test_metrics test_integration"
+  asan_tests="test_util test_sim test_reference test_deadlock test_fault"
+  asan_tests="$asan_tests test_traffic test_metrics test_integration"
   if cmake -B build-asan -S . -DWORMSIM_ASAN=ON -DWORMSIM_UBSAN=ON \
        -DCMAKE_CXX_FLAGS=-Werror >/dev/null \
      && cmake --build build-asan -j --target $asan_tests >/dev/null; then

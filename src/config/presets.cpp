@@ -75,17 +75,14 @@ MemoryFootprint estimate_memory(const SimConfig& cfg) {
   }
   // SoA status rows: per-net-link free/admissible masks, the route
   // coder's per-node coordinates, the source and recovery queues'
-  // per-node list heads and, with the route memo, the per-node
-  // queue-head (dst, code) cache. Queued messages live in the queues'
-  // shared slot arenas and blocked headers keep their memo in their
-  // route-pending entry: both scale with traffic, not network size.
+  // per-node list heads and the per-node queue-head (dst, code) cache.
+  // Queued messages live in the queues' shared slot arenas and blocked
+  // headers keep their memo in their route-pending entry: both scale
+  // with traffic, not network size.
   f.status_bytes = net_links * sizeof(std::uint8_t) * 2 +
                    nodes * cfg.n * sizeof(std::uint16_t) +
-                   nodes * 2 * util::FifoArena<int>::kOwnerBytes;
-  if (cfg.sim.core == sim::SimCore::Active && cfg.sim.fastpath.route_memo) {
-    f.status_bytes +=
-        nodes * (sizeof(topo::NodeId) + sizeof(routing::RouteCode));
-  }
+                   nodes * 2 * util::FifoArena<int>::kOwnerBytes +
+                   nodes * (sizeof(topo::NodeId) + sizeof(routing::RouteCode));
   // Active-set bitmaps: tenant over net links; eject, inject and
   // generator-dense over nodes; plus the per-node generator
   // subscription byte.

@@ -209,9 +209,6 @@ void apply_common_flags(config::SimConfig& cfg, const util::ArgParser& args) {
   if (auto s = args.get("selection")) {
     cfg.sim.selection = routing::parse_selection(*s);
   }
-  if (auto c = args.get("core")) {
-    cfg.sim.core = sim::parse_sim_core(*c);
-  }
   if (auto fc = args.get("flow-control")) {
     cfg.sim.flow.scheme = sim::parse_flow_control(*fc);
   }
@@ -262,7 +259,6 @@ std::string describe(const config::SimConfig& cfg) {
      << ", pattern=" << traffic::pattern_name(cfg.workload.pattern)
      << ", msg=" << cfg.workload.length.fixed << " flits"
      << ", detect=" << cfg.sim.detection.threshold << " cycles"
-     << ", core=" << sim::sim_core_name(cfg.sim.core)
      << ", warmup=" << cfg.protocol.warmup
      << ", measure=" << cfg.protocol.measure << ", seed=" << cfg.seed;
   // Only non-empty schedules appear, so fault-free banners (and any CSV

@@ -25,7 +25,6 @@ void emit_config(util::JsonWriter& w, const config::SimConfig& cfg) {
   w.field("eje_channels", cfg.sim.net.eje_channels);
   w.field("routing", routing::algorithm_name(cfg.sim.algorithm));
   w.field("selection", routing::selection_name(cfg.sim.selection));
-  w.field("core", sim::sim_core_name(cfg.sim.core));
   w.field("pattern", traffic::pattern_name(cfg.workload.pattern));
   w.field("msg_len", cfg.workload.length.fixed);
   w.field("deadlock_threshold", cfg.sim.detection.threshold);

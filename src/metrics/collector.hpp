@@ -85,13 +85,12 @@ struct SimResult {
   bool saturated = false;      // source queues grew without bound
   double wall_seconds = 0.0;
 
-  // Simulation-core diagnostics (excluded from sweep CSVs so result
-  // files stay byte-identical across cores; see write_sweep_csv).
-  std::string core;               // "dense" | "active"
+  // Simulation-core diagnostics (excluded from sweep CSVs, which hold
+  // only simulated results; see write_sweep_csv).
   double cycles_per_second = 0.0; // simulated cycles per wall second
-  double scan_skip_ratio = 0.0;   // fraction of dense scan slots skipped
+  double scan_skip_ratio = 0.0;   // share of a full scan's visits skipped
   double avg_active_links = 0.0;  // mean occupied network links / cycle
-  double avg_active_nodes = 0.0;  // mean active-set nodes / cycle (active core)
+  double avg_active_nodes = 0.0;  // mean injection-active nodes / cycle
   double route_memo_hit_rate = 0.0;  // blocked-header re-routes avoided
 
   // Fault injection (all zero on healthy runs; also excluded from sweep

@@ -170,25 +170,24 @@ class Network final : public core::ChannelStatus {
     send_bucket_ = due == 0 ? params_.link_delay : due - 1;  // now + d
   }
   /// The transmit phase of cycle `now` (after process_arrivals(now)):
-  /// each link, in ascending order, sends at most one flit, from the
-  /// first VC, round robin from rr_next, in its branch-free candidate
-  /// mask (tenant, occupancy < buf_flits, a feeder) whose feeder holds a
-  /// flit and, if `credit` is not null, that credit->may_send allows.
-  /// `all_links` visits every network link (the dense core), else the
-  /// tenant links. A non-null `after_send` is called as (to, up, freed)
-  /// after each send; `freed`: the tail left, so feeder `up` is free.
+  /// each tenant link, in ascending order, sends at most one flit, from
+  /// the first VC, round robin from rr_next, in its branch-free
+  /// candidate mask (tenant, occupancy < buf_flits, a feeder) whose
+  /// feeder holds a flit and, if `credit` is not null, that
+  /// credit->may_send allows. A non-null `after_send` is called as
+  /// (to, up, freed) after each send; `freed`: the tail left, so feeder
+  /// `up` is free.
   template <typename Credit, typename AfterSend>
-  void transmit(Cycle now, bool all_links, const Credit* credit,
-                AfterSend* after_send) {
+  void transmit(Cycle now, const Credit* credit, AfterSend* after_send) {
     switch (params_.num_vcs) {  // check_params admits 1 to 8
-      case 1: return transmit_kernel<1>(now, all_links, credit, after_send);
-      case 2: return transmit_kernel<2>(now, all_links, credit, after_send);
-      case 3: return transmit_kernel<3>(now, all_links, credit, after_send);
-      case 4: return transmit_kernel<4>(now, all_links, credit, after_send);
-      case 5: return transmit_kernel<5>(now, all_links, credit, after_send);
-      case 6: return transmit_kernel<6>(now, all_links, credit, after_send);
-      case 7: return transmit_kernel<7>(now, all_links, credit, after_send);
-      case 8: return transmit_kernel<8>(now, all_links, credit, after_send);
+      case 1: return transmit_kernel<1>(now, credit, after_send);
+      case 2: return transmit_kernel<2>(now, credit, after_send);
+      case 3: return transmit_kernel<3>(now, credit, after_send);
+      case 4: return transmit_kernel<4>(now, credit, after_send);
+      case 5: return transmit_kernel<5>(now, credit, after_send);
+      case 6: return transmit_kernel<6>(now, credit, after_send);
+      case 7: return transmit_kernel<7>(now, credit, after_send);
+      case 8: return transmit_kernel<8>(now, credit, after_send);
       default: assert(false && "num_vcs outside [1, 8]");
     }
   }
@@ -268,9 +267,8 @@ class Network final : public core::ChannelStatus {
   }
 
   // --- Active sets ------------------------------------------------------
-  // Maintained unconditionally (transitions are O(1)); the active-set
-  // core iterates them, the dense core ignores them, and the coherence
-  // checks compare them against a full rescan in either mode.
+  // Maintained on every transition (O(1)); the coherence checks compare
+  // them against a full rescan.
 
   /// Network links with at least one allocated (tenant) VC — exactly the
   /// links whose active_vc_mask is non-zero.
@@ -293,7 +291,7 @@ class Network final : public core::ChannelStatus {
   /// and its length live in locals; set_active, which a tail's send
   /// calls, touches none of them but the link records.
   template <unsigned V, typename Credit, typename AfterSend>
-  void transmit_kernel(Cycle now, bool all_links, const Credit* credit,
+  void transmit_kernel(Cycle now, const Credit* credit,
                        AfterSend* after_send) {
     assert(now == wire_now_ && V == params_.num_vcs);
     Link* const links = links_.data();
@@ -306,9 +304,12 @@ class Network final : public core::ChannelStatus {
     const LinkId first = wire_len_[send_bucket_];
     LinkId len = first;
 
-    const auto visit = [&](LinkId l) {
+    tenant_links_.for_each([&](std::size_t tenant) {
+      const auto l = static_cast<LinkId>(tenant);
       Link& link = links[l];
       const unsigned active = link.active_vc_mask;
+      // A feeder link freed earlier in this walk stays in its word's
+      // snapshot of the set.
       if (active == 0) return;
       VcState* const row = vcs + static_cast<std::size_t>(l) * V;
       unsigned cand = 0;
@@ -348,13 +349,7 @@ class Network final : public core::ChannelStatus {
         link.rr_next = static_cast<std::uint8_t>(vc + 1 == V ? 0 : vc + 1);
         return;  // one flit per physical link per cycle
       }
-    };
-    if (all_links) {
-      for (LinkId l = 0; l < net_links; ++l) visit(l);
-    } else {
-      tenant_links_.for_each(
-          [&](std::size_t l) { visit(static_cast<LinkId>(l)); });
-    }
+    });
     wire_len_[send_bucket_] = len;
     wire_flits_ += len - first;
   }

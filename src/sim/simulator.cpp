@@ -17,21 +17,6 @@ constexpr Cycle kForever = std::numeric_limits<Cycle>::max();
 constexpr Cycle kQueueSamplePeriod = 64;
 }  // namespace
 
-SimCore parse_sim_core(std::string_view name) {
-  if (name == "dense") return SimCore::Dense;
-  if (name == "active") return SimCore::Active;
-  throw std::invalid_argument("unknown sim core (dense|active): " +
-                              std::string(name));
-}
-
-std::string_view sim_core_name(SimCore core) noexcept {
-  switch (core) {
-    case SimCore::Dense: return "dense";
-    case SimCore::Active: return "active";
-  }
-  return "unknown";
-}
-
 Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
                      std::unique_ptr<traffic::Workload> workload)
     : topo_(topo),
@@ -61,11 +46,9 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
           "fault schedules require TFAR routing (reconfiguration has no "
           "alternative paths under a deterministic algorithm)");
     }
-    // Reconfiguration routes around failures by rebuilding the LUT, so
-    // the table must exist in either core — the dense core included,
-    // or the two cores would diverge the moment a fault fires. The LUT
-    // is bit-identical to the wrapped function, so building it here
-    // cannot perturb pre-fault behavior.
+    // Reconfiguration routes around failures by rebuilding the LUT.
+    // The LUT is bit-identical to the closed-form codes, so building it
+    // here cannot perturb pre-fault behavior.
     lut_ = std::make_unique<routing::RoutingLut>(*routing_, topo_);
     if (!lut_->tabulated()) {
       throw std::invalid_argument(
@@ -74,10 +57,7 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
     }
     faults_ = std::make_unique<fault::FaultManager>(topo_, cfg_.faults);
   }
-  // The route memo is an active-core property: the dense core routes
-  // every visit afresh, so core equivalence differentially checks it.
-  memo_on_ = cfg_.core == SimCore::Active && cfg_.fastpath.route_memo;
-  if (memo_on_) head_route_.resize(topo_.num_nodes());
+  head_route_.resize(topo_.num_nodes());
   if (cfg_.flow.scheme == FlowControl::Credit) {
     credit_ = std::make_unique<CreditFlowControl>(
         net_, cfg_.flow.credit_return_delay);
@@ -132,8 +112,6 @@ bool Simulator::push_message(NodeId src, NodeId dst, std::uint32_t length) {
 void Simulator::step() {
   const Cycle t = cycle_;
   scan_.cycles += 1;
-  scan_.scan_total += net_.num_net_links() +
-                      3 * static_cast<std::uint64_t>(topo_.num_nodes());
   if (credit_) credit_->begin_cycle(t);
   if (online_ && online_->profile_due(t)) {
     run_phases_profiled(t);
@@ -147,8 +125,7 @@ void Simulator::step() {
     phase_inject(t);
   }
   scan_.active_links_sum += net_.tenant_links().size();
-  scan_.active_nodes_sum +=
-      cfg_.core == SimCore::Active ? inject_nodes_.size() : 0;
+  scan_.active_nodes_sum += inject_nodes_.size();
   if (t % kQueueSamplePeriod == 0) {
     collector_.on_queue_sample(queues_.total());
     if (spatial_) {
@@ -221,8 +198,7 @@ void Simulator::finish_online() {
 
 void Simulator::poll_node(NodeId node, Cycle t) {
   // Dead sources are silent; skipping the poll leaves the per-node
-  // generator state untouched, so it resumes cleanly on restore (both
-  // cores skip identically).
+  // generator state untouched, so it resumes cleanly on restore.
   if (faults_ && faults_->mask().node_dead(node)) return;
   gen_buf_.clear();
   workload_->poll(node, t, gen_buf_);
@@ -251,14 +227,9 @@ void Simulator::poll_and_reschedule(NodeId node, Cycle t) {
 void Simulator::phase_generate(Cycle t) {
   if (!workload_) return;
   const NodeId nodes = topo_.num_nodes();
-  if (cfg_.core == SimCore::Dense) {
-    scan_.scan_visited += nodes;
-    for (NodeId node = 0; node < nodes; ++node) poll_node(node, t);
-    return;
-  }
   // A workload mutation (set_offered_load) invalidates every
   // outstanding hint: drop the timed subscriptions and re-poll every
-  // node from the next cycle on, exactly as the dense core would.
+  // node from the next cycle on.
   if (workload_->mutation_epoch() != gen_epoch_) {
     gen_epoch_ = workload_->mutation_epoch();
     gen_heap_ = {};
@@ -284,8 +255,8 @@ void Simulator::phase_generate(Cycle t) {
 
 // --- Arrivals ---------------------------------------------------------
 
-// Not a scan in either core: the wire hands over exactly the flits due
-// this cycle, so the phase counts toward neither scan counter.
+// Not a scan: the wire hands over exactly the flits due this cycle, so
+// the phase counts no visits.
 void Simulator::phase_arrivals(Cycle t) {
   net_.process_arrivals(t, [this, t](VcRef ref) {
     enroll_for_routing(ref, net_.link(ref.link).dst, t);
@@ -344,12 +315,6 @@ void Simulator::eject_node(NodeId node, Cycle t) {
 }
 
 void Simulator::phase_eject(Cycle t) {
-  if (cfg_.core == SimCore::Dense) {
-    const NodeId nodes = topo_.num_nodes();
-    scan_.scan_visited += nodes;
-    for (NodeId node = 0; node < nodes; ++node) eject_node(node, t);
-    return;
-  }
   const unsigned ports = net_.params().eje_channels;
   scan_.scan_visited += eject_nodes_.size();
   eject_nodes_.for_each([&](std::size_t node) {
@@ -367,11 +332,11 @@ void Simulator::phase_eject(Cycle t) {
 bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
                             bool detect_on, Cycle threshold) {
   PendingRoute& e = pending_route_[i];
-  // Known-blocked header (route memo on): it is still blocked exactly
-  // while admission refused it or no candidate of its route has a free
-  // bit in the live row selection reads (routing::any_free). With a
-  // detection bound in the future as well, the whole visit is a no-op,
-  // decided without touching the VcState or Message record.
+  // Known-blocked header: it is still blocked exactly while admission
+  // refused it or no candidate of its route has a free bit in the live
+  // row selection reads (routing::any_free). With a detection bound in
+  // the future as well, the whole visit is a no-op, decided without
+  // touching the VcState or Message record.
   bool still_blocked = false;
   if (e.blocked) {
     ++scan_.route_memo_hits;
@@ -409,15 +374,11 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
       pending_route_.pop_back();
       return true;
     }
-    if (memo_on_) {
-      e.code = route_code(node, m.dst);
-    } else {
-      route_at(node, m.dst, route_buf_);
-    }
+    e.code = route_code(node, m.dst);
   }
-  // With the memo on the entry holds only the route code: expand it
-  // into route_buf_ the first time this visit reads candidates.
-  bool expanded = !memo_on_;
+  // The entry holds only the route code: expand it into route_buf_ the
+  // first time this visit reads candidates.
+  bool expanded = false;
   const auto route = [&]() -> const routing::RouteResult& {
     if (!expanded) {
       expand_route(e.code, route_buf_);
@@ -425,12 +386,10 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     }
     return route_buf_;
   };
-  if (probe_enabled_ && !v.probed) {
+  if (!v.probed) {
     v.probed = true;
-    const std::uint32_t useful =
-        memo_on_ ? e.code.useful : route_buf_.useful_phys_mask;
     const auto cond = core::evaluate_alo(status_->free_row(node),
-                                         net_.params().num_vcs, useful);
+                                         net_.params().num_vcs, e.code.useful);
     collector_.on_probe(t, cond.all_useful_partially_free,
                         cond.any_useful_completely_free);
     if (tracer_) {
@@ -453,7 +412,7 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     }
   }
   if (!pick) {
-    e.blocked = memo_on_;
+    e.blocked = true;
     // Blocked. FC3D-style deadlock presumption: the header has waited
     // at least `threshold` cycles, no flit of the message has moved,
     // and every virtual channel the routing function offers has shown
@@ -462,13 +421,13 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     // an injection channel hold no network resources and are exempt.
     // Every failed guard yields a monotone lower bound on the first
     // cycle detection could succeed (kForever for exempt headers);
-    // with the memo on, re-evaluation — and, while still blocked, the
-    // whole visit — is skipped until that bound.
+    // re-evaluation — and, while still blocked, the whole visit — is
+    // skipped until that bound.
     if (!detect_on || net_.is_injection(ref.link)) {
       e.no_detect_before = kForever;
     } else if (t - e.header_arrival < threshold) {
       e.no_detect_before = e.header_arrival + threshold;
-    } else if (!memo_on_ || t >= e.no_detect_before) {
+    } else if (t >= e.no_detect_before) {
       const Cycle last_progress = net_.worm_progress(ref);
       Cycle earliest = 0;
       if (t - last_progress < threshold) {
@@ -520,9 +479,7 @@ void Simulator::phase_route(Cycle t) {
 // --- Transmission -----------------------------------------------------
 
 void Simulator::phase_transmit(Cycle t) {
-  const bool dense = cfg_.core == SimCore::Dense;
-  scan_.scan_visited +=
-      dense ? net_.num_net_links() : net_.tenant_links().size();
+  scan_.scan_visited += net_.tenant_links().size();
   const auto after_send = [this, t](VcRef to, VcRef up, bool freed) {
     if (spatial_) spatial_->on_link_flit(to.link);
     if (credit_) {
@@ -537,7 +494,7 @@ void Simulator::phase_transmit(Cycle t) {
     }
   };
   const bool hooked = spatial_ || credit_ || tracer_;
-  net_.transmit(t, dense, credit_.get(), hooked ? &after_send : nullptr);
+  net_.transmit(t, credit_.get(), hooked ? &after_send : nullptr);
 }
 
 // --- Injection --------------------------------------------------------
@@ -661,12 +618,6 @@ void Simulator::inject_node(NodeId node, Cycle t) {
 }
 
 void Simulator::phase_inject(Cycle t) {
-  if (cfg_.core == SimCore::Dense) {
-    const NodeId nodes = topo_.num_nodes();
-    scan_.scan_visited += nodes;
-    for (NodeId node = 0; node < nodes; ++node) inject_node(node, t);
-    return;
-  }
   const unsigned inj = net_.params().inj_channels;
   scan_.scan_visited += inject_nodes_.size();
   const NodeId nodes = topo_.num_nodes();
@@ -966,7 +917,7 @@ bool Simulator::check_active_sets(std::string* why) const {
   };
   const Network& net = net_;
 
-  // Link sets are exact mirrors of link state in either core.
+  // Link sets are exact mirrors of link state.
   for (LinkId l = 0; l < net.num_net_links(); ++l) {
     const bool tenant = net.link(l).active_vc_mask != 0;
     if (tenant != net.tenant_links().contains(l)) {
@@ -1031,7 +982,7 @@ bool Simulator::check_active_sets(std::string* why) const {
   }
 
   // Node sets cover every active node (they prune lazily, so they may
-  // temporarily hold extra members — and the dense core never prunes).
+  // temporarily hold extra members).
   const unsigned ports = net.params().eje_channels;
   const unsigned inj = net.params().inj_channels;
   std::size_t queue_sum = 0;
@@ -1060,9 +1011,9 @@ bool Simulator::check_active_sets(std::string* why) const {
     return fail("node set count drifted from bitmap population");
   }
 
-  // Generation subscriptions (active core): each node sits in exactly
-  // the place gen_where_ says, and nowhere twice.
-  if (cfg_.core == SimCore::Active && workload_) {
+  // Generation subscriptions: each node sits in exactly the place
+  // gen_where_ says, and nowhere twice.
+  if (workload_) {
     std::size_t dense_n = 0, timed_n = 0;
     for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
       const bool in_dense = gen_dense_.contains(node);
@@ -1221,12 +1172,11 @@ metrics::SimResult Simulator::run(const RunProtocol& protocol) {
                                     wall_start)
           .count();
   const CoreScanStats window = scan_.since(scan_start);
-  r.core = std::string(sim_core_name(cfg_.core));
   r.cycles_per_second =
       r.wall_seconds > 0.0
           ? static_cast<double>(window.cycles) / r.wall_seconds
           : 0.0;
-  r.scan_skip_ratio = window.skipped_scan_ratio();
+  r.scan_skip_ratio = window.skipped_scan_ratio(full_scan_visits());
   r.avg_active_links = window.avg_active_links();
   r.avg_active_nodes = window.avg_active_nodes();
   r.route_memo_hit_rate = window.route_memo_hit_rate();

@@ -17,28 +17,25 @@
 // same cycle (pipelining); a header routed in `route` sends its first
 // flit in the same cycle's `transmit`.
 //
-// Simulation cores: the same phase logic runs in one of two modes.
-//   * SimCore::Dense — the reference core: every phase scans every
-//     link/node and skips idle ones with a per-element guard.
-//     Arrivals is the exception in both cores: the Network's wire
-//     hands over exactly the flits due this cycle, in link order.
-//   * SimCore::Active (default) — per-cycle cost proportional to the
-//     *active* components: each phase iterates an incrementally
-//     maintained active set (util::ActiveSet bitmaps, ascending index
-//     order — the same visit order as the dense scan, which is what
-//     makes the two cores bit-identical). Components enqueue themselves
-//     on state transitions (tenancy, queue push, recovery enqueue,
-//     eject bind) and lazily retire when drained. Message generation is
-//     scheduled by each injection process's next_poll_hint, so idle
-//     sources are not polled at all.
-// tests/sim/test_core_equivalence.cpp enforces byte-identical results.
+// Per-cycle cost is proportional to the *active* components: each
+// phase iterates an incrementally maintained active set (util::ActiveSet
+// bitmaps, ascending index order — the order a full scan would visit).
+// Components enqueue themselves on state transitions (tenancy, queue
+// push, recovery enqueue, eject bind) and lazily retire when drained.
+// Arrivals is not a scan: the Network's wire hands over exactly the
+// flits due this cycle, in link order. Message generation is scheduled
+// by each injection process's next_poll_hint, so idle sources are not
+// polled at all. Blocked headers keep their route code in their
+// route-pending entry and are parked until a candidate VC frees or a
+// detection bound comes due (DESIGN.md §5, "Blocked-header memo").
+// tests/reference/ holds a naive model of the same cycle that full-
+// scans everything; the lock-step test checks this core against it.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <queue>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/limiter.hpp"
@@ -61,27 +58,6 @@
 
 namespace wormsim::sim {
 
-/// Which cycle-loop implementation drives the phases (results are
-/// bit-identical; only the per-cycle cost differs).
-enum class SimCore : std::uint8_t { Dense, Active };
-
-SimCore parse_sim_core(std::string_view name);
-std::string_view sim_core_name(SimCore core) noexcept;
-
-/// Saturated-regime fast-path toggle. It applies to the Active core
-/// only — the Dense core always routes every visit afresh, which is
-/// what makes test_core_equivalence a differential test of the memo.
-/// Results are bit-identical either way; the switch exists for that
-/// test and for perf triage. Both cores run the same limiter,
-/// selection and flow-control code, all of it reading one free-VC row.
-struct FastPathConfig {
-  /// Blocked headers keep their route code in their pending entry and
-  /// skip both re-route and re-selection while no candidate has a free
-  /// VC in the live free-mask row; queue heads reuse their node's last
-  /// route for the same destination. Off = every visit routes afresh.
-  bool route_memo = true;
-};
-
 struct SimulatorConfig {
   NetworkParams net{};
   routing::Algorithm algorithm = routing::Algorithm::TFAR;
@@ -99,8 +75,6 @@ struct SimulatorConfig {
   /// Flow-control scheme gating flit advance and VC admission
   /// (default: the paper's wormhole model).
   FlowControlConfig flow{};
-  SimCore core = SimCore::Active;
-  FastPathConfig fastpath{};
   /// Threads per simulation: always 1 (parallelism lives in the sweep
   /// harness's --jobs). A read-only constant, not a setting: perfbench's
   /// self-test reads it outside its requires-guard, so it goes only
@@ -109,25 +83,22 @@ struct SimulatorConfig {
   std::uint64_t seed = 1;
 };
 
-/// Per-cycle scan accounting: how much per-phase iteration work the
-/// core actually did versus what a dense scan would have done. The
-/// active-link count is exact simulation state (identical across
-/// cores); active nodes and the skip ratio describe the active-set
-/// machinery, so the dense core reports 0 active nodes and a 0 ratio.
+/// Per-cycle scan accounting: how many elements the phases visited.
+/// The active-link count is exact simulation state; active nodes and
+/// the visit count describe the active-set machinery.
 struct CoreScanStats {
   std::uint64_t cycles = 0;
   std::uint64_t scan_visited = 0;      // loop entries executed
-  std::uint64_t scan_total = 0;        // entries a dense scan would execute
   std::uint64_t active_links_sum = 0;  // tenant links, summed per cycle
   std::uint64_t active_nodes_sum = 0;  // injection-active nodes, per cycle
-  std::uint64_t route_evals = 0;       // routing-function/LUT evaluations
+  std::uint64_t route_evals = 0;       // route-code computations
   std::uint64_t route_memo_hits = 0;   // visits to known-blocked headers
 
-  /// Fraction of dense scan work skipped (0 for the dense core).
-  double skipped_scan_ratio() const noexcept {
-    return scan_total ? 1.0 - static_cast<double>(scan_visited) /
-                                  static_cast<double>(scan_total)
-                      : 0.0;
+  /// Fraction of a full scan's visits skipped, given a full scan's
+  /// visits per cycle (Simulator::full_scan_visits).
+  double skipped_scan_ratio(std::uint64_t full_scan_per_cycle) const noexcept {
+    const auto full = static_cast<double>(cycles * full_scan_per_cycle);
+    return full > 0 ? 1.0 - static_cast<double>(scan_visited) / full : 0.0;
   }
   double avg_active_links() const noexcept {
     return cycles ? static_cast<double>(active_links_sum) /
@@ -141,7 +112,7 @@ struct CoreScanStats {
   }
   /// Fraction of route queries answered by the blocked-header memo:
   /// visits to headers already known blocked this tenancy, parked or
-  /// not (0 when the memo is off or nothing ever blocked).
+  /// not (0 when nothing ever blocked).
   double route_memo_hit_rate() const noexcept {
     const std::uint64_t asked = route_evals + route_memo_hits;
     return asked ? static_cast<double>(route_memo_hits) /
@@ -154,7 +125,6 @@ struct CoreScanStats {
     CoreScanStats d;
     d.cycles = cycles - earlier.cycles;
     d.scan_visited = scan_visited - earlier.scan_visited;
-    d.scan_total = scan_total - earlier.scan_total;
     d.active_links_sum = active_links_sum - earlier.active_links_sum;
     d.active_nodes_sum = active_nodes_sum - earlier.active_nodes_sum;
     d.route_evals = route_evals - earlier.route_evals;
@@ -178,7 +148,7 @@ class Simulator {
   /// network through push_message()).
   Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
             std::unique_ptr<traffic::Workload> workload);
-  // Network and the routing function hold pointers into topo_.
+  // Network and the routing functions hold pointers into topo_.
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -202,6 +172,8 @@ class Simulator {
   const topo::KAryNCube& topology() const noexcept { return topo_; }
   Network& network() noexcept { return net_; }
   const Network& network() const noexcept { return net_; }
+  /// The virtual routing function the fault LUT tabulates (perfbench
+  /// also routes its timed limiter requests through it).
   const routing::RoutingFunction& routing_function() const noexcept {
     return *routing_;
   }
@@ -247,9 +219,13 @@ class Simulator {
 
   const SimulatorConfig& config() const noexcept { return cfg_; }
 
-  SimCore core() const noexcept { return cfg_.core; }
   /// Cumulative scan accounting since construction.
   const CoreScanStats& scan_stats() const noexcept { return scan_; }
+  /// Element visits per cycle of a full scan: every network link
+  /// (transmit) and every node three times (generate, eject, inject).
+  std::uint64_t full_scan_visits() const noexcept {
+    return net_.num_net_links() + 3 * std::uint64_t{topo_.num_nodes()};
+  }
 
   /// Active-set coherence: the Network link sets exactly mirror link
   /// state, the node sets cover every active node, and the incremental
@@ -334,8 +310,7 @@ class Simulator {
   /// limiter-visible status registers, queue depth, credit messages).
   metrics::WindowSample online_sample();
 
-  // Per-element phase bodies shared by both cores (the cores differ
-  // only in which elements they visit).
+  // Per-element phase bodies.
   void eject_node(NodeId node, Cycle t);
   void inject_node(NodeId node, Cycle t);
   /// One pending_route_ entry of the sequential route phase, start to
@@ -350,10 +325,10 @@ class Simulator {
   /// injection-active node set.
   void enqueue_source(NodeId node, NodeId dst, std::uint32_t length,
                       Cycle t);
-  /// Poll the workload for `node` at cycle `t` (both cores), then — in
-  /// the active core — re-subscribe the node according to its process's
-  /// next_poll_hint (every-cycle set, timed heap, or nothing for rate-0
-  /// sources until a workload mutation bumps the epoch).
+  /// Poll the workload for `node` at cycle `t`, then re-subscribe the
+  /// node according to its process's next_poll_hint (every-cycle set,
+  /// timed heap, or nothing for rate-0 sources until a workload
+  /// mutation bumps the epoch).
   void poll_node(NodeId node, Cycle t);
   void poll_and_reschedule(NodeId node, Cycle t);
 
@@ -380,28 +355,13 @@ class Simulator {
                     routing::RouteResult& out) const {
     routing::expand(code, cfg_.algorithm, net_.params().num_vcs, out);
   }
-  /// Route query shared by both cores. On a healthy network the dense
-  /// core calls the virtual routing function: the reference that the
-  /// active core's closed-form codes are differentially tested against.
-  void route_at(NodeId node, NodeId dst, routing::RouteResult& out) {
-    if (cfg_.core == SimCore::Dense && !lut_) {
-      ++scan_.route_evals;
-      routing_->route(node, dst, out);
-    } else {
-      expand_route(route_code(node, dst), out);
-    }
-  }
 
   /// Route of `node`'s queue head (bound for `dst`) into route_buf_,
-  /// for the limiter's request. With the memo on, the node's last
-  /// (dst, code) pair answers a repeat destination: routing is a pure
-  /// function of (node, dst), so a matching dst is an exact hit and
-  /// only a routing-table rebuild clears the cache.
+  /// for the limiter's request. The node's last (dst, code) pair
+  /// answers a repeat destination: routing is a pure function of
+  /// (node, dst), so a matching dst is an exact hit and only a
+  /// routing-table rebuild clears the cache.
   void head_route(NodeId node, NodeId dst) {
-    if (!memo_on_) {
-      route_at(node, dst, route_buf_);
-      return;
-    }
     HeadRoute& h = head_route_[node];
     if (h.dst != dst) h = {dst, route_code(node, dst)};
     expand_route(h.code, route_buf_);
@@ -450,10 +410,9 @@ class Simulator {
   routing::Selector selector_;
   std::unique_ptr<core::InjectionLimiter> limiter_;
   routing::RouteCoder coder_;
-  /// Tabulated routing, built (in either core) only when a fault
-  /// schedule is present: reconfiguration works by rebuilding this
-  /// table, and both cores must route from the same one to stay
-  /// bit-identical. Null on healthy networks.
+  /// Tabulated routing, built only when a fault schedule is present:
+  /// reconfiguration works by rebuilding this table. Null on healthy
+  /// networks. It holds a pointer to routing_, declared before it.
   std::unique_ptr<routing::RoutingLut> lut_;
   std::unique_ptr<traffic::Workload> workload_;
   /// Null when cfg.faults is empty — the provably-no-op fast path, like
@@ -475,8 +434,8 @@ class Simulator {
 
   /// Route-pending work item, one per header tenancy. `msg` and `node`
   /// (the router the header waits at) are enrollment-time snapshots.
-  /// With the route memo on, a header whose selection failed is
-  /// `blocked`: its route code stays here, and the header remains
+  /// A header whose selection failed is `blocked`: its route code
+  /// stays here, and the header remains
   /// blocked exactly while VCT admission refused it (constant per
   /// tenancy) or no candidate of `code` has a free bit in the live
   /// free-mask row. Before `no_detect_before` FC3D detection cannot
@@ -502,16 +461,13 @@ class Simulator {
   routing::RouteResult route_buf_;
   util::SmallVector<traffic::GeneratedMessage, 8> gen_buf_;
 
-  // --- Saturated-regime fast path (active core only) -------------------
-  /// Per-node queue-head route cache (see head_route); empty when the
-  /// memo is off, reset by fault reconfiguration.
+  /// Per-node queue-head route cache (see head_route), reset by fault
+  /// reconfiguration.
   struct HeadRoute {
     NodeId dst = topo::kInvalidNode;
     routing::RouteCode code;
   };
   std::vector<HeadRoute> head_route_;
-
-  bool memo_on_ = false;  // active core && fastpath.route_memo
 
   // --- Flow control (see flow_control.hpp) -----------------------------
   /// The credit loop; null unless the scheme is Credit. Wormhole's gate
@@ -526,13 +482,12 @@ class Simulator {
   /// is also the one the blocked-header test reads.
   const core::ChannelStatus* status_ = &net_;
 
-  // --- Active-set state (maintained in both cores where the cost is
-  // O(1) per transition; consumed only by the active core) -------------
+  // --- Active sets (O(1) per transition) ------------------------------
   util::ActiveSet eject_nodes_;   // nodes with >= 1 busy ejection port
   util::ActiveSet inject_nodes_;  // occupied inj VC, queued msg or
                                   // pending recovery (lazily pruned)
 
-  // Generation scheduling (active core): a node is subscribed in
+  // Generation scheduling: a node is subscribed in
   // exactly one place — gen_dense_ (poll every cycle), the timed heap
   // (poll at the hinted cycle) or nowhere (rate-0 source). gen_where_
   // tracks which, for O(1) transitions and coherence checks.
@@ -557,7 +512,6 @@ class Simulator {
   std::uint64_t lut_rebuilds_ = 0;  // fault-triggered retabulations
   std::vector<fault::FaultEvent> fault_buf_;
   std::vector<std::pair<deadlock::NodeId, deadlock::MsgId>> purge_buf_;
-  bool probe_enabled_ = true;
 };
 
 }  // namespace wormsim::sim

@@ -15,6 +15,13 @@ bool looks_like_key(std::string_view s) {
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
+  // A second value for a flag is an error, not a silent override.
+  const auto add = [this](std::string_view key, std::string value) {
+    if (!kv_.emplace(std::string(key), std::move(value)).second) {
+      throw std::invalid_argument("--" + std::string(key) +
+                                  " given more than once");
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (!looks_like_key(arg)) {
@@ -24,15 +31,15 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
     if (eq != std::string_view::npos) {
-      kv_.emplace(std::string(arg.substr(0, eq)), std::string(arg.substr(eq + 1)));
+      add(arg.substr(0, eq), std::string(arg.substr(eq + 1)));
       continue;
     }
     // "--key value" when the next token is not itself a key; else a flag.
     if (i + 1 < argc && !looks_like_key(argv[i + 1])) {
-      kv_.emplace(std::string(arg), std::string(argv[i + 1]));
+      add(arg, argv[i + 1]);
       ++i;
     } else {
-      kv_.emplace(std::string(arg), "true");
+      add(arg, "true");
     }
   }
 }

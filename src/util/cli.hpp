@@ -1,8 +1,9 @@
 // Tiny argv parser shared by the examples and bench harnesses.
 //
-// Accepts "--key=value", "--key value" and bare "--flag" forms. Every
-// main reads all the flags it knows and then calls reject_unknown(), so
-// a typo or a retired flag fails loudly instead of running defaults.
+// Accepts "--key=value", "--key value" and bare "--flag" forms; a flag
+// given twice throws std::invalid_argument naming it. Every main reads
+// all the flags it knows and then calls reject_unknown(), so a typo or a
+// retired flag fails loudly instead of running defaults.
 #pragma once
 
 #include <cstdint>

@@ -99,7 +99,6 @@ FuzzConfig draw_config(std::mt19937_64& rng, FlowControl scheme) {
 std::unique_ptr<Simulator> build(const FuzzConfig& f, std::uint64_t seed) {
   const topo::KAryNCube topo(f.k, f.n);
   SimulatorConfig cfg = default_config();
-  cfg.core = SimCore::Active;
   cfg.net.num_vcs = f.vcs;
   cfg.limiter.kind = f.limiter;
   cfg.flow.scheme = f.scheme;
@@ -167,7 +166,6 @@ INSTANTIATE_TEST_SUITE_P(HundredSeedsPerScheme, FaultFuzz,
 TEST(FaultFuzz, TrafficFlowsAfterFullRestore) {
   const topo::KAryNCube topo(4, 2);
   SimulatorConfig cfg = default_config();
-  cfg.core = SimCore::Active;
   cfg.faults = fault::FaultSchedule({
       {100, fault::FaultKind::LinkKill, 3, 0},
       {100, fault::FaultKind::NodeKill, 9, 0},

@@ -30,7 +30,6 @@ TEST_P(FaultTransientSoak, BurstyThroughputRecoversAfterLinkKills) {
 
   const topo::KAryNCube topo(8, 2);
   SimulatorConfig cfg = default_config();
-  cfg.core = SimCore::Active;
   cfg.limiter.kind = core::LimiterKind::ALO;
   cfg.flow.scheme = GetParam();
   if (GetParam() == FlowControl::Vct) {

@@ -132,23 +132,18 @@ TEST(Presets, MemoryEstimatePinsNetworkBytes) {
 
 /// status_bytes: free and admissible masks per network link, the route
 /// coder's 16-bit coordinates per (node, dimension), the source and
-/// recovery queues' 12-byte list heads per node and, with the route
-/// memo on, an 8-byte queue-head (dst, code) per node. Nothing scales
-/// with VC slots or traffic: blocked headers keep their memo in their
-/// own route-pending entry, and queued messages sit in arena slots.
+/// recovery queues' 12-byte list heads per node and the route memo's
+/// 8-byte queue-head (dst, code) per node. Nothing scales with VC slots
+/// or traffic: blocked headers keep their memo in their own
+/// route-pending entry, and queued messages sit in arena slots.
 TEST(Presets, MemoryEstimatePinsStatusBytes) {
   auto cfg = config::paper_base();  // 512 nodes, 6 channels, 3 VCs
   const std::uint64_t net_links = 512 * 6;
-  const std::uint64_t base = net_links * 2 + 512 * 3 * 2 + 512 * 2 * 12;
-  EXPECT_EQ(config::estimate_memory(cfg).status_bytes, base + 512 * 8);
-  cfg.sim.fastpath.route_memo = false;
-  EXPECT_EQ(config::estimate_memory(cfg).status_bytes, base);
-  cfg.sim.fastpath.route_memo = true;
-  cfg.sim.core = sim::SimCore::Dense;  // the memo is an active-core path
-  EXPECT_EQ(config::estimate_memory(cfg).status_bytes, base);
+  EXPECT_EQ(config::estimate_memory(cfg).status_bytes,
+            net_links * 2 + 512 * 3 * 2 + 512 * 2 * 12 + 512 * 8);
   cfg.k = 16;  // 4096 nodes: every per-node row, list heads included, x8
   EXPECT_EQ(config::estimate_memory(cfg).status_bytes,
-            4096 * 6 * 2 + 4096 * 3 * 2 + 4096 * 2 * 12);
+            4096 * 6 * 2 + 4096 * 3 * 2 + 4096 * 2 * 12 + 4096 * 8);
 }
 
 /// Healthy networks route in closed form and build no routing table;

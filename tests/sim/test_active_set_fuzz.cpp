@@ -63,7 +63,6 @@ FuzzConfig draw_config(std::mt19937_64& rng) {
 std::unique_ptr<Simulator> build(const FuzzConfig& f, std::uint64_t seed) {
   const topo::KAryNCube topo(f.k, f.n);
   SimulatorConfig cfg = default_config();
-  cfg.core = SimCore::Active;
   cfg.net.num_vcs = f.vcs;
   cfg.limiter.kind = f.limiter;
   traffic::WorkloadConfig wcfg;
@@ -114,7 +113,6 @@ INSTANTIATE_TEST_SUITE_P(HundredSeeds, ActiveSetFuzz,
 TEST(ActiveSetFuzz, RetiredComponentsReactivateOnNextEvent) {
   const topo::KAryNCube topo(4, 2);
   SimulatorConfig cfg = default_config();
-  cfg.core = SimCore::Active;
   traffic::WorkloadConfig wcfg;
   wcfg.offered_flits_per_node_cycle = 0.4;
   wcfg.length.fixed = 16;
@@ -156,7 +154,6 @@ TEST(ActiveSetFuzz, RetiredComponentsReactivateOnNextEvent) {
 TEST(ActiveSetFuzz, RateZeroThenRampGeneratesAgain) {
   const topo::KAryNCube topo(4, 2);
   SimulatorConfig cfg = default_config();
-  cfg.core = SimCore::Active;
   traffic::WorkloadConfig wcfg;
   wcfg.offered_flits_per_node_cycle = 0.0;
   wcfg.length.fixed = 16;

@@ -1,38 +1,29 @@
-// Differential harness for the two simulation cores: SimCore::Dense
-// (reference full scan) versus SimCore::Active (active-set iteration)
-// must be indistinguishable in results — byte-identical sweep CSVs,
-// exactly equal SimResult fields, and equal microarchitectural state in
-// lock-step execution. Any divergence is a bug in the active-set
-// bookkeeping, never an acceptable approximation.
+// Sweep-level anchors of the simulation core: golden sweep CSVs that
+// every refactor must reproduce byte for byte, under each flow-control
+// scheme and traffic pattern, at any --jobs count and with any observer
+// attached. The cycle-by-cycle oracle is the naive reference model in
+// tests/reference/, which its lock-step test checks this core against.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <sstream>
-#include <stdexcept>
 #include <string>
-#include <tuple>
-#include <vector>
 
-#include "../support/invariants.hpp"
 #include "config/presets.hpp"
 #include "fault/schedule.hpp"
 #include "harness/sweep.hpp"
-#include "harness/telemetry.hpp"
 #include "metrics/spatial.hpp"
 #include "obs/tracer.hpp"
 #include "sim/flow_control.hpp"
-#include "sim_test_util.hpp"
 
 namespace wormsim::sim {
 namespace {
 
-using testing::default_config;
-
 /// FAST-sized experiment base: 64 nodes, short windows. Small enough
-/// that the full differential matrix stays test-suite friendly, long
-/// enough that near-saturation and oversaturated points exercise
-/// deadlock detection/recovery and limiter state.
+/// that the sweeps stay test-suite friendly, long enough that
+/// near-saturation and oversaturated points exercise deadlock
+/// detection/recovery and limiter state.
 config::SimConfig equivalence_base() {
   config::SimConfig cfg = config::small_base();
   cfg.protocol.warmup = 300;
@@ -76,143 +67,13 @@ void expect_results_identical(const metrics::SimResult& d,
   EXPECT_EQ(d.total_cycles, a.total_cycles);
   EXPECT_EQ(d.fully_drained, a.fully_drained);
   EXPECT_EQ(d.saturated, a.saturated);
-  // The occupied-link average is exact simulation state, not an
-  // active-set diagnostic, so it must match across cores too.
+  // The occupied-link average is exact simulation state.
   EXPECT_EQ(d.avg_active_links, a.avg_active_links);
-}
-
-void expect_networks_equal(const Simulator& ds, const Simulator& as, Cycle at);
-
-/// Per-link flit counts for a lock-step pair: a SpatialMetrics attached
-/// to each simulator for its lifetime, compared link by link in
-/// expect_networks_equal.
-class LinkCounters {
- public:
-  LinkCounters(Simulator& dense, Simulator& active)
-      : dense_(counters_for(dense)), active_(counters_for(active)) {
-    dense.set_spatial(&dense_);
-    active.set_spatial(&active_);
-  }
-  LinkCounters(const LinkCounters&) = delete;
-  LinkCounters& operator=(const LinkCounters&) = delete;
-
- private:
-  static metrics::SpatialMetrics counters_for(const Simulator& sim) {
-    return metrics::SpatialMetrics(sim.topology().num_nodes(),
-                                   sim.network().num_net_links(),
-                                   sim.network().params().num_vcs);
-  }
-
-  metrics::SpatialMetrics dense_, active_;
-};
-
-/// The full differential matrix the PR promises: every limitation
-/// mechanism under three traffic patterns at a low, a near-saturation
-/// and an oversaturated load, as one sweep per core per pattern. The
-/// sweep CSV — the artifact figures are drawn from — must be
-/// byte-identical.
-class CoreEquivalence
-    : public ::testing::TestWithParam<traffic::PatternKind> {};
-
-TEST_P(CoreEquivalence, SweepCsvIsByteIdentical) {
-  harness::SweepSpec spec;
-  spec.base = equivalence_base();
-  spec.base.workload.pattern = GetParam();
-  spec.limiters = {core::LimiterKind::None, core::LimiterKind::ALO,
-                   core::LimiterKind::LF, core::LimiterKind::DRIL};
-  spec.offered_loads = {0.1, 0.45, 1.0};
-  spec.jobs = 1;
-
-  spec.base.sim.core = SimCore::Dense;
-  const auto dense = harness::run_sweep(spec);
-  spec.base.sim.core = SimCore::Active;
-  const auto active = harness::run_sweep(spec);
-
-  ASSERT_EQ(dense.size(), active.size());
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    expect_results_identical(
-        dense[i].result, active[i].result,
-        std::string(core::limiter_name(dense[i].limiter)) + " @ " +
-            std::to_string(dense[i].offered));
-  }
-
-  std::ostringstream dense_csv;
-  harness::write_sweep_csv(dense_csv, dense);
-  std::ostringstream active_csv;
-  harness::write_sweep_csv(active_csv, active);
-  EXPECT_EQ(dense_csv.str(), active_csv.str());
-}
-
-INSTANTIATE_TEST_SUITE_P(Patterns, CoreEquivalence,
-                         ::testing::Values(traffic::PatternKind::Uniform,
-                                           traffic::PatternKind::Complement,
-                                           traffic::PatternKind::BitReversal),
-                         [](const auto& param_info) {
-                           std::string name(
-                               traffic::pattern_name(param_info.param));
-                           // gtest param names must be alphanumeric.
-                           std::erase_if(name,
-                                         [](char c) { return !std::isalnum(
-                                               static_cast<unsigned char>(c)); });
-                           return name;
-                         });
-
-/// The active core must emit the same sweep CSV as the dense reference
-/// with the route memo on and off: the closed-form route codes and the
-/// blocked-header route memo are pure speedups, never approximations.
-/// One sweep per setting over the full limiter matrix, compared
-/// byte-for-byte,
-/// under each flow-control scheme against that scheme's own dense
-/// reference (the memo's blocked test reads the row selection reads in
-/// all three; VCT adds the admission verdict the entry records).
-TEST(CoreEquivalence, FastPathTogglesKeepSweepCsvByteIdentical) {
-  struct Scheme {
-    const char* label;
-    FlowControl scheme;
-    std::uint32_t buf_flits;
-  };
-  const Scheme schemes[] = {
-      {"wormhole", FlowControl::Wormhole, 4},
-      {"vct", FlowControl::Vct, 16},
-      {"credit-delay2", FlowControl::Credit, 4},
-  };
-  struct Toggle {
-    const char* label;
-    FastPathConfig fp;
-  };
-  const Toggle toggles[] = {
-      {"all-on", {}},
-      {"memo-off", {.route_memo = false}},
-  };
-  for (const auto& s : schemes) {
-    SCOPED_TRACE(s.label);
-    harness::SweepSpec spec;
-    spec.base = equivalence_base();
-    spec.base.sim.flow.scheme = s.scheme;
-    spec.base.sim.net.buf_flits = s.buf_flits;
-    spec.limiters = {core::LimiterKind::None, core::LimiterKind::ALO,
-                     core::LimiterKind::LF, core::LimiterKind::DRIL};
-    spec.offered_loads = {0.1, 1.0};
-    spec.jobs = 1;
-
-    spec.base.sim.core = SimCore::Dense;
-    std::ostringstream reference;
-    harness::write_sweep_csv(reference, harness::run_sweep(spec));
-
-    spec.base.sim.core = SimCore::Active;
-    for (const auto& t : toggles) {
-      SCOPED_TRACE(t.label);
-      spec.base.sim.fastpath = t.fp;
-      std::ostringstream csv;
-      harness::write_sweep_csv(csv, harness::run_sweep(spec));
-      EXPECT_EQ(reference.str(), csv.str());
-    }
-  }
 }
 
 /// Sweep CSV captured from the pre-flow-control-refactor tree (commit
 /// 1a11c95) for the exact configuration below: equivalence_base(), all
-/// four limiters, loads {0.1, 1.0}, serial sweep on the dense core.
+/// four limiters, loads {0.1, 1.0}, serial sweep.
 /// Every flow-control refactor since promises the default wormhole
 /// scheme is byte-identical to the fused pre-refactor channel logic;
 /// this string is the proof anchor — it must never be regenerated to
@@ -235,8 +96,7 @@ constexpr const char* kWormholeGoldenCsv =
 /// captured from the tree before limiters, selection and flow control
 /// moved onto one row-reading dispatch path (commit 823e9af): Credit
 /// with `credit_return_delay` 2 (buf_flits 4) and VCT at buf_flits 16.
-/// Once both cores share that code they no longer check each other on
-/// it, so these strings are its proof anchors — never regenerate them
+/// These strings are that code's proof anchors — never regenerate them
 /// to make a refactor pass.
 constexpr const char* kCreditDelay2GoldenCsv =
     "mechanism,offered_flits_node_cycle,latency_avg_cycles,"
@@ -281,41 +141,138 @@ std::string sweep_csv(const harness::SweepSpec& spec) {
   return csv.str();
 }
 
-/// The tentpole guarantee: wormhole-through-the-interface reproduces
-/// the pre-refactor sweep byte-for-byte on every core and under any
-/// --jobs count. Any diff here means the interface extraction changed
-/// behavior, which it is never allowed to do.
+constexpr const char* kCsvHeader =
+    "mechanism,offered_flits_node_cycle,latency_avg_cycles,"
+    "latency_sd_cycles,latency_p99_cycles,accepted_flits_node_cycle,"
+    "deadlock_pct,avg_queue_len,fully_drained,saturated\n";
+
+/// Every limitation mechanism under three traffic patterns at a low, a
+/// near-saturation and an oversaturated load. These rows were captured
+/// from the tree in which a second, full-scan core still ran beside
+/// this one and both emitted them byte for byte; never regenerate them
+/// to make a refactor pass.
+const char* pattern_golden_rows(traffic::PatternKind pattern) {
+  switch (pattern) {
+    case traffic::PatternKind::Uniform:
+      return "none,0.1,30.64231738,6.605701123,47,0.0989375,0,0,1,0\n"
+             "none,0.45,42.70382883,11.77138207,74.6,0.4413125,0,0.1818181818,"
+             "1,0\n"
+             "none,1,419.5096204,248.0367212,1145,0.656296875,3.249906612,"
+             "1310.025,0,1\n"
+             "alo,0.1,30.06896552,6.168329932,46,0.0935625,0,0,1,0\n"
+             "alo,0.45,43.93163842,12.97744084,85.66666667,0.44328125,0,"
+             "1.090909091,1,0\n"
+             "alo,1,322.6472068,179.7176526,806.3333333,0.75490625,0,"
+             "1031.666667,1,1\n"
+             "lf,0.1,31.18537859,6.400032254,48.33333333,0.0976875,0,0,1,0\n"
+             "lf,0.45,44.69794559,13.46984792,87,0.44903125,0,4.318181818,1,"
+             "0\n"
+             "lf,1,351.4220599,183.8853046,847.5,0.752703125,0.03328894807,"
+             "1150.675676,1,1\n"
+             "dril,0.1,31.17447917,6.407862581,47.75,0.094484375,0,0,1,0\n"
+             "dril,0.45,56.96345515,84.2770427,573,0.441375,0,21.2,1,0\n"
+             "dril,1,396.597874,332.1462311,1408,0.711,0.03546099291,1364.15,"
+             "0,1\n";
+    case traffic::PatternKind::Complement:
+      return "none,0.1,32.29396985,6.566361193,52.66666667,0.09971875,0,0,1,"
+             "0\n"
+             "none,0.45,244.1025641,276.3964673,1291,0.366640625,5.61582642,"
+             "205.35,0,1\n"
+             "none,1,845.5553027,421.8049521,1892,0.360953125,17.08137189,"
+             "2801.8,0,1\n"
+             "alo,0.1,31.88413098,6.764604506,56.5,0.098515625,0,0,1,0\n"
+             "alo,0.45,218.3738569,269.6209751,1268,0.4006875,0.7255139057,"
+             "242.05,0,1\n"
+             "alo,1,735.5907563,464.5975024,1815,0.4169375,3.052064632,"
+             "2752.675,0,1\n"
+             "lf,0.1,32.55837563,6.462927736,51.5,0.097421875,0,0,1,0\n"
+             "lf,0.45,199.2713223,252.6171351,1169,0.393703125,0.5056890013,"
+             "228.225,0,1\n"
+             "lf,1,679.3137086,455.3826213,1640.5,0.423375,1.071428571,"
+             "2746.975,0,1\n"
+             "dril,0.1,31.62404092,5.950721338,49.5,0.097671875,0,0,1,0\n"
+             "dril,0.45,199.6839378,253.2485013,1373,0.38621875,0.7213114754,"
+             "308.875,0,1\n"
+             "dril,1,790.1507321,444.64125,1910.333333,0.38534375,0.837628866,"
+             "2964.075,0,1\n";
+    case traffic::PatternKind::BitReversal:
+      return "none,0.1,32.92977528,5.206209663,47.66666667,0.089203125,0,0,1,"
+             "0\n"
+             "none,0.45,47.13530928,13.94737867,94.33333333,0.391734375,0,"
+             "0.09090909091,1,0\n"
+             "none,1,523.5086018,337.1213457,1364,0.528328125,4.896073903,"
+             "1405.775,0,1\n"
+             "alo,0.1,32.6954023,5.231896165,48.33333333,0.085921875,0,0,1,"
+             "0\n"
+             "alo,0.45,47.95174099,14.17202083,96,0.40615625,0,0.7272727273,1,"
+             "0\n"
+             "alo,1,484.0219259,315.5160497,1323,0.574203125,0.6947459835,"
+             "1354.35,0,1\n"
+             "lf,0.1,32.56764706,5.612340426,53,0.084203125,0,0,1,0\n"
+             "lf,0.45,46.91074919,13.98581815,91,0.388546875,0,1.454545455,1,"
+             "0\n"
+             "lf,1,477.0441956,303.719121,1282,0.582390625,0.636672326,"
+             "1357.575,0,1\n"
+             "dril,0.1,32.42939481,4.750555913,46.5,0.087328125,0,0,1,0\n"
+             "dril,0.45,54.24415744,44.87739256,299,0.40271875,0,6.807692308,"
+             "1,0\n"
+             "dril,1,486.1146179,374.8056929,1427,0.53659375,0,1560.175,0,1\n";
+    default:
+      return "";
+  }
+}
+
+class CoreEquivalence
+    : public ::testing::TestWithParam<traffic::PatternKind> {};
+
+TEST_P(CoreEquivalence, SweepCsvIsByteIdentical) {
+  harness::SweepSpec spec = golden_sweep_spec();
+  spec.base.workload.pattern = GetParam();
+  spec.offered_loads = {0.1, 0.45, 1.0};
+  EXPECT_EQ(std::string(kCsvHeader) + pattern_golden_rows(GetParam()),
+            sweep_csv(spec));
+}
+
+INSTANTIATE_TEST_SUITE_P(Patterns, CoreEquivalence,
+                         ::testing::Values(traffic::PatternKind::Uniform,
+                                           traffic::PatternKind::Complement,
+                                           traffic::PatternKind::BitReversal),
+                         [](const auto& param_info) {
+                           std::string name(
+                               traffic::pattern_name(param_info.param));
+                           // gtest param names must be alphanumeric.
+                           std::erase_if(name,
+                                         [](char c) { return !std::isalnum(
+                                               static_cast<unsigned char>(c)); });
+                           return name;
+                         });
+
+/// Wormhole reproduces the pre-refactor sweep byte-for-byte under any
+/// --jobs count. Any diff here means a refactor changed behavior, which
+/// it is never allowed to do.
 TEST(FlowControl, WormholeViaInterfaceMatchesPreRefactorGolden) {
   harness::SweepSpec spec = golden_sweep_spec();
-  for (const auto core : {SimCore::Dense, SimCore::Active}) {
-    for (const unsigned jobs : {1u, 4u}) {
-      SCOPED_TRACE(std::string(sim_core_name(core)) +
-                   " jobs=" + std::to_string(jobs));
-      spec.base.sim.core = core;
-      spec.jobs = jobs;
-      EXPECT_EQ(kWormholeGoldenCsv, sweep_csv(spec));
-    }
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    spec.jobs = jobs;
+    EXPECT_EQ(kWormholeGoldenCsv, sweep_csv(spec));
   }
 }
 
 /// Attaching the online statistics engine — latency histograms, the
 /// windowed series, the saturation detector, and even the wall-clock
 /// phase profiler — must not perturb the simulation: the golden sweep
-/// CSV stays byte-identical with it enabled, on both cores, at any
-/// --jobs count. The observers only ever read simulation state.
+/// CSV stays byte-identical with it enabled, at any --jobs count. The
+/// observers only ever read simulation state.
 TEST(CoreEquivalence, OnlineStatsKeepSweepCsvByteIdentical) {
   harness::SweepSpec spec = golden_sweep_spec();
   spec.online = true;
   spec.online_config.window_cycles = 128;
   spec.online_config.profile_period = 64;
-  for (const auto core : {SimCore::Dense, SimCore::Active}) {
-    for (const unsigned jobs : {1u, 4u}) {
-      SCOPED_TRACE(std::string(sim_core_name(core)) +
-                   " jobs=" + std::to_string(jobs));
-      spec.base.sim.core = core;
-      spec.jobs = jobs;
-      EXPECT_EQ(kWormholeGoldenCsv, sweep_csv(spec));
-    }
+  for (const unsigned jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    spec.jobs = jobs;
+    EXPECT_EQ(kWormholeGoldenCsv, sweep_csv(spec));
   }
 }
 
@@ -328,11 +285,7 @@ TEST(FlowControl, CreditZeroDelayIsByteIdenticalToWormhole) {
   harness::SweepSpec spec = golden_sweep_spec();
   spec.base.sim.flow.scheme = FlowControl::Credit;
   spec.base.sim.flow.credit_return_delay = 0;
-  for (const auto core : {SimCore::Dense, SimCore::Active}) {
-    SCOPED_TRACE(sim_core_name(core));
-    spec.base.sim.core = core;
-    EXPECT_EQ(kWormholeGoldenCsv, sweep_csv(spec));
-  }
+  EXPECT_EQ(kWormholeGoldenCsv, sweep_csv(spec));
 }
 
 /// With buffers at least one whole message deep, virtual cut-through's
@@ -342,21 +295,14 @@ TEST(FlowControl, CreditZeroDelayIsByteIdenticalToWormhole) {
 TEST(FlowControl, VctIsByteIdenticalToWormholeAtDeepBuffers) {
   harness::SweepSpec spec = golden_sweep_spec();
   spec.base.sim.net.buf_flits = 16;  // == message length
-  spec.base.sim.core = SimCore::Dense;
   const std::string reference = sweep_csv(spec);
-
   spec.base.sim.flow.scheme = FlowControl::Vct;
-  for (const auto core : {SimCore::Dense, SimCore::Active}) {
-    SCOPED_TRACE(sim_core_name(core));
-    spec.base.sim.core = core;
-    EXPECT_EQ(reference, sweep_csv(spec));
-  }
+  EXPECT_EQ(reference, sweep_csv(spec));
 }
 
-/// The dense-vs-active and serial-vs-parallel equivalence contracts
-/// extend to the alternative schemes: credit (with a real return
-/// latency) and VCT each reproduce their golden CSV, independent of
-/// core and job count.
+/// The serial-vs-parallel equivalence contract extends to the
+/// alternative schemes: credit (with a real return latency) and VCT
+/// each reproduce their golden CSV, independent of job count.
 TEST(FlowControl, AlternativeSchemesAgreeAcrossCoresAndJobs) {
   struct Scheme {
     const char* label;
@@ -374,14 +320,10 @@ TEST(FlowControl, AlternativeSchemesAgreeAcrossCoresAndJobs) {
     spec.base.sim.flow.scheme = s.scheme;
     spec.base.sim.flow.credit_return_delay = 2;
     spec.base.sim.net.buf_flits = s.buf_flits;
-    for (const auto core : {SimCore::Dense, SimCore::Active}) {
-      for (const unsigned jobs : {1u, 4u}) {
-        SCOPED_TRACE(std::string(sim_core_name(core)) + " jobs=" +
-                     std::to_string(jobs));
-        spec.base.sim.core = core;
-        spec.jobs = jobs;
-        EXPECT_EQ(s.golden, sweep_csv(spec));
-      }
+    for (const unsigned jobs : {1u, 4u}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs));
+      spec.jobs = jobs;
+      EXPECT_EQ(s.golden, sweep_csv(spec));
     }
   }
 }
@@ -435,381 +377,60 @@ TEST(FlowControl, SchemesConserveAndOrderLatencyAtLowLoad) {
   EXPECT_LE(runs[2].result.latency_mean, runs[0].result.latency_mean + 0.5);
 }
 
-/// Lock-step microscope over the schemes themselves: for each scheme
-/// the dense core (full scans, no route memo) and the active core must
-/// agree on complete channel-level state every cycle, with the full
-/// shared invariant battery — including credit conservation — green on
-/// both.
-class FlowControlLockStep : public ::testing::TestWithParam<FlowControl> {};
-
-TEST_P(FlowControlLockStep, ChannelStateAgreesEveryCycle) {
-  const topo::KAryNCube topo(4, 2);
-  const auto make = [&](SimCore core) {
-    SimulatorConfig cfg = default_config();
-    cfg.core = core;
-    cfg.limiter.kind = core::LimiterKind::ALO;
-    cfg.flow.scheme = GetParam();
-    if (GetParam() == FlowControl::Vct) {
-      cfg.net.buf_flits = 16;  // admission needs message-deep buffers
-    }
-    traffic::WorkloadConfig wcfg;
-    wcfg.offered_flits_per_node_cycle = 1.1;  // well past saturation
-    wcfg.length.fixed = 16;
-    auto workload = std::make_unique<traffic::Workload>(topo, wcfg, 901);
-    return std::make_unique<Simulator>(topo, cfg, std::move(workload));
-  };
-  auto dense = make(SimCore::Dense);
-  auto active = make(SimCore::Active);
-  const LinkCounters counters(*dense, *active);
-
-  for (int block = 0; block < 200; ++block) {
-    for (int i = 0; i < 10; ++i) {
-      dense->step();
-      active->step();
-    }
-    const Cycle at = dense->cycle();
-    ASSERT_EQ(at, active->cycle());
-    expect_networks_equal(*dense, *active, at);
-    ASSERT_EQ(dense->total_delivered(), active->total_delivered());
-    ASSERT_EQ(dense->messages_in_flight(), active->messages_in_flight());
-    ASSERT_EQ(dense->source_queue_total(), active->source_queue_total());
-    ASSERT_EQ(dense->total_deadlock_detections(),
-              active->total_deadlock_detections());
-    ASSERT_TRUE(testing::check_all_invariants(*dense));
-    ASSERT_TRUE(testing::check_all_invariants(*active));
-  }
-  // Both cores must account credit messages identically.
-  ASSERT_EQ(dense->credit_messages(), active->credit_messages());
-  if (GetParam() == FlowControl::Credit) {
-    EXPECT_GT(dense->credit_messages(), 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Schemes, FlowControlLockStep,
-                         ::testing::Values(FlowControl::Wormhole,
-                                           FlowControl::Credit,
-                                           FlowControl::Vct),
-                         [](const auto& param_info) {
-                           return std::string(
-                               flow_control_name(param_info.param));
-                         });
-
 /// Observability must observe, never participate: attaching a tracer
-/// and spatial metrics to a run cannot change a single result field on
-/// either core, even with deadlock recovery and limiter state hot.
+/// and spatial metrics to a run cannot change a single result field,
+/// even with deadlock recovery and limiter state hot.
 TEST(CoreEquivalence, InstrumentationDoesNotPerturbResults) {
-  for (const auto core : {SimCore::Dense, SimCore::Active}) {
-    config::SimConfig base = equivalence_base();
-    base.sim.core = core;
-    base.sim.limiter.kind = core::LimiterKind::ALO;
-    base.workload.offered_flits_per_node_cycle = 1.0;  // past saturation
+  config::SimConfig base = equivalence_base();
+  base.sim.limiter.kind = core::LimiterKind::ALO;
+  base.workload.offered_flits_per_node_cycle = 1.0;  // past saturation
 
-    const auto plain = config::run_experiment(base);
+  const auto plain = config::run_experiment(base);
 
-    obs::Tracer tracer(1u << 12);
-    const topo::KAryNCube topo(base.k, base.n);
-    metrics::SpatialMetrics spatial(
-        topo.num_nodes(), topo.num_nodes() * topo.num_channels(),
-        base.sim.net.num_vcs);
-    config::RunHooks hooks;
-    hooks.tracer = &tracer;
-    hooks.spatial = &spatial;
-    const auto instrumented = config::run_experiment(base, hooks);
+  obs::Tracer tracer(1u << 12);
+  const topo::KAryNCube topo(base.k, base.n);
+  metrics::SpatialMetrics spatial(topo.num_nodes(),
+                                  topo.num_nodes() * topo.num_channels(),
+                                  base.sim.net.num_vcs);
+  config::RunHooks hooks;
+  hooks.tracer = &tracer;
+  hooks.spatial = &spatial;
+  const auto instrumented = config::run_experiment(base, hooks);
 
-    // The hooks saw real traffic...
-    EXPECT_GT(tracer.events_recorded(), 0u);
-    std::uint64_t ejected = 0;
-    for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-      ejected += spatial.node_ejected_flits(n);
-    }
-    EXPECT_GT(ejected, 0u);
-    // ...and the results are exactly what the plain run produced.
-    expect_results_identical(
-        plain, instrumented,
-        "instrumented " + std::string(sim_core_name(core)));
+  // The hooks saw real traffic...
+  EXPECT_GT(tracer.events_recorded(), 0u);
+  std::uint64_t ejected = 0;
+  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
+    ejected += spatial.node_ejected_flits(n);
   }
+  EXPECT_GT(ejected, 0u);
+  // ...and the results are exactly what the plain run produced.
+  expect_results_identical(plain, instrumented, "instrumented");
 }
-
-/// Lock-step microscope: one dense and one active simulator advance a
-/// cycle at a time from identical seeds; their complete channel-level
-/// state must agree at every comparison point, not just the end-of-run
-/// aggregates. High offered load keeps deadlock recovery and limiter
-/// paths hot.
-class LockStep : public ::testing::TestWithParam<core::LimiterKind> {};
-
-void expect_networks_equal(const Simulator& ds, const Simulator& as,
-                           Cycle at) {
-  const Network& d = ds.network();
-  const Network& a = as.network();
-  ASSERT_EQ(d.num_links(), a.num_links());
-  for (LinkId l = 0; l < d.num_links(); ++l) {
-    const Link& dl = d.link(l);
-    const Link& al = a.link(l);
-    ASSERT_EQ(dl.active_vc_mask, al.active_vc_mask)
-        << "link " << l << " cycle " << at;
-    ASSERT_EQ(dl.rr_next, al.rr_next) << "link " << l << " cycle " << at;
-    for (unsigned v = 0; v < d.vcs_on(l); ++v) {
-      const VcRef ref{l, static_cast<std::uint8_t>(v)};
-      const VcState& dv = d.vc(ref);
-      const VcState& av = a.vc(ref);
-      ASSERT_EQ(dv.msg == kNoMsg, av.msg == kNoMsg)
-          << "vc " << l << "/" << v << " cycle " << at;
-      ASSERT_EQ(dv.in_count, av.in_count)
-          << "vc " << l << "/" << v << " cycle " << at;
-      ASSERT_EQ(dv.out_count, av.out_count)
-          << "vc " << l << "/" << v << " cycle " << at;
-      ASSERT_EQ(dv.occupancy, av.occupancy)
-          << "vc " << l << "/" << v << " cycle " << at;
-      ASSERT_EQ(ds.header_arrival(ref), as.header_arrival(ref))
-          << "vc " << l << "/" << v << " cycle " << at;
-      ASSERT_EQ(d.progress(ref), a.progress(ref))
-          << "vc " << l << "/" << v << " cycle " << at;
-      ASSERT_EQ(dv.last_activity, av.last_activity)
-          << "vc " << l << "/" << v << " cycle " << at;
-      ASSERT_EQ(dv.pending_route, av.pending_route)
-          << "vc " << l << "/" << v << " cycle " << at;
-    }
-  }
-  // Every network link carried the same number of flits so far.
-  ASSERT_NE(ds.spatial(), nullptr);
-  ASSERT_NE(as.spatial(), nullptr);
-  for (LinkId l = 0; l < d.num_net_links(); ++l) {
-    ASSERT_EQ(ds.spatial()->link_flits(l), as.spatial()->link_flits(l))
-        << "link " << l << " cycle " << at;
-  }
-  // The wire: the same flits toward the same VCs, due in the same
-  // cycles, in the same order.
-  ASSERT_EQ(d.wire_flits(), a.wire_flits()) << "cycle " << at;
-  for (unsigned b = 0; b < d.wire_buckets(); ++b) {
-    const auto db = d.wire_bucket(b), ab = a.wire_bucket(b);
-    ASSERT_TRUE(std::equal(db.begin(), db.end(), ab.begin(), ab.end()))
-        << "wire bucket " << b << " cycle " << at;
-  }
-  ASSERT_EQ(d.flits_in_network(), a.flits_in_network()) << "cycle " << at;
-}
-
-TEST_P(LockStep, ChannelStateAgreesEveryCycle) {
-  const unsigned k = 4, n = 2;
-  const topo::KAryNCube topo(k, n);
-  const auto make = [&](SimCore core) {
-    SimulatorConfig cfg = default_config();
-    cfg.core = core;
-    cfg.limiter.kind = GetParam();
-    traffic::WorkloadConfig wcfg;
-    wcfg.offered_flits_per_node_cycle = 1.1;  // well past saturation
-    wcfg.length.fixed = 16;
-    auto workload = std::make_unique<traffic::Workload>(topo, wcfg, 777);
-    return std::make_unique<Simulator>(topo, cfg, std::move(workload));
-  };
-  auto dense = make(SimCore::Dense);
-  auto active = make(SimCore::Active);
-  const LinkCounters counters(*dense, *active);
-
-  for (int block = 0; block < 300; ++block) {
-    for (int i = 0; i < 10; ++i) {
-      dense->step();
-      active->step();
-    }
-    const Cycle at = dense->cycle();
-    ASSERT_EQ(at, active->cycle());
-    expect_networks_equal(*dense, *active, at);
-    ASSERT_EQ(dense->total_delivered(), active->total_delivered());
-    ASSERT_EQ(dense->messages_in_flight(), active->messages_in_flight());
-    ASSERT_EQ(dense->source_queue_total(), active->source_queue_total());
-    ASSERT_EQ(dense->recovery_pending(), active->recovery_pending());
-    ASSERT_EQ(dense->total_deadlock_detections(),
-              active->total_deadlock_detections());
-    for (NodeId node = 0; node < topo.num_nodes(); ++node) {
-      ASSERT_EQ(dense->source_queue_len(node), active->source_queue_len(node))
-          << "node " << node << " cycle " << at;
-      ASSERT_EQ(dense->collector().fairness().at(node),
-                active->collector().fairness().at(node))
-          << "node " << node << " cycle " << at;
-    }
-    std::string why;
-    ASSERT_TRUE(active->check_active_sets(&why)) << why;
-    ASSERT_TRUE(active->check_conservation(&why)) << why;
-    ASSERT_TRUE(dense->check_active_sets(&why)) << why;
-    ASSERT_TRUE(dense->check_conservation(&why)) << why;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Limiters, LockStep,
-                         ::testing::Values(core::LimiterKind::None,
-                                           core::LimiterKind::ALO,
-                                           core::LimiterKind::LF,
-                                           core::LimiterKind::DRIL),
-                         [](const auto& param_info) {
-                           return std::string(
-                               core::limiter_name(param_info.param));
-                         });
 
 /// The fault subsystem at rest must be invisible: a sweep whose base
 /// config carries an empty schedule (no FaultManager at all) and one
 /// whose schedule only fires beyond the run horizon (manager wired in,
-/// per-cycle due() gate armed, routing LUT forced on both cores) must
-/// both emit the byte-identical CSV of the plain no-fault sweep, on
-/// either core and for any --jobs count.
+/// per-cycle due() gate armed, routing LUT built) must both emit the
+/// byte-identical CSV of the plain no-fault sweep, for any --jobs count.
 TEST(CoreEquivalence, FaultNoopKeepsSweepCsvByteIdentical) {
   harness::SweepSpec spec;
   spec.base = equivalence_base();
   spec.limiters = {core::LimiterKind::None, core::LimiterKind::ALO};
   spec.offered_loads = {0.1, 1.0};
   spec.jobs = 1;
-
-  spec.base.sim.core = SimCore::Dense;
-  std::ostringstream reference;
-  harness::write_sweep_csv(reference, harness::run_sweep(spec));
+  const std::string reference = sweep_csv(spec);
 
   const fault::FaultSchedule beyond_horizon(
       {{std::uint64_t{1} << 40, fault::FaultKind::LinkKill, 0, 0}});
-  for (const auto core : {SimCore::Dense, SimCore::Active}) {
-    for (const unsigned jobs : {1u, 2u}) {
-      SCOPED_TRACE(std::string(sim_core_name(core)) + " jobs=" +
-                   std::to_string(jobs));
-      spec.base.sim.core = core;
-      spec.jobs = jobs;
-      spec.base.sim.faults = fault::FaultSchedule{};
-      std::ostringstream empty_csv;
-      harness::write_sweep_csv(empty_csv, harness::run_sweep(spec));
-      EXPECT_EQ(reference.str(), empty_csv.str());
-
-      spec.base.sim.faults = beyond_horizon;
-      std::ostringstream armed_csv;
-      harness::write_sweep_csv(armed_csv, harness::run_sweep(spec));
-      EXPECT_EQ(reference.str(), armed_csv.str());
-    }
+  for (const unsigned jobs : {1u, 2u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    spec.jobs = jobs;
+    spec.base.sim.faults = fault::FaultSchedule{};
+    EXPECT_EQ(reference, sweep_csv(spec));
+    spec.base.sim.faults = beyond_horizon;
+    EXPECT_EQ(reference, sweep_csv(spec));
   }
-}
-
-/// Lock-step equivalence through live fault surgery: both cores take
-/// the same kills and restores mid-traffic and must agree on complete
-/// channel-level state, the lost-message count and the rebuild count at
-/// every comparison point. Parametrized over the flow-control schemes
-/// so fault teardown is exercised against credit bookkeeping and VCT
-/// admission too.
-class FaultLockStep : public ::testing::TestWithParam<FlowControl> {};
-
-TEST_P(FaultLockStep, AgreesThroughFaultTransients) {
-  const topo::KAryNCube topo(4, 2);
-  const fault::FaultSchedule schedule({
-      {400, fault::FaultKind::LinkKill, 5, 1},
-      {700, fault::FaultKind::NodeKill, 10, 0},
-      {1400, fault::FaultKind::LinkRestore, 5, 1},
-      {1800, fault::FaultKind::NodeRestore, 10, 0},
-  });
-  const auto make = [&](SimCore core) {
-    SimulatorConfig cfg = default_config();
-    cfg.core = core;
-    cfg.limiter.kind = core::LimiterKind::ALO;
-    cfg.flow.scheme = GetParam();
-    if (GetParam() == FlowControl::Vct) {
-      cfg.net.buf_flits = 16;  // admission needs message-deep buffers
-    }
-    cfg.faults = schedule;
-    traffic::WorkloadConfig wcfg;
-    wcfg.offered_flits_per_node_cycle = 1.1;  // well past saturation
-    wcfg.length.fixed = 16;
-    auto workload = std::make_unique<traffic::Workload>(topo, wcfg, 777);
-    return std::make_unique<Simulator>(topo, cfg, std::move(workload));
-  };
-  auto dense = make(SimCore::Dense);
-  auto active = make(SimCore::Active);
-  const LinkCounters counters(*dense, *active);
-
-  for (int block = 0; block < 250; ++block) {
-    for (int i = 0; i < 10; ++i) {
-      dense->step();
-      active->step();
-    }
-    const Cycle at = dense->cycle();
-    ASSERT_EQ(at, active->cycle());
-    expect_networks_equal(*dense, *active, at);
-    ASSERT_EQ(dense->total_delivered(), active->total_delivered());
-    ASSERT_EQ(dense->total_lost(), active->total_lost());
-    ASSERT_EQ(dense->messages_in_flight(), active->messages_in_flight());
-    ASSERT_EQ(dense->source_queue_total(), active->source_queue_total());
-    ASSERT_EQ(dense->recovery_pending(), active->recovery_pending());
-    ASSERT_EQ(dense->fault_events_applied(), active->fault_events_applied());
-    ASSERT_EQ(dense->lut_rebuilds(), active->lut_rebuilds());
-    ASSERT_TRUE(testing::check_all_invariants(*dense));
-    ASSERT_TRUE(testing::check_all_invariants(*active));
-  }
-  EXPECT_EQ(dense->fault_events_applied(), 4u);
-  EXPECT_EQ(dense->lut_rebuilds(), 4u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Schemes, FaultLockStep,
-                         ::testing::Values(FlowControl::Wormhole,
-                                           FlowControl::Credit,
-                                           FlowControl::Vct),
-                         [](const auto& param_info) {
-                           return std::string(
-                               flow_control_name(param_info.param));
-                         });
-
-/// A mid-run offered-load change (the epoch path): dense re-polls
-/// naturally, the active core must tear down stale generation
-/// subscriptions. End state has to agree exactly.
-TEST(CoreEquivalence, LoadChangeMidRunStaysIdentical) {
-  const topo::KAryNCube topo(4, 2);
-  const auto make = [&](SimCore core) {
-    SimulatorConfig cfg = default_config();
-    cfg.core = core;
-    traffic::WorkloadConfig wcfg;
-    wcfg.offered_flits_per_node_cycle = 0.05;  // sparse: hints skip a lot
-    wcfg.length.fixed = 16;
-    auto workload = std::make_unique<traffic::Workload>(topo, wcfg, 4242);
-    return std::make_unique<Simulator>(topo, cfg, std::move(workload));
-  };
-  auto dense = make(SimCore::Dense);
-  auto active = make(SimCore::Active);
-  const LinkCounters counters(*dense, *active);
-  const auto lockstep = [&](Cycle cycles) {
-    for (Cycle i = 0; i < cycles; ++i) {
-      dense->step();
-      active->step();
-    }
-  };
-  lockstep(1500);
-  dense->workload()->set_offered_load(0.8);
-  active->workload()->set_offered_load(0.8);
-  lockstep(1500);
-  dense->workload()->set_offered_load(0.0);
-  active->workload()->set_offered_load(0.0);
-  lockstep(3000);
-  expect_networks_equal(*dense, *active, dense->cycle());
-  EXPECT_EQ(dense->total_delivered(), active->total_delivered());
-  EXPECT_EQ(dense->source_queue_total(), active->source_queue_total());
-  EXPECT_EQ(dense->collector().measured_generated(),
-            active->collector().measured_generated());
-}
-
-/// Same matrix point under the bursty ON/OFF process, whose poll hints
-/// are phase-bounded — a distinct skip-logic path from the plain
-/// exponential process.
-TEST(CoreEquivalence, BurstyProcessStaysIdentical) {
-  config::SimConfig base = equivalence_base();
-  base.workload.process = traffic::ProcessKind::Bursty;
-  base.workload.offered_flits_per_node_cycle = 0.3;
-  base.sim.core = SimCore::Dense;
-  const auto d = config::run_experiment(base);
-  base.sim.core = SimCore::Active;
-  const auto a = config::run_experiment(base);
-  expect_results_identical(d, a, "bursty");
-}
-
-/// Bernoulli polls every cycle by contract (its hint is always now+1),
-/// so the active core must not skip any of its RNG draws.
-TEST(CoreEquivalence, BernoulliProcessStaysIdentical) {
-  config::SimConfig base = equivalence_base();
-  base.workload.process = traffic::ProcessKind::Bernoulli;
-  base.workload.offered_flits_per_node_cycle = 0.4;
-  base.sim.core = SimCore::Dense;
-  const auto d = config::run_experiment(base);
-  base.sim.core = SimCore::Active;
-  const auto a = config::run_experiment(base);
-  expect_results_identical(d, a, "bernoulli");
 }
 
 }  // namespace

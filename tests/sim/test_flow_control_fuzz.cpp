@@ -76,7 +76,6 @@ FuzzConfig draw_config(std::mt19937_64& rng, FlowControl scheme) {
 std::unique_ptr<Simulator> build(const FuzzConfig& f, std::uint64_t seed) {
   const topo::KAryNCube topo(f.k, f.n);
   SimulatorConfig cfg = default_config();
-  cfg.core = SimCore::Active;
   cfg.net.num_vcs = f.vcs;
   cfg.limiter.kind = f.limiter;
   cfg.flow.scheme = f.scheme;
@@ -140,7 +139,6 @@ INSTANTIATE_TEST_SUITE_P(HundredSeedsPerScheme, FlowControlFuzz,
 TEST(FlowControlFuzz, CreditsAllReturnAtQuiescence) {
   const topo::KAryNCube topo(4, 2);
   SimulatorConfig cfg = default_config();
-  cfg.core = SimCore::Active;
   cfg.flow.scheme = FlowControl::Credit;
   cfg.flow.credit_return_delay = 5;
   traffic::WorkloadConfig wcfg;

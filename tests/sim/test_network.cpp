@@ -38,8 +38,7 @@ std::vector<Sent> transmit(Network& net, Cycle now) {
   const auto record = [&](VcRef to, VcRef, bool freed) {
     sent.push_back({to, freed});
   };
-  net.transmit(now, /*all_links=*/false,
-               static_cast<const CreditFlowControl*>(nullptr), &record);
+  net.transmit(now, static_cast<const CreditFlowControl*>(nullptr), &record);
   return sent;
 }
 

@@ -2,8 +2,8 @@
 // rows (tenancy, occupancy, a feeder or none, the feeder's backlog,
 // rr_next and, under Credit, outstanding credits) every link's send, or
 // no send, must be the reference loop's, and so must the state the phase
-// leaves behind. Both simulator cores run the kernel, so this is what
-// checks its pick against the arbitration rule itself.
+// leaves behind. This checks the kernel's pick against the arbitration
+// rule itself; tests/reference/ checks the whole cycle around it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,14 +107,13 @@ std::vector<Send> reference_transmit(Network& net, CreditFlowControl* credit,
 }
 
 std::vector<Send> kernel_transmit(Network& net, CreditFlowControl* credit,
-                                  Cycle now, bool all_links) {
+                                  Cycle now) {
   std::vector<Send> sends;
   const auto after_send = [&](VcRef to, VcRef up, bool freed) {
     if (credit) credit_send(net, *credit, to, up, now);
     sends.push_back({to, up, freed});
   };
-  net.transmit(now, all_links, static_cast<const CreditFlowControl*>(credit),
-               &after_send);
+  net.transmit(now, static_cast<const CreditFlowControl*>(credit), &after_send);
   return sends;
 }
 
@@ -218,57 +217,54 @@ void expect_same_state(const Network& a, const Network& b,
 }
 
 /// Two cycles of the transmit phase on each of many random states, at
-/// every VC count the kernel is instantiated for and in both visit
-/// modes, with or without the credit veto (an ideal credit loop, so a
-/// drain returns its credit within the phase).
+/// every VC count the kernel is instantiated for, with or without the
+/// credit veto (an ideal credit loop, so a drain returns its credit
+/// within the phase).
 void check_against_reference(bool with_credit) {
   const topo::KAryNCube topo(4, 2);
   Outcomes seen;
   for (unsigned vcs = 1; vcs <= 8; ++vcs) {
-    for (const bool all_links : {false, true}) {
-      for (std::uint64_t seed = 0; seed < 24; ++seed) {
-        SCOPED_TRACE("vcs=" + std::to_string(vcs) + " all_links=" +
-                     std::to_string(all_links) + " seed=" +
-                     std::to_string(seed));
-        NetworkParams p;
-        p.num_vcs = vcs;
-        p.buf_flits = 1u << (seed % 3);  // 1, 2 or 4
-        p.inj_channels = 2;
-        p.eje_channels = 2;
-        p.link_delay = 2;
-        Network kernel_net(topo, p);
-        Network reference_net(topo, p);
-        std::unique_ptr<CreditFlowControl> kernel_credit;
-        std::unique_ptr<CreditFlowControl> reference_credit;
-        if (with_credit) {
-          kernel_credit = std::make_unique<CreditFlowControl>(kernel_net, 0);
-          reference_credit =
-              std::make_unique<CreditFlowControl>(reference_net, 0);
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      SCOPED_TRACE("vcs=" + std::to_string(vcs) +
+                   " seed=" + std::to_string(seed));
+      NetworkParams p;
+      p.num_vcs = vcs;
+      p.buf_flits = 1u << (seed % 3);  // 1, 2 or 4
+      p.inj_channels = 2;
+      p.eje_channels = 2;
+      p.link_delay = 2;
+      Network kernel_net(topo, p);
+      Network reference_net(topo, p);
+      std::unique_ptr<CreditFlowControl> kernel_credit;
+      std::unique_ptr<CreditFlowControl> reference_credit;
+      if (with_credit) {
+        kernel_credit = std::make_unique<CreditFlowControl>(kernel_net, 0);
+        reference_credit =
+            std::make_unique<CreditFlowControl>(reference_net, 0);
+      }
+      draw_state(kernel_net, kernel_credit.get(), seed * 9 + vcs);
+      draw_state(reference_net, reference_credit.get(), seed * 9 + vcs);
+      for (Cycle now = 0; now < 2; ++now) {
+        kernel_net.process_arrivals(now, [](VcRef) {});
+        const std::vector<Send> got =
+            kernel_transmit(kernel_net, kernel_credit.get(), now);
+        const std::vector<Send> want = reference_transmit(
+            reference_net, reference_credit.get(), now, seen);
+        ASSERT_EQ(got.size(), want.size()) << "cycle " << now;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i], want[i]) << "cycle " << now << ", send " << i
+                                     << " to link " << want[i].to.link;
         }
-        draw_state(kernel_net, kernel_credit.get(), seed * 9 + vcs);
-        draw_state(reference_net, reference_credit.get(), seed * 9 + vcs);
-        for (Cycle now = 0; now < 2; ++now) {
-          kernel_net.process_arrivals(now, [](VcRef) {});
-          const std::vector<Send> got =
-              kernel_transmit(kernel_net, kernel_credit.get(), now, all_links);
-          const std::vector<Send> want = reference_transmit(
-              reference_net, reference_credit.get(), now, seen);
-          ASSERT_EQ(got.size(), want.size()) << "cycle " << now;
-          for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(got[i], want[i]) << "cycle " << now << ", send " << i
-                                       << " to link " << want[i].to.link;
-          }
-          const std::span<const VcRef> wire =
-              kernel_net.wire_bucket(static_cast<unsigned>(
-                  (now + p.link_delay) % (p.link_delay + 1)));
-          ASSERT_EQ(wire.size(), want.size());
-          for (std::size_t i = 0; i < wire.size(); ++i) {
-            ASSERT_EQ(wire[i], want[i].to);
-          }
-          expect_same_state(kernel_net, reference_net, kernel_credit.get(),
-                            reference_credit.get());
-          if (::testing::Test::HasFatalFailure()) return;
+        const std::span<const VcRef> wire =
+            kernel_net.wire_bucket(static_cast<unsigned>(
+                (now + p.link_delay) % (p.link_delay + 1)));
+        ASSERT_EQ(wire.size(), want.size());
+        for (std::size_t i = 0; i < wire.size(); ++i) {
+          ASSERT_EQ(wire[i], want[i].to);
         }
+        expect_same_state(kernel_net, reference_net, kernel_credit.get(),
+                          reference_credit.get());
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }

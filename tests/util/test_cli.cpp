@@ -116,6 +116,26 @@ TEST(Cli, RejectUnknownNamesEveryUnreadFlag) {
   }
 }
 
+TEST(Cli, RepeatedFlagThrowsNamingIt) {
+  // Every spelling counts: --key value, --key=value and a bare flag.
+  const struct {
+    std::vector<const char*> argv;
+    std::string flag;
+  } cases[] = {
+      {{"prog", "--k", "4", "--n", "2", "--k", "4294967300"}, "--k"},
+      {{"prog", "--k=4", "--k", "8"}, "--k"},
+      {{"prog", "--paper", "--paper"}, "--paper"},
+  };
+  for (const auto& c : cases) {
+    try {
+      ArgParser(static_cast<int>(c.argv.size()), c.argv.data());
+      FAIL() << c.flag << " given twice was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), c.flag + " given more than once");
+    }
+  }
+}
+
 TEST(Cli, RejectUnknownAcceptsEveryReadFlag) {
   // has() counts as a read too (the bare --profile / --paper forms).
   auto args = parse({"prog", "--k=8", "--paper", "--offered", "0.5"});

@@ -257,15 +257,13 @@ TEST(ParserFuzz, EnumNames) {
       [](std::string_view s) { routing::parse_algorithm(s); },
       [](std::string_view s) { routing::parse_selection(s); },
       [](std::string_view s) { sim::parse_flow_control(s); },
-      [](std::string_view s) { sim::parse_sim_core(s); },
       [](std::string_view s) { obs::parse_log_level(s); },
   };
   const int ok = fuzz(
       5,
       {"none", "alo", "lf", "dril", "uniform", "bit-reversal", "hotspot",
        "exponential", "bursty", "tfar", "dor", "duato", "max-free",
-       "round-robin", "wormhole", "credit", "vct", "dense", "active", "warn",
-       "debug"},
+       "round-robin", "wormhole", "credit", "vct", "warn", "debug"},
       [&readers](const std::string& name) {
         bool any = false;
         for (const auto& read : readers) {

@@ -16,16 +16,17 @@ Criteria keys are interpreted as follows:
   *_max_pct   -> every point's matching `<stem>_pct` field must be <=
                  the threshold (e.g. tracing_overhead_max_pct checks
                  point["tracing_overhead_pct"]).
-  low_load_speedup_min    -> active_speedup of the point with the
-                 smallest offered_flits_node_cycle must be >= threshold.
-  saturation_speedup_min  -> active_speedup of the point with the
-                 largest offered_flits_node_cycle must be >= threshold.
   *_max       -> every point's `<stem>` field must be <= the threshold
                  (e.g. recovery_cycles_max checks
                  point["recovery_cycles"]).
   *_min       -> every point's `<stem>` field must be >= the threshold
                  (e.g. post_rebuild_cps_ratio_min checks
                  point["post_rebuild_cps_ratio"]).
+
+A `low_load_` or `saturation_` prefix narrows any of these to the point
+with the smallest or the largest offered_flits_node_cycle (e.g.
+saturation_route_memo_hit_rate_min checks only the top-load point's
+route_memo_hit_rate), for fields whose bound differs between loads.
 
 Every file must also carry `"schema": "wormsim.bench/1"` next to the
 criteria block, so consumers can detect format drift.
@@ -51,20 +52,9 @@ def fail(msg):
     return 1
 
 
-def check_speedup_point(data, point, key, threshold, regime):
-    speedup = point.get("active_speedup")
-    if speedup is None:
-        return fail(f"{regime} point has no active_speedup field")
-    if speedup < threshold:
-        return fail(
-            f"{key}: active_speedup {speedup:.3f} < {threshold} at "
-            f"offered load {point.get('offered_flits_node_cycle')}"
-        )
-    print(
-        f"check_bench: ok: {key}: active_speedup {speedup:.3f} >= "
-        f"{threshold} ({regime})"
-    )
-    return 0
+# Key prefixes that narrow a criterion to one point of the load-sorted
+# list: the lowest load or the highest.
+SCOPES = {"low_load_": 0, "saturation_": -1}
 
 
 def check_file(path):
@@ -90,15 +80,13 @@ def check_file(path):
         points, key=lambda p: p.get("offered_flits_node_cycle", 0.0)
     )
     for key, threshold in criteria.items():
-        if key == "low_load_speedup_min":
-            rc |= check_speedup_point(data, by_load[0], key, threshold,
-                                      "low load")
-        elif key == "saturation_speedup_min":
-            rc |= check_speedup_point(data, by_load[-1], key, threshold,
-                                      "saturation")
-        elif key.endswith("_max_pct"):
-            field = key[: -len("_max_pct")] + "_pct"
-            for point in points:
+        scoped, stem = points, key
+        for prefix, index in SCOPES.items():
+            if key.startswith(prefix):
+                scoped, stem = [by_load[index]], key[len(prefix):]
+        if stem.endswith("_max_pct"):
+            field = stem[: -len("_max_pct")] + "_pct"
+            for point in scoped:
                 value = point.get(field)
                 load = point.get("offered_flits_node_cycle")
                 if value is None:
@@ -110,13 +98,13 @@ def check_file(path):
                 else:
                     print(f"check_bench: ok: {key}: {field} {value:.2f} "
                           f"<= {threshold} at load {load}")
-        elif key.endswith("_max") or key.endswith("_min"):
+        elif stem.endswith("_max") or stem.endswith("_min"):
             # Generic per-point bound: <stem>_max / <stem>_min against
-            # point["<stem>"]. Order matters: the named speedup keys and
-            # *_max_pct were already matched above.
-            is_max = key.endswith("_max")
-            field = key[: -len("_max")]
-            for point in points:
+            # point["<stem>"]. Order matters: *_max_pct was already
+            # matched above.
+            is_max = stem.endswith("_max")
+            field = stem[: -len("_max")]
+            for point in scoped:
                 value = point.get(field)
                 load = point.get("offered_flits_node_cycle")
                 if value is None:
@@ -162,22 +150,25 @@ def self_test():
         "points": [
             {
                 "offered_flits_node_cycle": 0.1,
-                "active_speedup": 2.5,
+                "skip": 0.9,
+                "hits": 0.0,
                 "x_overhead_pct": 1.0,
                 "recovery_cycles": 100,
                 "ratio": 0.9,
             },
             {
                 "offered_flits_node_cycle": 1.2,
-                "active_speedup": 1.8,
+                "skip": 0.2,
+                "hits": 0.95,
                 "x_overhead_pct": 1.5,
                 "recovery_cycles": 120,
                 "ratio": 0.8,
             },
         ],
         "criteria": {
-            "low_load_speedup_min": 2.0,
-            "saturation_speedup_min": 1.5,
+            "low_load_skip_min": 0.85,
+            "saturation_hits_min": 0.9,
+            "saturation_skip_max": 0.5,
             "x_overhead_max_pct": 2.0,
             "recovery_cycles_max": 200,
             "ratio_min": 0.5,
@@ -195,9 +186,25 @@ def self_test():
     bad_pct["points"][1]["x_overhead_pct"] = 9.0
     rc |= _expect(bad_pct, 1, "pct gate over threshold")
 
-    bad_speedup = variant()
-    bad_speedup["points"][0]["active_speedup"] = 1.0
-    rc |= _expect(bad_speedup, 1, "low-load speedup under threshold")
+    bad_low = variant()
+    bad_low["points"][0]["skip"] = 0.5
+    rc |= _expect(bad_low, 1, "low_load_ *_min gate under threshold")
+
+    bad_sat = variant()
+    bad_sat["points"][1]["hits"] = 0.5
+    rc |= _expect(bad_sat, 1, "saturation_ *_min gate under threshold")
+
+    bad_sat_max = variant()
+    bad_sat_max["points"][1]["skip"] = 0.6
+    rc |= _expect(bad_sat_max, 1, "saturation_ *_max gate over threshold")
+
+    # A scoped key reads only its own point: the low-load point's
+    # hits (0.0) and skip (0.9) would fail the saturation gates, and the
+    # saturation point's skip (0.2) the low-load one, yet `good` passes.
+    # Unscoped, the same bound applies to every point and fails.
+    unscoped = variant()
+    unscoped["criteria"]["hits_min"] = 0.9
+    rc |= _expect(unscoped, 1, "unscoped *_min gate checks every point")
 
     bad_min = variant()
     bad_min["points"][0]["ratio"] = 0.1
