@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -174,6 +175,50 @@ TEST(OnlineSweep, TimeseriesWindowRecordsAreSchemaValid) {
   ASSERT_TRUE(summary.has_value()) << err;
   EXPECT_EQ(summary->find("kind")->str, "summary");
   EXPECT_EQ(summary->find("windows")->number, static_cast<double>(windows));
+}
+
+/// FNV-1a, 64 bits, over the bytes of `text`.
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// The whole wormsim.timeseries/1 stream of a sweep past saturation,
+/// pinned by its hash: moving any window boundary, or any per-window
+/// count, by one changes it (the --jobs test above cannot see a shift
+/// that every job count makes alike). Wormhole and Credit, at loads
+/// where the unlimited network detects deadlocks, so the deadlock and
+/// credit-message columns are pinned at nonzero values too.
+TEST(OnlineSweep, TimeseriesMatchesGolden) {
+  struct Case {
+    sim::FlowControl scheme;
+    std::uint64_t hash;
+  };
+  for (const Case& c : {Case{sim::FlowControl::Wormhole, 0x85cea6d702e8c9f4ull},
+                        Case{sim::FlowControl::Credit, 0x6cad8c8b2d89ccf7ull}}) {
+    SweepSpec spec = online_spec(2);
+    spec.base.sim.flow.scheme = c.scheme;
+    spec.offered_loads = {0.6, 1.2};
+    const auto points = run_sweep(spec);
+    std::uint64_t deadlocks = 0, credits = 0;
+    for (const auto& p : points) {
+      for (const metrics::Window& w : p.online->windows()) {
+        deadlocks += w.deadlocks;
+        credits += w.credit_messages;
+      }
+    }
+    const std::string name(sim::flow_control_name(c.scheme));
+    EXPECT_GT(deadlocks, 0u) << name;
+    EXPECT_EQ(credits > 0, c.scheme == sim::FlowControl::Credit) << name;
+    std::ostringstream ts;
+    write_sweep_timeseries(ts, spec, points);
+    EXPECT_EQ(fnv1a64(ts.str()), c.hash)
+        << name << ": 0x" << std::hex << fnv1a64(ts.str());
+  }
 }
 
 /// The detector-vs-offline-knee golden on the FAST fig05 operating
