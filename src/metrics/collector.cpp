@@ -7,7 +7,7 @@ Collector::Collector(NodeId num_nodes, Cycle window_start, Cycle window_end)
       window_end_(window_end),
       fairness_(num_nodes) {}
 
-SimResult Collector::finish(NodeId num_nodes) const {
+SimResult Collector::finish() const {
   SimResult r;
   r.latency_mean = latency_.mean();
   r.latency_stddev = latency_.stddev();
@@ -16,34 +16,8 @@ SimResult Collector::finish(NodeId num_nodes) const {
   r.latency_p50 = latency_hist_.quantile(0.50);
   r.latency_p95 = latency_hist_.quantile(0.95);
   r.latency_p99 = latency_hist_.quantile(0.99);
-
-  const double window =
-      static_cast<double>(window_end_ - window_start_);
-  if (window > 0 && num_nodes > 0) {
-    r.accepted_flits_per_node_cycle =
-        static_cast<double>(flits_ejected_window_) /
-        (window * static_cast<double>(num_nodes));
-  }
-
-  r.deadlock_detections = deadlocks_window_;
-  r.messages_injected_window = injected_window_;
-  r.deadlock_pct =
-      injected_window_
-          ? 100.0 * static_cast<double>(deadlocks_window_) /
-                static_cast<double>(injected_window_)
-          : 0.0;
-
-  r.messages_generated = generated_;
-  r.messages_injected = injected_;
-  r.messages_delivered = delivered_;
-  r.measured_delivered = measured_delivered_;
-  r.measured_generated = measured_generated_;
-  r.messages_lost = lost_;
-
   r.avg_queue_len = queue_len_.mean();
   r.max_queue_len = static_cast<std::uint64_t>(queue_len_.max());
-
-  r.probe = probe_;
   return r;
 }
 

@@ -99,7 +99,10 @@ struct SimResult {
   std::uint64_t lut_rebuilds = 0;  // routing-table reconfigurations
 };
 
-/// Streaming collector the simulator feeds; produces a SimResult.
+/// What a run reports beyond event counts, which the simulator's ledger
+/// holds: the measurement window's bounds (they decide which messages
+/// are measured), the latency of measured messages, source-queue
+/// samples and per-node fairness.
 class Collector {
  public:
   Collector(NodeId num_nodes, Cycle window_start, Cycle window_end);
@@ -108,61 +111,26 @@ class Collector {
     return t >= window_start_ && t < window_end_;
   }
 
-  void on_generated(Cycle t) noexcept {
-    ++generated_;
-    if (in_window(t)) ++measured_generated_;
-  }
-  void on_injected(NodeId node, Cycle t, bool counts_fairness) noexcept {
-    ++injected_;
-    if (in_window(t)) {
-      ++injected_window_;
-      if (counts_fairness) fairness_.increment(node);
-    }
+  /// A source injection: counts toward its node's fairness share when
+  /// it falls inside the window.
+  void on_injected(NodeId node, Cycle t) noexcept {
+    if (in_window(t)) fairness_.increment(node);
   }
   void on_delivered(Cycle gen_time, Cycle now, bool measured) noexcept {
-    ++delivered_;
-    if (measured) {
-      ++measured_delivered_;
-      const auto lat = static_cast<double>(now - gen_time);
-      latency_.add(lat);
-      latency_hist_.add(lat);
-    }
-  }
-  void on_flits_ejected(Cycle t, std::uint32_t count) noexcept {
-    if (in_window(t)) flits_ejected_window_ += count;
-  }
-  void on_deadlock(Cycle t) noexcept {
-    if (in_window(t)) ++deadlocks_window_;
-  }
-  void on_probe(Cycle t, bool rule_a, bool rule_b) noexcept {
-    if (!in_window(t)) return;
-    ++probe_.samples;
-    probe_.rule_a += rule_a;
-    probe_.rule_b += rule_b;
-    probe_.either += (rule_a || rule_b);
+    if (!measured) return;
+    const auto lat = static_cast<double>(now - gen_time);
+    latency_.add(lat);
+    latency_hist_.add(lat);
   }
   void on_queue_sample(std::size_t len) noexcept {
     queue_len_.add(static_cast<double>(len));
   }
-  /// A message that will never be delivered: its destination died or
-  /// became unreachable (fault reconfiguration).
-  void on_lost(bool measured) noexcept {
-    ++lost_;
-    if (measured) ++measured_lost_;
-  }
 
-  std::uint64_t measured_generated() const noexcept {
-    return measured_generated_;
-  }
-  std::uint64_t measured_delivered() const noexcept {
-    return measured_delivered_;
-  }
-  std::uint64_t measured_lost() const noexcept { return measured_lost_; }
   const util::FairnessCounters& fairness() const noexcept { return fairness_; }
 
-  /// Finalize into a SimResult (the caller fills the config echo and
-  /// run-bookkeeping fields it owns).
-  SimResult finish(NodeId num_nodes) const;
+  /// A SimResult with the latency and source-queue fields filled (the
+  /// simulator fills the counts from its ledger).
+  SimResult finish() const;
 
  private:
   Cycle window_start_;
@@ -172,18 +140,6 @@ class Collector {
   util::Histogram latency_hist_{1.0, 1u << 20};
   util::RunningStats queue_len_;
   util::FairnessCounters fairness_;
-  ProbeStats probe_;
-
-  std::uint64_t generated_ = 0;
-  std::uint64_t measured_generated_ = 0;
-  std::uint64_t injected_ = 0;
-  std::uint64_t injected_window_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t measured_delivered_ = 0;
-  std::uint64_t flits_ejected_window_ = 0;
-  std::uint64_t deadlocks_window_ = 0;
-  std::uint64_t lost_ = 0;
-  std::uint64_t measured_lost_ = 0;
 };
 
 }  // namespace wormsim::metrics

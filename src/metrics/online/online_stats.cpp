@@ -18,8 +18,13 @@ void OnlineStats::close_window(Cycle t, const WindowSample& sample) {
   cur_.start_cycle = cur_start_;
   cur_.cycles = t + 1 - cur_start_;
   cur_.end = sample;
-  cur_.credit_messages = sample.credit_messages - last_credit_messages_;
-  last_credit_messages_ = sample.credit_messages;
+  cur_.offered_flits = sample.offered_flits - last_.offered_flits;
+  cur_.accepted_flits = sample.accepted_flits - last_.accepted_flits;
+  cur_.injected = sample.injected - last_.injected;
+  cur_.delivered = sample.delivered - last_.delivered;
+  cur_.deadlocks = sample.deadlocks - last_.deadlocks;
+  cur_.credit_messages = sample.credit_messages - last_.credit_messages;
+  last_ = sample;
   cur_.latency_count = window_hist_.count();
   cur_.latency_p99 = window_hist_.quantile(0.99);
   detect(cur_);

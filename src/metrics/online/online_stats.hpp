@@ -5,9 +5,11 @@
 // The simulator drives this through branch-on-null hooks exactly like
 // the tracer/spatial observers from the observability layer: when no
 // OnlineStats is attached nothing is computed, and attaching one never
-// changes simulation results (CSV stays byte-identical). All recorded
-// quantities are integers derived from simulation state, so sweep
-// telemetry remains byte-identical at any --jobs count; only the
+// changes simulation results (CSV stays byte-identical). Window counts
+// are not fed event by event: each is the difference of two cumulative
+// samples of the simulator's ledger, taken at the window's ends. All
+// recorded quantities are integers derived from simulation state, so
+// sweep telemetry remains byte-identical at any --jobs count; only the
 // profiler (quarantined under telemetry "perf") is wall-clock.
 #pragma once
 
@@ -47,15 +49,22 @@ struct OnlineConfig {
   std::uint64_t profile_period = 0;
 };
 
-/// Instantaneous network state snapshotted by the simulator when a
-/// window closes. Counter fields are cumulative since simulator start.
+/// Network state snapshotted by the simulator when a window closes: the
+/// instantaneous occupancy, and event counts cumulative since simulator
+/// start. A window's counts are the differences between its closing
+/// sample and the previous one.
 struct WindowSample {
   std::uint64_t in_flight_flits = 0;  ///< flits currently in the network
   std::uint64_t blocked_headers = 0;  ///< messages waiting on a route
   std::uint64_t free_vcs = 0;         ///< free VCs per the status registers
   std::uint64_t total_vcs = 0;        ///< total VCs in the network
   std::uint64_t queue_total = 0;      ///< pending messages in source queues
-  std::uint64_t credit_messages = 0;  ///< cumulative credit msgs (cumulative)
+  std::uint64_t offered_flits = 0;    ///< cumulative flits generated
+  std::uint64_t accepted_flits = 0;   ///< cumulative flits ejected
+  std::uint64_t injected = 0;         ///< cumulative source injections
+  std::uint64_t delivered = 0;        ///< cumulative deliveries
+  std::uint64_t deadlocks = 0;        ///< cumulative deadlock detections
+  std::uint64_t credit_messages = 0;  ///< cumulative credit messages
 };
 
 /// One closed recording window.
@@ -85,24 +94,17 @@ class OnlineStats {
  public:
   explicit OnlineStats(std::uint32_t num_nodes, const OnlineConfig& cfg = {});
 
-  // --- hot-path hooks (called only when attached) -----------------------
-  void on_generated(std::uint64_t flits) noexcept {
-    cur_.offered_flits += flits;
-  }
-  void on_injected() noexcept { ++cur_.injected; }
-  void on_flits_ejected(std::uint64_t n) noexcept { cur_.accepted_flits += n; }
+  // --- hot-path hook (called only when attached) ------------------------
   void on_delivered(Cycle latency, bool measured) {
-    ++cur_.delivered;
     window_hist_.add(latency);
     if (measured) latency_hist_.add(latency);
   }
-  void on_deadlock() noexcept { ++cur_.deadlocks; }
 
-  /// Start the current window at cycle `t`, with `credit_messages` as
-  /// the running credit count it is measured from (the attach point).
-  void start_window(Cycle t, std::uint64_t credit_messages) noexcept {
+  /// Start the current window at cycle `t`, with `baseline` as the
+  /// cumulative counts it is measured from (the attach point).
+  void start_window(Cycle t, const WindowSample& baseline) noexcept {
     cur_start_ = t;
-    last_credit_messages_ = credit_messages;
+    last_ = baseline;
   }
   /// True when cycle t is the last cycle of the current window.
   bool window_closes(Cycle t) const noexcept {
@@ -142,7 +144,7 @@ class OnlineStats {
 
   Window cur_{};
   Cycle cur_start_ = 0;
-  std::uint64_t last_credit_messages_ = 0;
+  WindowSample last_{};  ///< the sample the current window counts from
   std::vector<Window> windows_;
 
   // detector state

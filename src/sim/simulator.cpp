@@ -68,14 +68,12 @@ Simulator::Simulator(const topo::KAryNCube& topo, const SimulatorConfig& cfg,
 
 void Simulator::enqueue_source(NodeId node, NodeId dst, std::uint32_t length,
                                Cycle t) {
+  ++scan_.generated;
+  scan_.generated_flits += length;
   if (faults_ && !deliverable(node, dst)) {
     // The source cannot know the destination died, but queueing the
-    // message would wedge the FIFO head forever: count it generated and
-    // immediately lost instead. (Generation at a dead node itself is
-    // suppressed in poll_node.)
-    ++generated_total_;
-    collector_.on_generated(t);
-    if (online_) online_->on_generated(length);
+    // message would wedge the FIFO head forever: it is lost at once.
+    // (Generation at a dead node itself is suppressed in poll_node.)
     count_lost(collector_.in_window(t));
     return;
   }
@@ -84,10 +82,7 @@ void Simulator::enqueue_source(NodeId node, NodeId dst, std::uint32_t length,
   queues_.push_back(node, {t, dst, static_cast<std::uint16_t>(length),
                            collector_.in_window(t)});
   if (queues_.size(node) == 1) head_since_[node] = t;
-  ++generated_total_;
   inject_nodes_.insert(node);
-  collector_.on_generated(t);
-  if (online_) online_->on_generated(length);
   if (tracer_) {
     tracer_->record(t, obs::EventKind::QueueEnqueue, node,
                     /*aux8=*/0, static_cast<std::uint16_t>(length),
@@ -114,15 +109,9 @@ void Simulator::step() {
   scan_.cycles += 1;
   if (credit_) credit_->begin_cycle(t);
   if (online_ && online_->profile_due(t)) {
-    run_phases_profiled(t);
+    run_phases<true>(t);
   } else {
-    if (faults_ && faults_->due(t)) apply_faults(t);
-    phase_generate(t);
-    phase_arrivals(t);
-    phase_eject(t);
-    phase_route(t);
-    phase_transmit(t);
-    phase_inject(t);
+    run_phases<false>(t);
   }
   scan_.active_links_sum += net_.tenant_links().size();
   scan_.active_nodes_sum += inject_nodes_.size();
@@ -152,21 +141,28 @@ void Simulator::step() {
   ++cycle_;
 }
 
-void Simulator::run_phases_profiled(Cycle t) {
-  metrics::PhaseProfiler& prof = online_->profiler();
-  prof.time(metrics::Phase::Fault, [&] {
+template <bool Profiled>
+void Simulator::run_phases(Cycle t) {
+  const auto phase = [&]([[maybe_unused]] metrics::Phase p, auto&& body) {
+    if constexpr (Profiled) {
+      online_->profiler().time(p, body);
+    } else {
+      body();
+    }
+  };
+  phase(metrics::Phase::Fault, [&] {
     if (faults_ && faults_->due(t)) apply_faults(t);
   });
-  prof.time(metrics::Phase::Generate, [&] { phase_generate(t); });
-  prof.time(metrics::Phase::Arrivals, [&] { phase_arrivals(t); });
-  prof.time(metrics::Phase::Eject, [&] { phase_eject(t); });
-  prof.time(metrics::Phase::Route, [&] { phase_route(t); });
-  prof.time(metrics::Phase::Transmit, [&] { phase_transmit(t); });
-  prof.time(metrics::Phase::Inject, [&] { phase_inject(t); });
-  prof.count_sample();
+  phase(metrics::Phase::Generate, [&] { phase_generate(t); });
+  phase(metrics::Phase::Arrivals, [&] { phase_arrivals(t); });
+  phase(metrics::Phase::Eject, [&] { phase_eject(t); });
+  phase(metrics::Phase::Route, [&] { phase_route(t); });
+  phase(metrics::Phase::Transmit, [&] { phase_transmit(t); });
+  phase(metrics::Phase::Inject, [&] { phase_inject(t); });
+  if constexpr (Profiled) online_->profiler().count_sample();
 }
 
-metrics::WindowSample Simulator::online_sample() {
+metrics::WindowSample Simulator::online_sample() const {
   metrics::WindowSample s;
   s.in_flight_flits = net_.flits_in_network();
   s.blocked_headers = pending_route_.size();
@@ -185,6 +181,11 @@ metrics::WindowSample Simulator::online_sample() {
   s.free_vcs = free_vcs;
   s.total_vcs = static_cast<std::uint64_t>(topo_.num_nodes()) * chans * vcs;
   s.queue_total = queues_.total();
+  s.offered_flits = scan_.generated_flits;
+  s.accepted_flits = scan_.ejected_flits;
+  s.injected = scan_.injected;
+  s.delivered = scan_.delivered;
+  s.deadlocks = scan_.deadlocks;
   s.credit_messages = credit_messages();
   return s;
 }
@@ -296,8 +297,7 @@ void Simulator::eject_node(NodeId node, Cycle t) {
     if (credit_ && !net_.is_injection(port.src.link)) {
       credit_->on_flit_drained(net_.vc_flat_index(port.src), t);
     }
-    collector_.on_flits_ejected(t, 1);
-    if (online_) online_->on_flits_ejected(1);
+    ++scan_.ejected_flits;
     if (spatial_) spatial_->on_ejected_flit(node);
     if (u.out_count == u.msg_length) {
       net_.set_active(port.src, false);
@@ -390,8 +390,11 @@ bool Simulator::route_entry(std::size_t i, Cycle t, Cycle routing_delay,
     v.probed = true;
     const auto cond = core::evaluate_alo(status_->free_row(node),
                                          net_.params().num_vcs, e.code.useful);
-    collector_.on_probe(t, cond.all_useful_partially_free,
-                        cond.any_useful_completely_free);
+    ++scan_.probes;
+    scan_.probe_rule_a += cond.all_useful_partially_free;
+    scan_.probe_rule_b += cond.any_useful_completely_free;
+    scan_.probe_either +=
+        cond.all_useful_partially_free || cond.any_useful_completely_free;
     if (tracer_) {
       const std::uint8_t rules = static_cast<std::uint8_t>(
           (cond.all_useful_partially_free ? 1u : 0u) |
@@ -611,8 +614,8 @@ void Simulator::inject_node(NodeId node, Cycle t) {
 
     activate(id);
     start_injection(node, static_cast<unsigned>(ch), id, t);
-    collector_.on_injected(node, t, /*counts_fairness=*/true);
-    if (online_) online_->on_injected();
+    ++scan_.injected;
+    collector_.on_injected(node, t);
     limiter_->on_injected(node, t);
   }
 }
@@ -703,9 +706,7 @@ void Simulator::teardown_worm(MsgId id, Cycle t) {
 void Simulator::absorb_deadlocked(MsgId id, Cycle t) {
   Message& m = pool_[id];
   ++m.deadlock_detections;
-  ++deadlock_events_;
-  collector_.on_deadlock(t);
-  if (online_) online_->on_deadlock();
+  ++scan_.deadlocks;
 
   const NodeId absorb_node = net_.link(m.head.link).dst;
   if (tracer_) {
@@ -721,8 +722,8 @@ void Simulator::absorb_deadlocked(MsgId id, Cycle t) {
 // --- Fault injection & dynamic reconfiguration ------------------------
 
 void Simulator::count_lost(bool measured) {
-  ++lost_total_;
-  collector_.on_lost(measured);
+  ++scan_.lost;
+  scan_.lost_measured += measured;
 }
 
 void Simulator::drop_active_message(MsgId id) {
@@ -880,9 +881,10 @@ void Simulator::apply_faults(Cycle t) {
 
 void Simulator::deliver(MsgId id, Cycle t) {
   const Message& m = pool_[id];
+  ++scan_.delivered;
+  scan_.delivered_measured += m.measured;
   collector_.on_delivered(m.gen_time, t, m.measured);
   if (online_) online_->on_delivered(t - m.gen_time, m.measured);
-  ++delivered_;
   deactivate(id);
   pool_.release(id);
 }
@@ -1040,14 +1042,14 @@ bool Simulator::check_conservation(std::string* why) const {
     return false;
   };
   const std::uint64_t accounted =
-      delivered_ + active_.size() + queues_.total() + lost_total_;
-  if (generated_total_ != accounted) {
+      scan_.delivered + active_.size() + queues_.total() + scan_.lost;
+  if (scan_.generated != accounted) {
     return fail("message conservation violated: generated=" +
-                std::to_string(generated_total_) + " delivered=" +
-                std::to_string(delivered_) + " in-flight=" +
+                std::to_string(scan_.generated) + " delivered=" +
+                std::to_string(scan_.delivered) + " in-flight=" +
                 std::to_string(active_.size()) + " queued=" +
                 std::to_string(queues_.total()) + " lost=" +
-                std::to_string(lost_total_));
+                std::to_string(scan_.lost));
   }
   if (active_.empty() && net_.flits_in_network() != 0) {
     return fail("no active messages but " +
@@ -1129,32 +1131,36 @@ bool Simulator::check_fault_invariants(std::string* why) const {
 
 metrics::SimResult Simulator::run(const RunProtocol& protocol) {
   const auto wall_start = std::chrono::steady_clock::now();
-  const CoreScanStats scan_start = scan_;
-  collector_ = metrics::Collector(topo_.num_nodes(), cycle_ + protocol.warmup,
-                                  cycle_ + protocol.warmup + protocol.measure);
-  const Cycle measure_end = cycle_ + protocol.warmup + protocol.measure;
+  const Cycle measure_start = cycle_ + protocol.warmup;
+  const Cycle measure_end = measure_start + protocol.measure;
+  collector_ =
+      metrics::Collector(topo_.num_nodes(), measure_start, measure_end);
+  // Events are counted in the cycle they happen and run() steps whole
+  // cycles, so the ledger deltas between these snapshots count exactly
+  // the events of [measure_start, measure_end).
+  const CoreScanStats at_start = scan_;
   const std::size_t queue_at_start = source_queue_total();
+  while (cycle_ < measure_start) step();
+  const CoreScanStats at_measure_start = scan_;
   while (cycle_ < measure_end) step();
+  const CoreScanStats window = scan_.since(at_measure_start);
   const std::size_t queue_at_measure_end = source_queue_total();
 
   // Lost messages can never drain; the identity accounts for them so a
   // run with mid-measurement faults still terminates promptly.
+  const auto drained = [&] {
+    const CoreScanStats run = scan_.since(at_start);
+    return run.delivered_measured + run.lost_measured >= window.generated;
+  };
   const Cycle drain_end = measure_end + protocol.drain_max;
-  while (cycle_ < drain_end &&
-         collector_.measured_delivered() + collector_.measured_lost() <
-             collector_.measured_generated()) {
-    step();
-  }
+  while (cycle_ < drain_end && !drained()) step();
 
-  metrics::SimResult r = collector_.finish(topo_.num_nodes());
+  const CoreScanStats run = scan_.since(at_start);
+  metrics::SimResult r = summarize(run, window, protocol.measure);
   r.warmup_cycles = protocol.warmup;
   r.measure_cycles = protocol.measure;
   r.total_cycles = cycle_;
-  r.fully_drained =
-      collector_.measured_delivered() + collector_.measured_lost() >=
-      collector_.measured_generated();
-  r.fault_events = fault_events_;
-  r.lut_rebuilds = lut_rebuilds_;
+  r.fully_drained = drained();
   // Heuristic saturation flag: source queues grew substantially during
   // the measurement window.
   r.saturated = queue_at_measure_end >
@@ -1171,15 +1177,44 @@ metrics::SimResult Simulator::run(const RunProtocol& protocol) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  const CoreScanStats window = scan_.since(scan_start);
   r.cycles_per_second =
       r.wall_seconds > 0.0
-          ? static_cast<double>(window.cycles) / r.wall_seconds
+          ? static_cast<double>(run.cycles) / r.wall_seconds
           : 0.0;
-  r.scan_skip_ratio = window.skipped_scan_ratio(full_scan_visits());
-  r.avg_active_links = window.avg_active_links();
-  r.avg_active_nodes = window.avg_active_nodes();
-  r.route_memo_hit_rate = window.route_memo_hit_rate();
+  r.scan_skip_ratio = run.skipped_scan_ratio(full_scan_visits());
+  r.avg_active_links = run.avg_active_links();
+  r.avg_active_nodes = run.avg_active_nodes();
+  r.route_memo_hit_rate = run.route_memo_hit_rate();
+  return r;
+}
+
+metrics::SimResult Simulator::summarize(const CoreScanStats& run,
+                                        const CoreScanStats& window,
+                                        Cycle window_cycles) const {
+  metrics::SimResult r = collector_.finish();
+  const double cycles = static_cast<double>(window_cycles);
+  const NodeId nodes = topo_.num_nodes();
+  if (cycles > 0 && nodes > 0) {
+    r.accepted_flits_per_node_cycle =
+        static_cast<double>(window.ejected_flits) /
+        (cycles * static_cast<double>(nodes));
+  }
+  r.deadlock_detections = window.deadlocks;
+  r.messages_injected_window = window.injected;
+  r.deadlock_pct = window.injected
+                       ? 100.0 * static_cast<double>(window.deadlocks) /
+                             static_cast<double>(window.injected)
+                       : 0.0;
+  r.messages_generated = run.generated;
+  r.messages_injected = run.injected;
+  r.messages_delivered = run.delivered;
+  r.measured_delivered = run.delivered_measured;
+  r.measured_generated = window.generated;
+  r.messages_lost = run.lost;
+  r.probe = {window.probes, window.probe_rule_a, window.probe_rule_b,
+             window.probe_either};
+  r.fault_events = fault_events_;
+  r.lut_rebuilds = lut_rebuilds_;
   return r;
 }
 

@@ -32,6 +32,8 @@
 // scans everything; the lock-step test checks this core against it.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -83,7 +85,12 @@ struct SimulatorConfig {
   std::uint64_t seed = 1;
 };
 
-/// Per-cycle scan accounting: how many elements the phases visited.
+/// The simulator's one cumulative ledger, counted since construction:
+/// scan accounting (how many elements the phases visited) and every
+/// simulation event a result reports. Each event bumps its field once,
+/// unconditionally, where it happens; a count over any span of cycles
+/// (a run's measurement window, an online recording window) is the
+/// difference of two snapshots taken at its ends (since()).
 /// The active-link count is exact simulation state; active nodes and
 /// the visit count describe the active-set machinery.
 struct CoreScanStats {
@@ -93,6 +100,21 @@ struct CoreScanStats {
   std::uint64_t active_nodes_sum = 0;  // injection-active nodes, per cycle
   std::uint64_t route_evals = 0;       // route-code computations
   std::uint64_t route_memo_hits = 0;   // visits to known-blocked headers
+
+  std::uint64_t generated = 0;        // messages generated (queued or lost)
+  std::uint64_t generated_flits = 0;  // their flits
+  std::uint64_t injected = 0;         // source-queue heads that entered
+  std::uint64_t ejected_flits = 0;    // flits taken by ejection ports
+  std::uint64_t delivered = 0;        // messages fully ejected
+  std::uint64_t delivered_measured = 0;  // of those, measured messages
+  std::uint64_t deadlocks = 0;        // FC3D detections (absorptions)
+  std::uint64_t lost = 0;             // dropped by fault reconfiguration
+  std::uint64_t lost_measured = 0;    // of those, measured messages
+  // The Figure-2 probe, taken at a header's first routing per tenancy.
+  std::uint64_t probes = 0;
+  std::uint64_t probe_rule_a = 0;
+  std::uint64_t probe_rule_b = 0;
+  std::uint64_t probe_either = 0;
 
   /// Fraction of a full scan's visits skipped, given a full scan's
   /// visits per cycle (Simulator::full_scan_visits).
@@ -119,17 +141,15 @@ struct CoreScanStats {
                        static_cast<double>(asked)
                  : 0.0;
   }
-  /// Counter deltas since `earlier` (per-run windows inside one
-  /// simulator lifetime).
+  /// Counter deltas since `earlier`: the counts of the cycles between
+  /// the two snapshots. Every field is a std::uint64_t counter, so the
+  /// struct is differenced as an array of them.
   CoreScanStats since(const CoreScanStats& earlier) const noexcept {
-    CoreScanStats d;
-    d.cycles = cycles - earlier.cycles;
-    d.scan_visited = scan_visited - earlier.scan_visited;
-    d.active_links_sum = active_links_sum - earlier.active_links_sum;
-    d.active_nodes_sum = active_nodes_sum - earlier.active_nodes_sum;
-    d.route_evals = route_evals - earlier.route_evals;
-    d.route_memo_hits = route_memo_hits - earlier.route_memo_hits;
-    return d;
+    using Words = std::array<std::uint64_t, sizeof(CoreScanStats) / 8>;
+    auto d = std::bit_cast<Words>(*this);
+    const auto e = std::bit_cast<Words>(earlier);
+    for (std::size_t i = 0; i < d.size(); ++i) d[i] -= e[i];
+    return std::bit_cast<CoreScanStats>(d);
   }
 };
 
@@ -167,6 +187,9 @@ class Simulator {
 
   /// Run the full warm-up / measure / drain protocol and summarize.
   metrics::SimResult run(const RunProtocol& protocol);
+  /// For a simulator driven by step(): the summary of every cycle so
+  /// far (counts since construction, measurement window [0, cycle())).
+  metrics::SimResult totals() const { return summarize(scan_, scan_, cycle_); }
 
   // --- Introspection ----------------------------------------------------
   const topo::KAryNCube& topology() const noexcept { return topo_; }
@@ -210,7 +233,7 @@ class Simulator {
   /// The recorder's current window starts at the attach cycle.
   void set_online(metrics::OnlineStats* online) noexcept {
     online_ = online;
-    if (online_) online_->start_window(cycle_, credit_messages());
+    if (online_) online_->start_window(cycle_, online_sample());
   }
   metrics::OnlineStats* online() const noexcept { return online_; }
   /// Flush the final (possibly partial) recording window into the
@@ -219,7 +242,8 @@ class Simulator {
 
   const SimulatorConfig& config() const noexcept { return cfg_; }
 
-  /// Cumulative scan accounting since construction.
+  /// The cumulative ledger: scan accounting and event counts since
+  /// construction.
   const CoreScanStats& scan_stats() const noexcept { return scan_; }
   /// Element visits per cycle of a full scan: every network link
   /// (transmit) and every node three times (generate, eject, inject).
@@ -265,12 +289,12 @@ class Simulator {
     return recovery_.pending_total();
   }
   std::uint64_t total_deadlock_detections() const noexcept {
-    return deadlock_events_;
+    return scan_.deadlocks;
   }
-  std::uint64_t total_delivered() const noexcept { return delivered_; }
+  std::uint64_t total_delivered() const noexcept { return scan_.delivered; }
   /// Messages dropped by fault reconfiguration (destination dead or
   /// unreachable); part of the conservation identity.
-  std::uint64_t total_lost() const noexcept { return lost_total_; }
+  std::uint64_t total_lost() const noexcept { return scan_.lost; }
   /// Schedule events applied so far (kills + restores).
   std::uint64_t fault_events_applied() const noexcept { return fault_events_; }
   /// Routing-table reconfigurations triggered by fault events.
@@ -302,13 +326,21 @@ class Simulator {
   void phase_route(Cycle t);
   void phase_transmit(Cycle t);
   void phase_inject(Cycle t);
-  /// The step() phase sequence with each phase timed into the attached
-  /// OnlineStats' profiler (taken only on sampled cycles).
-  void run_phases_profiled(Cycle t);
-  /// Snapshot the instantaneous state the online window recorder wants
-  /// (in-flight flits, blocked headers, free-VC occupancy from the
-  /// limiter-visible status registers, queue depth, credit messages).
-  metrics::WindowSample online_sample();
+  /// The cycle's phases in order; a Profiled cycle times each phase
+  /// into the attached OnlineStats' profiler.
+  template <bool Profiled>
+  void run_phases(Cycle t);
+  /// Snapshot what the online window recorder wants: the instantaneous
+  /// state (in-flight flits, blocked headers, free-VC occupancy from the
+  /// limiter-visible status registers, queue depth) and the cumulative
+  /// event counts its windows are differences of.
+  metrics::WindowSample online_sample() const;
+  /// A SimResult from two ledger deltas: `run` for the whole-run
+  /// counts, `window` (spanning `window_cycles`) for the measurement
+  /// window's. Latency and queue statistics come from the collector.
+  metrics::SimResult summarize(const CoreScanStats& run,
+                               const CoreScanStats& window,
+                               Cycle window_cycles) const;
 
   // Per-element phase bodies.
   void eject_node(NodeId node, Cycle t);
@@ -502,12 +534,8 @@ class Simulator {
   std::uint64_t gen_epoch_ = ~std::uint64_t{0};  // forces initial refill
 
   CoreScanStats scan_;
-  std::uint64_t generated_total_ = 0;   // every source-queue push ever
 
   Cycle cycle_ = 0;
-  std::uint64_t deadlock_events_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t lost_total_ = 0;    // dropped by fault reconfiguration
   std::uint64_t fault_events_ = 0;  // schedule events applied
   std::uint64_t lut_rebuilds_ = 0;  // fault-triggered retabulations
   std::vector<fault::FaultEvent> fault_buf_;

@@ -185,7 +185,7 @@ TEST(Presets, BuildSimulatorProducesRunnableInstance) {
   cfg.workload.offered_flits_per_node_cycle = 0.1;
   auto sim = config::build_simulator(cfg);
   sim->step_cycles(500);
-  EXPECT_GT(sim->collector().finish(64).messages_generated, 0u);
+  EXPECT_GT(sim->totals().messages_generated, 0u);
 }
 
 TEST(Sweep, LoadRange) {

@@ -41,8 +41,8 @@ TEST(Replay, MatchesLiveWorkloadExactly) {
   while (replay.cycle() < kCycles) replayer.pump_and_step(replay);
 
   EXPECT_TRUE(replayer.exhausted());
-  const auto rl = live.collector().finish(16);
-  const auto rr = replay.collector().finish(16);
+  const auto rl = live.totals();
+  const auto rr = replay.totals();
   EXPECT_EQ(rl.messages_generated, rr.messages_generated);
   EXPECT_EQ(rl.messages_delivered, rr.messages_delivered);
   EXPECT_DOUBLE_EQ(rl.latency_mean, rr.latency_mean);

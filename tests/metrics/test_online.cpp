@@ -153,79 +153,6 @@ TEST(LogHistogram, ForEachBucketVisitsInOrder) {
   EXPECT_EQ(total, 7u);
 }
 
-/// Partial contributions fold into one OnlineStats exactly: ejected-flit
-/// counts fed as one batch per partition instead of one call per flit,
-/// and a window-close free-VC total summed from per-partition integer
-/// subtotals. Both are plain integer addition, so any partition order
-/// and any batching must reproduce the per-event feed bit for bit.
-TEST(OnlineStats, PerShardFoldIsOrderIndependentAndMatchesSequential) {
-  OnlineConfig cfg;
-  cfg.window_cycles = 64;
-  constexpr unsigned kParts = 4;
-  OnlineStats sequential(64, cfg);
-  OnlineStats ascending(64, cfg);
-  OnlineStats descending(64, cfg);
-  util::Rng rng(0xF01DF01D);
-
-  for (Cycle t = 0; t < 5 * cfg.window_cycles; ++t) {
-    // Per-partition ejected-flit batches for this cycle.
-    std::uint64_t part_ejected[kParts];
-    for (auto& n : part_ejected) n = rng.below(6);
-    // Sequential sees one hook call per flit, in node order; the
-    // batched folds see one count per partition, in opposite orders.
-    for (unsigned s = 0; s < kParts; ++s) {
-      for (std::uint64_t f = 0; f < part_ejected[s]; ++f) {
-        sequential.on_flits_ejected(1);
-      }
-    }
-    for (unsigned s = 0; s < kParts; ++s) {
-      if (part_ejected[s]) ascending.on_flits_ejected(part_ejected[s]);
-    }
-    for (unsigned s = kParts; s-- > 0;) {
-      if (part_ejected[s]) descending.on_flits_ejected(part_ejected[s]);
-    }
-    // Deliveries and generation reach all three in the same order.
-    const std::uint64_t gen = rng.below(4);
-    const bool delivered = rng.below(3) == 0;
-    const Cycle latency = 20 + rng.below(200);
-    for (OnlineStats* o : {&sequential, &ascending, &descending}) {
-      if (gen) o->on_generated(gen);
-      if (delivered) o->on_delivered(latency, true);
-    }
-    if (sequential.window_closes(t)) {
-      // Free-VC subtotals per partition, summed in opposite orders.
-      std::uint64_t part_free[kParts];
-      for (auto& n : part_free) n = rng.below(100);
-      WindowSample up{}, down{};
-      for (unsigned s = 0; s < kParts; ++s) up.free_vcs += part_free[s];
-      for (unsigned s = kParts; s-- > 0;) down.free_vcs += part_free[s];
-      up.total_vcs = down.total_vcs = 512;
-      up.in_flight_flits = down.in_flight_flits = rng.below(1000);
-      sequential.close_window(t, up);
-      ascending.close_window(t, up);
-      descending.close_window(t, down);
-    }
-  }
-
-  ASSERT_EQ(sequential.windows().size(), 5u);
-  for (const OnlineStats* o : {&ascending, &descending}) {
-    ASSERT_EQ(o->windows().size(), sequential.windows().size());
-    for (std::size_t i = 0; i < sequential.windows().size(); ++i) {
-      const Window& a = sequential.windows()[i];
-      const Window& b = o->windows()[i];
-      EXPECT_EQ(a.start_cycle, b.start_cycle) << "window " << i;
-      EXPECT_EQ(a.offered_flits, b.offered_flits) << "window " << i;
-      EXPECT_EQ(a.accepted_flits, b.accepted_flits) << "window " << i;
-      EXPECT_EQ(a.delivered, b.delivered) << "window " << i;
-      EXPECT_EQ(a.latency_p99, b.latency_p99) << "window " << i;
-      EXPECT_EQ(a.end.free_vcs, b.end.free_vcs) << "window " << i;
-      EXPECT_EQ(a.saturating, b.saturating) << "window " << i;
-    }
-    EXPECT_TRUE(o->latency_hist() == sequential.latency_hist());
-    EXPECT_EQ(o->saturated(), sequential.saturated());
-  }
-}
-
 // ----------------------------------------------------------------- detector
 
 constexpr std::uint64_t kWin = 100;
@@ -238,14 +165,19 @@ OnlineConfig detector_config() {
 
 /// Feed one synthetic window: `offered` flits generated, `accepted`
 /// ejected, closing with `free_vcs` of `total_vcs` virtual channels free.
+/// The closing sample carries cumulative counts, as the simulator's does.
 void feed_window(OnlineStats& s, std::uint64_t index, std::uint64_t offered,
                  std::uint64_t accepted, std::uint64_t free_vcs,
                  std::uint64_t total_vcs = 1000) {
-  s.on_generated(offered);
-  s.on_flits_ejected(accepted);
   // A spread of delivery latencies so window p99 is meaningful.
   for (std::uint64_t i = 0; i < 16; ++i) s.on_delivered(20 + i, true);
   WindowSample sample;
+  for (const Window& w : s.windows()) {
+    sample.offered_flits += w.offered_flits;
+    sample.accepted_flits += w.accepted_flits;
+  }
+  sample.offered_flits += offered;
+  sample.accepted_flits += accepted;
   sample.free_vcs = free_vcs;
   sample.total_vcs = total_vcs;
   const std::uint64_t t = (index + 1) * kWin - 1;
@@ -327,23 +259,23 @@ TEST(SaturationDetector, SettleWindowsAreIgnored) {
 
 TEST(SaturationDetector, WindowAccountingAndCreditDeltas) {
   OnlineStats s(64, detector_config());
-  s.on_generated(48);
-  s.on_injected();
-  s.on_injected();
-  s.on_flits_ejected(16);
   s.on_delivered(40, true);
-  s.on_deadlock();
-  WindowSample first;
-  first.credit_messages = 300;  // cumulative counter
+  WindowSample first;  // cumulative counts since the attach point
+  first.offered_flits = 48;
+  first.accepted_flits = 16;
+  first.injected = 2;
+  first.delivered = 1;
+  first.deadlocks = 1;
+  first.credit_messages = 300;
   first.in_flight_flits = 32;
   first.total_vcs = 1000;
   first.free_vcs = 400;
   s.close_window(kWin - 1, first);
 
-  s.on_generated(16);
-  WindowSample second;
+  WindowSample second = first;
+  second.offered_flits = 64;
   second.credit_messages = 450;
-  second.total_vcs = 1000;
+  second.in_flight_flits = 0;
   second.free_vcs = 500;
   s.close_window(2 * kWin - 1, second);
 
@@ -364,7 +296,11 @@ TEST(SaturationDetector, WindowAccountingAndCreditDeltas) {
 
   const Window& w1 = s.windows()[1];
   EXPECT_EQ(w1.start_cycle, kWin);
-  EXPECT_EQ(w1.offered_flits, 16u);
+  EXPECT_EQ(w1.offered_flits, 16u);     // 64 - 48
+  EXPECT_EQ(w1.accepted_flits, 0u);
+  EXPECT_EQ(w1.injected, 0u);
+  EXPECT_EQ(w1.delivered, 0u);
+  EXPECT_EQ(w1.deadlocks, 0u);
   EXPECT_EQ(w1.credit_messages, 150u);  // 450 - 300
   EXPECT_EQ(w1.latency_count, 0u);      // window histogram was reset
 }
@@ -381,8 +317,8 @@ TEST(SaturationDetector, MeasuredFlagGatesRunHistogram) {
 
 TEST(SaturationDetector, FinishFlushesPartialWindowOnce) {
   OnlineStats s(64, detector_config());
-  s.on_generated(10);
   WindowSample sample;
+  sample.offered_flits = 10;
   sample.total_vcs = 1000;
   sample.free_vcs = 500;
   s.finish(42, sample);

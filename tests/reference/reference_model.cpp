@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/alo.hpp"
+
 namespace wormsim::reference {
 
 ReferenceModel::ReferenceModel(const topo::KAryNCube& topo,
@@ -101,8 +103,10 @@ void ReferenceModel::generate(Cycle t) {
 
 void ReferenceModel::enqueue(NodeId node, NodeId dst, std::uint32_t length,
                              Cycle t) {
+  ++ledger_.generated;
+  ledger_.generated_flits += length;
   if (faults_ && !deliverable(node, dst)) {
-    ++lost_;
+    lost(1);
     return;
   }
   queues_[node].push_back({dst, length, t});
@@ -141,12 +145,14 @@ void ReferenceModel::eject(Cycle t) {
       x.buffer.pop_front();
       x.last_activity = t;
       msgs_[f.msg].last_progress = t;
+      ++ledger_.ejected_flits;
       drain_credit(port, t);
       if (f.index + 1 == msgs_[f.msg].length) {
         free_vc(port);
         port = kNone;
         msgs_[f.msg].head = kNone;
-        ++delivered_;
+        ++ledger_.delivered;
+        ++ledger_.delivered_measured;
       }
     }
   }
@@ -185,6 +191,18 @@ bool ReferenceModel::route_entry(const RouteEntry& e, Cycle t) {
   }
   routing::RouteResult route;
   route_of(node, m.dst, route);
+  if (!x.probed) {  // the Figure-2 probe, once per tenancy
+    x.probed = true;
+    std::vector<std::uint8_t> row;
+    fill_row(node, /*limiter=*/true, row);
+    const core::AloConditions c =
+        core::evaluate_alo(row.data(), vcs_per_link_, route.useful_phys_mask);
+    ++ledger_.probes;
+    ledger_.probe_rule_a += c.all_useful_partially_free;
+    ledger_.probe_rule_b += c.any_useful_completely_free;
+    ledger_.probe_either +=
+        c.all_useful_partially_free || c.any_useful_completely_free;
+  }
   std::optional<routing::Pick> pick;
   if (!(vct_ && m.length > cfg_.net.buf_flits)) {
     std::vector<std::uint8_t> row;
@@ -199,7 +217,7 @@ bool ReferenceModel::route_entry(const RouteEntry& e, Cycle t) {
     if (cfg_.detection.enabled && !is_injection(e.vc) &&
         t - e.arrival >= threshold && t - m.last_progress >= threshold &&
         channels_frozen(node, route, t)) {
-      ++detected_;
+      ++ledger_.deadlocks;
       absorb(x.tenant, node, t);
       return true;
     }
@@ -299,7 +317,7 @@ void ReferenceModel::inject(Cycle t) {
       queues_[node].pop_front();
       head_since_[node] = t;
       msgs_.push_back({node, q.dst, q.length, q.gen_time, kNone, 0});
-      ++injected_;
+      ++ledger_.injected;
       start_injection(node, ch, static_cast<std::uint32_t>(msgs_.size() - 1),
                       t);
       limiter_->on_injected(node, t);
@@ -402,7 +420,7 @@ void ReferenceModel::apply_faults(Cycle t) {
   // source queue lost), then dying links by id, lowest VC first.
   for (const fault::FaultEvent& e : events) {
     if (e.kind != fault::FaultKind::NodeKill) continue;
-    lost_ += queues_[e.node].size();
+    lost(queues_[e.node].size());
     queues_[e.node].clear();
     for (unsigned i = 0; i < cfg_.net.inj_channels; ++i) {
       const std::uint32_t msg = vcs_[inj_vc(e.node, i)].tenant;
@@ -430,7 +448,7 @@ void ReferenceModel::purge_undeliverable(Cycle t) {
     const Msg& m = msgs_[id];
     if (m.head != kNone && !deliverable(vc_node(m.head), m.dst)) {
       teardown(id);
-      ++lost_;
+      lost(1);
     }
   }
   std::vector<std::pair<deadlock::NodeId, deadlock::MsgId>> removed;
@@ -439,13 +457,13 @@ void ReferenceModel::purge_undeliverable(Cycle t) {
         return !deliverable(node, msgs_[id].dst);
       },
       removed);
-  lost_ += removed.size();
+  lost(removed.size());
   for (NodeId node = 0; node < topo_.num_nodes(); ++node) {
     std::deque<Queued>& q = queues_[node];
     if (q.empty()) continue;
     const bool head_goes = !deliverable(node, q.front().dst);
-    lost_ += std::erase_if(
-        q, [&](const Queued& e) { return !deliverable(node, e.dst); });
+    lost(std::erase_if(
+        q, [&](const Queued& e) { return !deliverable(node, e.dst); }));
     if (head_goes && !q.empty()) head_since_[node] = t;
   }
 }

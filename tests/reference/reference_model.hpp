@@ -66,10 +66,10 @@ class ReferenceModel {
   unsigned buffered(LinkId link, unsigned vc) const;
   std::size_t queue_len(NodeId node) const { return queues_[node].size(); }
   std::size_t recovery_pending() const { return recovery_.pending_total(); }
-  std::uint64_t injected() const noexcept { return injected_; }
-  std::uint64_t delivered() const noexcept { return delivered_; }
-  std::uint64_t detected() const noexcept { return detected_; }
-  std::uint64_t lost() const noexcept { return lost_; }
+  /// The event fields of the Simulator's ledger, counted the naive way
+  /// (its scan fields stay zero). Every message counts as measured: a
+  /// Simulator stepped by hand measures from cycle 0 on.
+  const sim::CoreScanStats& ledger() const noexcept { return ledger_; }
   std::uint64_t credit_messages() const noexcept { return credit_messages_; }
 
  private:
@@ -86,6 +86,7 @@ class ReferenceModel {
     std::uint32_t feeder = kNone;  // VC whose flits enter this one
     bool awaiting_route = false;   // header listed in pending_
     Cycle last_activity = 0;       // a flit entered or left (0 once freed)
+    bool probed = false;           // Figure-2 probe taken this tenancy
     std::uint32_t written = 0;     // injection VCs: flits written so far
     // Credit: flits sent toward the slot whose credit has not come
     // home, and a generation that invalidates returns after a teardown.
@@ -174,6 +175,10 @@ class ReferenceModel {
   void absorb(std::uint32_t msg, NodeId node, Cycle t);
   bool deliverable(NodeId from, NodeId dst) const;
   void purge_undeliverable(Cycle t);
+  void lost(std::uint64_t messages) {
+    ledger_.lost += messages;
+    ledger_.lost_measured += messages;
+  }
 
   topo::KAryNCube topo_;
   sim::SimulatorConfig cfg_;
@@ -206,10 +211,7 @@ class ReferenceModel {
   std::vector<CreditReturn> returns_;
 
   Cycle cycle_ = 0;
-  std::uint64_t injected_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t detected_ = 0;
-  std::uint64_t lost_ = 0;
+  sim::CoreScanStats ledger_;
   std::uint64_t credit_messages_ = 0;
 };
 

@@ -1,17 +1,18 @@
 // Lock-step of the Simulator against the naive reference model: both
 // advance one cycle at a time from the same configuration and seed, and
 // after every cycle they must agree on each VC's tenant, occupancy and
-// buffered flits, every source-queue length, the recovery backlog and
-// the cumulative injected, delivered, detected, lost and credit-message
-// counts. The matrix covers both test networks, loads below and past
-// saturation, the four limiters, the three flow-control schemes,
-// detection on and off, the three routing algorithms, the three
-// arrival processes, a mid-run load change and kill/restore fault
-// schedules.
+// buffered flits, every source-queue length, the recovery backlog, the
+// credit-message count and every event count of the Simulator's ledger
+// (generated messages and flits, injected, ejected flits, delivered,
+// detected, lost and the Figure-2 probe). The matrix covers both test
+// networks, loads below and past saturation, the four limiters, the
+// three flow-control schemes, detection on and off, the three routing
+// algorithms, the three arrival processes, a mid-run load change and
+// kill/restore fault schedules.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <numeric>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -103,18 +104,30 @@ class LockStepPair {
         return differ("source queue of node " + std::to_string(node));
       }
     }
-    const auto& per_node = sim_->collector().fairness().counts();
-    if (std::accumulate(per_node.begin(), per_node.end(), std::uint64_t{0}) !=
-        ref_->injected()) {
-      return differ("injected count");
+    // Every event field of the ledger: each window of a run is a
+    // difference of two ledger readings, so this checks every window.
+    using sim::CoreScanStats;
+    static constexpr std::pair<const char*, std::uint64_t CoreScanStats::*>
+        kEvents[] = {
+            {"generated", &CoreScanStats::generated},
+            {"generated-flit", &CoreScanStats::generated_flits},
+            {"injected", &CoreScanStats::injected},
+            {"ejected-flit", &CoreScanStats::ejected_flits},
+            {"delivered", &CoreScanStats::delivered},
+            {"measured delivered", &CoreScanStats::delivered_measured},
+            {"detected", &CoreScanStats::deadlocks},
+            {"lost", &CoreScanStats::lost},
+            {"measured lost", &CoreScanStats::lost_measured},
+            {"probe", &CoreScanStats::probes},
+            {"probe rule (a)", &CoreScanStats::probe_rule_a},
+            {"probe rule (b)", &CoreScanStats::probe_rule_b},
+            {"probe either-rule", &CoreScanStats::probe_either},
+        };
+    for (const auto& [name, field] : kEvents) {
+      if (sim_->scan_stats().*field != ref_->ledger().*field) {
+        return differ(std::string(name) + " count");
+      }
     }
-    if (sim_->total_delivered() != ref_->delivered()) {
-      return differ("delivered count");
-    }
-    if (sim_->total_deadlock_detections() != ref_->detected()) {
-      return differ("detected count");
-    }
-    if (sim_->total_lost() != ref_->lost()) return differ("lost count");
     if (sim_->recovery_pending() != ref_->recovery_pending()) {
       return differ("recovery backlog");
     }
@@ -175,7 +188,7 @@ class LockStep : public ::testing::TestWithParam<LimiterKind> {};
 TEST_P(LockStep, ChannelStateAgreesEveryCycle) {
   LockStepPair pair(past_saturation(GetParam()));
   ASSERT_TRUE(pair.run(3000));
-  EXPECT_GT(pair.ref().delivered(), 0u);
+  EXPECT_GT(pair.ref().ledger().delivered, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Limiters, LockStep,
@@ -228,7 +241,7 @@ TEST_P(FaultLockStep, AgreesThroughFaultTransients) {
   LockStepPair pair(s);
   ASSERT_TRUE(pair.run(2500));
   EXPECT_EQ(pair.sim().fault_events_applied(), 4u);
-  EXPECT_GT(pair.ref().lost(), 0u);
+  EXPECT_GT(pair.ref().ledger().lost, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, FaultLockStep,
@@ -253,7 +266,7 @@ TEST(CoreEquivalence, LoadChangeMidRunStaysIdentical) {
   ASSERT_TRUE(pair.run(1500));
   pair.set_offered_load(0.0);
   ASSERT_TRUE(pair.run(3000));
-  EXPECT_EQ(pair.ref().injected(), pair.ref().delivered());
+  EXPECT_EQ(pair.ref().ledger().injected, pair.ref().ledger().delivered);
 }
 
 /// The bursty ON/OFF process, whose poll hints are phase-bounded.
@@ -294,7 +307,7 @@ Scenario one_vc_deadlocking() {
 TEST(RouteMemo, LockStepIdenticalToReference) {
   LockStepPair pair(one_vc_deadlocking());
   ASSERT_TRUE(pair.run(2000));
-  EXPECT_GT(pair.ref().detected(), 0u);
+  EXPECT_GT(pair.ref().ledger().deadlocks, 0u);
   EXPECT_GT(pair.sim().scan_stats().route_memo_hits, 0u);
 }
 
@@ -333,7 +346,7 @@ TEST(RouteMemo, KillRestoreThroughRepeatedDeadlockEpisodes) {
   LockStepPair pair(s);
   ASSERT_TRUE(pair.run(2000));
   EXPECT_EQ(pair.sim().lut_rebuilds(), 6u);
-  EXPECT_GT(pair.ref().detected(), 3u);
+  EXPECT_GT(pair.ref().ledger().deadlocks, 3u);
 }
 
 /// The rest of the matrix: the 2-ary 3-cube under every limiter below
@@ -410,7 +423,7 @@ class ReferenceLockStep : public ::testing::TestWithParam<MatrixCase> {};
 TEST_P(ReferenceLockStep, AgreesEveryCycle) {
   LockStepPair pair(GetParam().scenario);
   ASSERT_TRUE(pair.run(2000));
-  EXPECT_GT(pair.ref().delivered(), 0u);
+  EXPECT_GT(pair.ref().ledger().delivered, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, ReferenceLockStep,

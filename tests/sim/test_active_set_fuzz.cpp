@@ -161,7 +161,7 @@ TEST(ActiveSetFuzz, RateZeroThenRampGeneratesAgain) {
   Simulator sim(topo, cfg, std::move(workload));
 
   sim.step_cycles(500);
-  EXPECT_EQ(sim.collector().measured_generated() + sim.source_queue_total() +
+  EXPECT_EQ(sim.totals().messages_generated + sim.source_queue_total() +
                 sim.messages_in_flight() + sim.total_delivered(),
             0u);
   sim.workload()->set_offered_load(0.5);

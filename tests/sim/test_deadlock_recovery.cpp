@@ -114,7 +114,7 @@ TEST(DeadlockRecovery, RecoveredLatencyIncludesStallTime) {
   auto sim = make_sim(5, 1, ring_config(true));
   inject_ring_deadlock(*sim);
   ASSERT_TRUE(run_until_delivered(*sim, 5, 20000));
-  const auto r = sim->collector().finish(5);
+  const auto r = sim->totals();
   // Every delivered message carries at least the detection threshold of
   // stall (generation time is preserved across absorption).
   EXPECT_GT(r.latency_min, 32.0);

@@ -23,7 +23,7 @@ TEST(EdgeBehavior, WraparoundPathIsMinimal) {
   sim->set_spatial(&spatial);
   sim->push_message(7, 1, 16);
   ASSERT_TRUE(run_until_delivered(*sim, 1, 1000));
-  const auto r = sim->collector().finish(8);
+  const auto r = sim->totals();
   EXPECT_DOUBLE_EQ(r.latency_mean,
                    static_cast<double>(ideal_latency(*sim, 7, 1, 16)));
   // The wrap link 7->0 (dim 0 Plus) carried all 16 flits.
@@ -87,10 +87,10 @@ TEST(EdgeBehavior, RecoveredMessagesBypassTheLimiter) {
 TEST(EdgeBehavior, MidRunLoadChangeTakesEffect) {
   auto sim = make_traffic_sim(4, 2, 0.1, 16);
   sim->step_cycles(3000);
-  const auto low = sim->collector().finish(16).messages_generated;
+  const auto low = sim->totals().messages_generated;
   sim->workload()->set_offered_load(0.8);
   sim->step_cycles(3000);
-  const auto total = sim->collector().finish(16).messages_generated;
+  const auto total = sim->totals().messages_generated;
   // Second half at 8x the rate: generation in that window must dominate.
   EXPECT_GT(total - low, 4 * low);
 }

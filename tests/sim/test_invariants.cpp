@@ -57,7 +57,7 @@ TEST_P(InvariantTest, HoldThroughoutRandomRun) {
   }
   // Conservation: generated = delivered + in flight + queued + pending
   // recovery.
-  const auto r = sim->collector().finish(16);
+  const auto r = sim->totals();
   EXPECT_EQ(r.messages_generated,
             r.messages_delivered + sim->messages_in_flight() +
                 sim->source_queue_total());
@@ -83,7 +83,7 @@ TEST(Invariants, NetworkDrainsWhenTrafficStops) {
   EXPECT_EQ(sim->messages_in_flight(), 0u);
   EXPECT_EQ(sim->source_queue_total(), 0u);
   EXPECT_TRUE(sim->network().quiescent());
-  const auto r = sim->collector().finish(16);
+  const auto r = sim->totals();
   EXPECT_EQ(r.messages_generated, r.messages_delivered);
 }
 
@@ -92,7 +92,7 @@ TEST(Invariants, DeterministicGivenSeed) {
     auto sim = make_traffic_sim(4, 2, 0.8, 16, default_config(),
                                 traffic::PatternKind::Uniform, seed);
     sim->step_cycles(8000);
-    const auto r = sim->collector().finish(16);
+    const auto r = sim->totals();
     return std::make_tuple(r.messages_generated, r.messages_delivered,
                            sim->total_deadlock_detections(),
                            r.latency_mean);

@@ -22,7 +22,7 @@ TEST(Probe, SamplesOncePerRoutingHop) {
   ASSERT_EQ(sim->topology().distance(0, dst), 3u);
   sim->push_message(0, dst, 8);
   ASSERT_TRUE(run_until_delivered(*sim, 1, 1000));
-  EXPECT_EQ(sim->collector().finish(16).probe.samples, 3u);
+  EXPECT_EQ(sim->totals().probe.samples, 3u);
 }
 
 TEST(Probe, BlockedHeaderDoesNotResample) {
@@ -35,14 +35,14 @@ TEST(Probe, BlockedHeaderDoesNotResample) {
   sim->push_message(0, 2, 32);  // 2 hops
   sim->push_message(1, 3, 32);  // 2 hops, blocked behind the first
   ASSERT_TRUE(run_until_delivered(*sim, 2, 5000));
-  EXPECT_EQ(sim->collector().finish(5).probe.samples, 4u);
+  EXPECT_EQ(sim->totals().probe.samples, 4u);
 }
 
 TEST(Probe, IdleNetworkSatisfiesBothRules) {
   auto sim = make_sim(4, 2);
   sim->push_message(0, 5, 8);
   ASSERT_TRUE(run_until_delivered(*sim, 1, 1000));
-  const auto probe = sim->collector().finish(16).probe;
+  const auto probe = sim->totals().probe;
   EXPECT_EQ(probe.samples, probe.rule_a);
   EXPECT_EQ(probe.samples, probe.rule_b);
   EXPECT_DOUBLE_EQ(probe.pct_either(), 100.0);

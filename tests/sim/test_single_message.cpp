@@ -57,7 +57,7 @@ TEST(SingleMessage, ExactLatencyOneHop) {
   const topo::NodeId dst = sim->topology().neighbor(0, 0);
   sim->push_message(0, dst, 16);
   ASSERT_TRUE(run_until_delivered(*sim, 1, 1000));
-  const auto r = sim->collector().finish(16);
+  const auto r = sim->totals();
   EXPECT_DOUBLE_EQ(r.latency_mean,
                    static_cast<double>(ideal_latency(*sim, 0, dst, 16)));
 }
@@ -81,7 +81,7 @@ TEST(SingleMessage, ExactLatencyAcrossSixteenBitCycleWrap) {
     ASSERT_TRUE(sim->push_message(src, dst, 16));
     ASSERT_TRUE(run_until_delivered(*sim, 1, 1000));
     ASSERT_GT(sim->cycle(), 65536u);
-    const auto r = sim->collector().finish(16);
+    const auto r = sim->totals();
     EXPECT_DOUBLE_EQ(r.latency_mean,
                      static_cast<double>(ideal_latency(*sim, src, dst, 16)));
   }
@@ -103,7 +103,7 @@ TEST_P(ExactLatencyTest, MatchesClosedForm) {
   if (dst == src) dst = (dst + 1) % sim->topology().num_nodes();
   sim->push_message(src, dst, p.length);
   ASSERT_TRUE(run_until_delivered(*sim, 1, 5000));
-  const auto r = sim->collector().finish(sim->topology().num_nodes());
+  const auto r = sim->totals();
   EXPECT_DOUBLE_EQ(
       r.latency_mean,
       static_cast<double>(ideal_latency(*sim, src, dst, p.length)))
@@ -128,8 +128,8 @@ TEST(SingleMessage, LongerMessageAddsExactlyItsFlits) {
   sim64->push_message(0, 5, 64);
   ASSERT_TRUE(run_until_delivered(*sim16, 1, 2000));
   ASSERT_TRUE(run_until_delivered(*sim64, 1, 2000));
-  const double l16 = sim16->collector().finish(16).latency_mean;
-  const double l64 = sim64->collector().finish(16).latency_mean;
+  const double l16 = sim16->totals().latency_mean;
+  const double l64 = sim64->totals().latency_mean;
   EXPECT_DOUBLE_EQ(l64 - l16, 48.0);
 }
 
@@ -143,7 +143,7 @@ TEST(SingleMessage, DorAndDuatoDeliverToo) {
     EXPECT_TRUE(run_until_delivered(*sim, 1, 2000))
         << routing::algorithm_name(algo);
     // Minimal routing: same closed-form latency as TFAR when alone.
-    const auto r = sim->collector().finish(16);
+    const auto r = sim->totals();
     EXPECT_DOUBLE_EQ(r.latency_mean,
                      static_cast<double>(ideal_latency(*sim, 1, 14, 16)));
   }
@@ -186,7 +186,7 @@ TEST(SingleMessage, GenTimeIncludesSourceQueueing) {
   const topo::NodeId first_dst = sim->topology().neighbor(0, 0);
   sim->push_message(0, first_dst, 8);
   ASSERT_TRUE(run_until_delivered(*sim, 5, 2000));
-  const auto r = sim->collector().finish(16);
+  const auto r = sim->totals();
   const auto ideal = static_cast<double>(ideal_latency(*sim, 0, first_dst, 8));
   EXPECT_DOUBLE_EQ(r.latency_min, ideal);
   EXPECT_GT(r.latency_max, ideal);

@@ -60,13 +60,13 @@ TEST(Wormhole, SingleVcBlocksSecondWorm) {
   auto solo = make_sim(5, 1, cfg);
   solo->push_message(1, 3, 32);
   ASSERT_TRUE(run_until_delivered(*solo, 1, 2000));
-  const double solo_lat = solo->collector().finish(5).latency_mean;
+  const double solo_lat = solo->totals().latency_mean;
 
   auto sim = make_sim(5, 1, cfg);
   sim->push_message(0, 2, 32);
   sim->push_message(1, 3, 32);
   ASSERT_TRUE(run_until_delivered(*sim, 2, 5000));
-  const auto r = sim->collector().finish(5);
+  const auto r = sim->totals();
   // Message 1->3 blocked behind 0->2's worm: its latency exceeds solo.
   EXPECT_GT(r.latency_max, solo_lat + 10);
 }
@@ -79,7 +79,7 @@ TEST(Wormhole, TwoVcsMultiplexTheLink) {
   sim->push_message(0, 2, 32);
   sim->push_message(1, 3, 32);
   ASSERT_TRUE(run_until_delivered(*sim, 2, 5000));
-  const auto r = sim->collector().finish(5);
+  const auto r = sim->totals();
 
   auto cfg1 = default_config();
   cfg1.net.num_vcs = 1;
@@ -87,7 +87,7 @@ TEST(Wormhole, TwoVcsMultiplexTheLink) {
   blocked->push_message(0, 2, 32);
   blocked->push_message(1, 3, 32);
   ASSERT_TRUE(run_until_delivered(*blocked, 2, 5000));
-  const auto rb = blocked->collector().finish(5);
+  const auto rb = blocked->totals();
 
   // VC multiplexing strictly improves the blocked worm's completion.
   EXPECT_LT(r.latency_max, rb.latency_max);
@@ -101,7 +101,7 @@ TEST(Wormhole, RoundRobinSharesBandwidthFairly) {
   sim->push_message(0, 2, 64);
   sim->push_message(1, 3, 64);
   ASSERT_TRUE(run_until_delivered(*sim, 2, 5000));
-  const auto r = sim->collector().finish(5);
+  const auto r = sim->totals();
   // Demand-slotted round robin: both take ~2x the solo time; the spread
   // between the two must be small compared to the message length.
   EXPECT_LT(r.latency_max - r.latency_min, 64.0);
@@ -154,7 +154,7 @@ TEST(Wormhole, HeaderWaitsForRoutingDelay) {
   auto sim = make_sim(4, 2, cfg);
   sim->push_message(0, 5, 16);  // distance 2
   ASSERT_TRUE(run_until_delivered(*sim, 1, 1000));
-  const auto r = sim->collector().finish(16);
+  const auto r = sim->totals();
   EXPECT_DOUBLE_EQ(r.latency_mean,
                    static_cast<double>(ideal_latency(*sim, 0, 5, 16)));
 }
@@ -166,7 +166,7 @@ TEST(Wormhole, LinkDelayScalesPerHop) {
   auto sim = make_sim(4, 2, cfg);
   sim->push_message(0, 5, 16);
   ASSERT_TRUE(run_until_delivered(*sim, 1, 1000));
-  const auto r = sim->collector().finish(16);
+  const auto r = sim->totals();
   EXPECT_DOUBLE_EQ(r.latency_mean,
                    static_cast<double>(ideal_latency(*sim, 0, 5, 16)));
 }
@@ -181,7 +181,7 @@ TEST(Wormhole, ShallowBuffersAddCreditStalls) {
   auto sim = make_sim(4, 2, cfg);
   sim->push_message(0, 5, 16);  // 2 hops
   ASSERT_TRUE(run_until_delivered(*sim, 1, 1000));
-  const auto r = sim->collector().finish(16);
+  const auto r = sim->totals();
   EXPECT_GT(r.latency_mean,
             static_cast<double>(ideal_latency(*sim, 0, 5, 16)));
 }

@@ -44,7 +44,7 @@ inline ::testing::AssertionResult check_all_invariants(const Simulator& sim) {
 /// including it is correct in both cases — it is 0 without faults.)
 inline ::testing::AssertionResult check_aggregate_conservation(
     const Simulator& sim) {
-  const auto r = sim.collector().finish(sim.topology().num_nodes());
+  const auto r = sim.totals();
   const std::uint64_t accounted = r.messages_delivered +
                                   sim.messages_in_flight() +
                                   sim.source_queue_total() + sim.total_lost();
