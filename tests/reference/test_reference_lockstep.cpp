@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <utility>
 #include <string>
 #include <vector>
@@ -355,6 +356,9 @@ TEST(RouteMemo, KillRestoreThroughRepeatedDeadlockEpisodes) {
 struct MatrixCase {
   std::string name;
   Scenario scenario;
+  // Without a printer gtest dumps the raw bytes, heap pointers and all,
+  // into the listed test name, which then changes on every build.
+  friend void PrintTo(const MatrixCase& c, std::ostream* os) { *os << c.name; }
 };
 
 std::vector<MatrixCase> matrix() {
