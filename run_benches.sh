@@ -14,8 +14,8 @@ status=0
 python3 tools/check_bench.py --self-test || status=1
 # Sanitizer preflights, each in its own instrumented tree (slow the
 # first time, incremental after). TSan runs the parallel-labelled tests:
-# the --jobs parallel_for, the parallel sweep engine and the
-# multi-threaded tracer must be provably race-free before any parallel
+# the --jobs parallel_for, the parallel sweep engine and traced parallel
+# sweeps must be provably race-free before any parallel
 # sweep number means anything. ASan+UBSan runs the simulator, reference
 # lock-step, deadlock, fault, traffic, metrics, integration and util
 # test binaries, so lifetime, bounds and undefined-behaviour bugs fail

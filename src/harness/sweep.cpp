@@ -38,12 +38,6 @@ std::vector<GridPoint> flatten_grid(const SweepSpec& spec) {
   return grid;
 }
 
-std::string point_label(const GridPoint& p) {
-  std::ostringstream os;
-  os << core::limiter_name(p.limiter) << " @ " << p.offered;
-  return os.str();
-}
-
 /// Serialized (caller holds the progress mutex) per-point progress line.
 class ProgressMeter {
  public:
@@ -70,7 +64,7 @@ class ProgressMeter {
               "(%.1fs elapsed, eta %.0fs)\n",
               static_cast<unsigned long long>(done_),
               static_cast<unsigned long long>(total_),
-              point_label(p).c_str(), r.latency_mean,
+              point_label(p.limiter, p.offered).c_str(), r.latency_mean,
               r.accepted_flits_per_node_cycle, r.deadlock_pct,
               r.saturated ? " saturated" : "", elapsed, eta);
   }
@@ -124,31 +118,25 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
   std::vector<SweepPoint> points(grid.size());
   std::mutex progress_mu;
   ProgressMeter meter(spec.progress, grid.size());
-  config::RunHooks hooks;
-  hooks.tracer = spec.tracer;
   util::parallel_for(grid.size(), jobs, [&](std::size_t i) {
     const config::SimConfig cfg = point_config(spec, grid[i], i);
-    if (spec.tracer) {
-      spec.tracer->begin_point(static_cast<std::uint32_t>(i),
-                               point_label(grid[i]));
-    }
-    // Per-point hooks copy: the online recorder is per-simulation
-    // state, so each task attaches its own (the shared tracer/spatial
-    // observers are internally synchronized, OnlineStats is not).
-    config::RunHooks task_hooks = hooks;
+    // Every recorder is per-simulation state: each point owns its own,
+    // so no recorder is shared between threads.
+    config::RunHooks hooks;
     std::shared_ptr<metrics::OnlineStats> online;
     if (spec.online) {
       online = std::make_shared<metrics::OnlineStats>(
           topo::KAryNCube(cfg.k, cfg.n).num_nodes(), spec.online_config);
-      task_hooks.online = online.get();
+      hooks.online = online.get();
+    }
+    std::shared_ptr<obs::Tracer> trace;
+    if (spec.trace_capacity) {
+      trace = std::make_shared<obs::Tracer>(spec.trace_capacity);
+      hooks.tracer = trace.get();
     }
     SweepPoint point{grid[i].limiter, grid[i].offered,
-                     config::run_experiment(cfg, task_hooks),
-                     std::move(online)};
-    if (spec.tracer) {
-      spec.tracer->end_point(static_cast<std::uint32_t>(i),
-                             point.result.total_cycles);
-    }
+                     config::run_experiment(cfg, hooks), std::move(online),
+                     std::move(trace)};
     {
       const std::lock_guard<std::mutex> lock(progress_mu);
       meter.on_done(grid[i], point.result);
@@ -160,6 +148,12 @@ std::vector<SweepPoint> run_sweep(const SweepSpec& spec) {
     for (const auto& p : points) spec.stats->sim_cycles += p.result.total_cycles;
   }
   return points;
+}
+
+std::string point_label(core::LimiterKind limiter, double offered) {
+  std::ostringstream os;
+  os << core::limiter_name(limiter) << " @ " << offered;
+  return os.str();
 }
 
 void write_sweep_csv(std::ostream& out,

@@ -41,6 +41,8 @@ struct SweepPoint {
   /// Per-point streaming statistics (latency histogram, windowed time
   /// series, saturation verdict); null unless SweepSpec::online was set.
   std::shared_ptr<metrics::OnlineStats> online;
+  /// Per-point event ring; null unless SweepSpec::trace_capacity was set.
+  std::shared_ptr<obs::Tracer> trace;
 };
 
 struct SweepSpec {
@@ -58,11 +60,10 @@ struct SweepSpec {
   unsigned jobs = 0;
   /// Optional out-param: wall-clock/throughput counters for this sweep.
   metrics::SweepStats* stats = nullptr;
-  /// Optional event tracer. Each simulation is bracketed with
-  /// begin_point/end_point (pid = flattened grid index, which matches
-  /// the telemetry record index) and attached for the duration of the
-  /// run. Purely observational: results are unchanged.
-  obs::Tracer* tracer = nullptr;
+  /// Events each point's own obs::Tracer keeps (newest win); 0 = no
+  /// tracing. Results land in SweepPoint::trace. Purely observational:
+  /// results are unchanged, and each ring depends only on its point.
+  std::size_t trace_capacity = 0;
   /// Emit a "[done/total] mechanism @ load ... eta" line on stderr
   /// after every point (obs::logf at Info level).
   bool progress = false;
@@ -79,6 +80,10 @@ struct SweepSpec {
 /// simulator seeded deterministically from the base seed (stream split
 /// by point index — thread-count independent).
 std::vector<SweepPoint> run_sweep(const SweepSpec& spec);
+
+/// "<mechanism> @ <load>", the name a point goes by in progress lines
+/// and traces.
+std::string point_label(core::LimiterKind limiter, double offered);
 
 /// Emit the standard figure CSV:
 /// mechanism,offered,latency_avg,latency_sd,accepted,deadlock_pct,...

@@ -188,6 +188,13 @@ void write_sweep_telemetry(std::ostream& out, const SweepSpec& spec,
     emit_config(w, cfg);
     emit_result(w, p.result);
     if (p.online) emit_online(w, *p.online);
+    if (p.trace) {
+      w.key("trace");
+      w.begin_object();
+      w.field("events_recorded", p.trace->events_recorded());
+      w.field("events_dropped", p.trace->events_dropped());
+      w.end_object();
+    }
     emit_perf(w, cfg, p.result, p.online.get());
     w.end_object();
     out << "\n";
@@ -222,13 +229,6 @@ void write_sweep_telemetry(std::ostream& out, const SweepSpec& spec,
     w.field("wall_seconds", stats->wall_seconds);
     w.field("points_per_second", stats->points_per_second());
     w.field("cycles_per_second", stats->cycles_per_second());
-    w.end_object();
-  }
-  if (spec.tracer) {
-    w.key("trace");
-    w.begin_object();
-    w.field("events_recorded", spec.tracer->events_recorded());
-    w.field("events_dropped", spec.tracer->events_dropped());
     w.end_object();
   }
   w.end_object();
@@ -293,6 +293,17 @@ void write_sweep_timeseries(std::ostream& out, const SweepSpec& spec,
   out << "\n";
 }
 
+void write_sweep_trace(std::ostream& out,
+                       const std::vector<SweepPoint>& points) {
+  std::vector<obs::TraceProcess> processes;
+  processes.reserve(points.size());
+  for (const SweepPoint& p : points) {
+    processes.push_back({point_label(p.limiter, p.offered),
+                         p.result.total_cycles, p.trace.get()});
+  }
+  obs::write_chrome_trace(out, processes);
+}
+
 void capture_spatial(const config::SimConfig& base, core::LimiterKind limiter,
                      double offered, const std::string& prefix) {
   config::SimConfig cfg = base;
@@ -332,7 +343,9 @@ ObsSession::ObsSession(const util::ArgParser& args)
       spatial_prefix_(args.get_string("spatial-out", "")),
       spatial_load_(args.get_double("spatial-load", 1.2)),
       online_window_(args.get_uint("online-window", 256)),
-      profile_period_(0) {
+      profile_period_(0),
+      trace_capacity_(static_cast<std::size_t>(
+          args.get_uint("trace-capacity", std::size_t{1} << 16))) {
   // Every flag is checked here, before the sweep runs.
   const std::string limiter = args.get_string("spatial-limiter", "none");
   try {
@@ -353,19 +366,14 @@ ObsSession::ObsSession(const util::ArgParser& args)
   } else {
     profile_period_ = args.get_uint("profile", 0);
   }
-  // Read even when no tracer is built, so the flag always counts as
-  // known to ArgParser::reject_unknown.
-  const auto capacity = static_cast<std::size_t>(
-      args.get_uint("trace-capacity", std::size_t{1} << 16));
-  if (!trace_path_.empty() || !metrics_path_.empty()) {
-    tracer_ = std::make_unique<obs::Tracer>(capacity);
+  if (trace_capacity_ == 0) {
+    throw std::invalid_argument(
+        "--trace-capacity expects an integer >= 1, got '0'");
   }
 }
 
-ObsSession::~ObsSession() = default;
-
 void ObsSession::attach(SweepSpec& spec) {
-  spec.tracer = tracer_.get();
+  spec.trace_capacity = trace_path_.empty() ? 0 : trace_capacity_;
   if (!metrics_path_.empty() || !timeseries_path_.empty()) {
     spec.online = true;
     spec.online_config.window_cycles = online_window_;
@@ -389,14 +397,21 @@ void ObsSession::finish(const SweepSpec& spec,
     write_sweep_timeseries(out, spec, points);
     obs::logf(obs::LogLevel::Info, "wrote %s\n", timeseries_path_.c_str());
   }
-  if (!trace_path_.empty() && tracer_) {
+  if (!trace_path_.empty()) {
     std::ofstream out(trace_path_);
     if (!out) throw std::runtime_error("cannot open " + trace_path_);
-    tracer_->write_chrome_trace(out);
+    write_sweep_trace(out, points);
+    std::uint64_t recorded = 0;
+    std::uint64_t dropped = 0;
+    for (const SweepPoint& p : points) {
+      if (!p.trace) continue;
+      recorded += p.trace->events_recorded();
+      dropped += p.trace->events_dropped();
+    }
     obs::logf(obs::LogLevel::Info,
               "wrote %s (%llu events, %llu dropped)\n", trace_path_.c_str(),
-              static_cast<unsigned long long>(tracer_->events_recorded()),
-              static_cast<unsigned long long>(tracer_->events_dropped()));
+              static_cast<unsigned long long>(recorded),
+              static_cast<unsigned long long>(dropped));
   }
   if (!spatial_prefix_.empty()) {
     capture_spatial(spec.base, spatial_limiter_, spatial_load_,

@@ -1,31 +1,10 @@
 #include "obs/tracer.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/json.hpp"
 
 namespace wormsim::obs {
-
-namespace {
-
-std::uint64_t next_generation() {
-  static std::atomic<std::uint64_t> gen{1};
-  return gen.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Thread-local registry of (tracer generation → buffer) so a thread can
-/// record into several tracers over its lifetime without locking after
-/// the first record into each. Generations are process-unique and never
-/// reused, so a stale entry for a destroyed tracer can never be hit by
-/// a live one that reuses the same address.
-struct TlsEntry {
-  std::uint64_t gen;
-  void* buf;
-};
-thread_local std::vector<TlsEntry> tls_bufs;
-
-}  // namespace
 
 std::string_view event_kind_name(EventKind kind) noexcept {
   switch (kind) {
@@ -38,8 +17,6 @@ std::string_view event_kind_name(EventKind kind) noexcept {
     case EventKind::RecoveryReinject: return "recovery_reinject";
     case EventKind::QueueEnqueue: return "queue_enqueue";
     case EventKind::QueueDequeue: return "queue_dequeue";
-    case EventKind::PointBegin: return "point_begin";
-    case EventKind::PointEnd: return "point_end";
     case EventKind::FaultLinkKill: return "fault_link_kill";
     case EventKind::FaultLinkRestore: return "fault_link_restore";
     case EventKind::FaultNodeKill: return "fault_node_kill";
@@ -49,91 +26,26 @@ std::string_view event_kind_name(EventKind kind) noexcept {
   return "unknown";
 }
 
-Tracer::Tracer(std::size_t capacity_per_thread)
-    : cap_(capacity_per_thread ? capacity_per_thread : 1),
-      gen_(next_generation()) {}
-
-Tracer::~Tracer() = default;
-
-Tracer::ThreadBuf& Tracer::local() {
-  for (const TlsEntry& e : tls_bufs) {
-    if (e.gen == gen_) return *static_cast<ThreadBuf*>(e.buf);
-  }
-  const std::lock_guard<std::mutex> lock(mu_);
-  bufs_.push_back(std::make_unique<ThreadBuf>());
-  ThreadBuf& buf = *bufs_.back();
-  buf.ring.resize(cap_);
-  tls_bufs.push_back({gen_, &buf});
-  return buf;
-}
+Tracer::Tracer(std::size_t capacity) : cap_(capacity ? capacity : 1) {}
 
 void Tracer::record(std::uint64_t cycle, EventKind kind, std::uint32_t node,
                     std::uint8_t aux8, std::uint16_t aux16,
                     std::uint32_t aux32) {
-  ThreadBuf& b = local();
-  TraceEvent& e = b.ring[b.recorded % cap_];
-  e.cycle = cycle;
-  e.seq = b.seq++;
-  e.pid = b.cur_pid;
-  e.node = node;
-  e.aux32 = aux32;
-  e.aux16 = aux16;
-  e.kind = kind;
-  e.aux8 = aux8;
-  ++b.recorded;
-}
-
-void Tracer::begin_point(std::uint32_t pid, std::string label) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    point_labels_.emplace_back(pid, std::move(label));
+  const TraceEvent e{cycle, node, aux32, aux16, kind, aux8};
+  if (ring_.size() < cap_) {
+    ring_.push_back(e);
+  } else {
+    ring_[oldest_] = e;
+    if (++oldest_ == cap_) oldest_ = 0;
   }
-  ThreadBuf& b = local();
-  b.cur_pid = pid;
-  record(0, EventKind::PointBegin, 0);
+  ++recorded_;
 }
 
-void Tracer::end_point(std::uint32_t pid, std::uint64_t total_cycles) {
-  ThreadBuf& b = local();
-  b.cur_pid = pid;
-  record(total_cycles, EventKind::PointEnd, 0);
-}
-
-std::uint64_t Tracer::events_recorded() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t total = 0;
-  for (const auto& b : bufs_) total += b->recorded;
-  return total;
-}
-
-std::uint64_t Tracer::events_dropped() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t dropped = 0;
-  for (const auto& b : bufs_) {
-    if (b->recorded > cap_) dropped += b->recorded - cap_;
-  }
-  return dropped;
-}
-
-std::vector<TraceEvent> Tracer::snapshot() const {
-  std::vector<TraceEvent> events;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& b : bufs_) {
-      const std::uint64_t kept = std::min<std::uint64_t>(b->recorded, cap_);
-      const std::uint64_t start = b->recorded - kept;
-      for (std::uint64_t i = 0; i < kept; ++i) {
-        events.push_back(b->ring[(start + i) % cap_]);
-      }
-    }
-  }
-  std::sort(events.begin(), events.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              if (a.pid != b.pid) return a.pid < b.pid;
-              if (a.seq != b.seq) return a.seq < b.seq;
-              return a.cycle < b.cycle;  // cross-thread same-pid tiebreak
-            });
-  return events;
+std::vector<TraceEvent> Tracer::events() const {
+  const auto oldest = ring_.begin() + static_cast<std::ptrdiff_t>(oldest_);
+  std::vector<TraceEvent> out(oldest, ring_.end());
+  out.insert(out.end(), ring_.begin(), oldest);
+  return out;
 }
 
 namespace {
@@ -144,6 +56,9 @@ struct Lane {
   const char* name;
   const char* category;
 };
+
+/// The lane of each point's `simulate` span.
+constexpr Lane kPointLane{0, "sweep point", "sweep"};
 
 Lane lane_of(EventKind kind) noexcept {
   switch (kind) {
@@ -161,10 +76,8 @@ Lane lane_of(EventKind kind) noexcept {
     case EventKind::FaultNodeKill:
     case EventKind::FaultNodeRestore:
     case EventKind::FaultLutRebuild: return {5, "faults", "fault"};
-    case EventKind::PointBegin:
-    case EventKind::PointEnd: return {0, "sweep point", "sweep"};
   }
-  return {0, "sweep point", "sweep"};
+  return kPointLane;
 }
 
 void emit_args(util::JsonWriter& w, const TraceEvent& e) {
@@ -216,94 +129,96 @@ void emit_args(util::JsonWriter& w, const TraceEvent& e) {
       w.field("dead_links", e.aux32);
       w.field("dead_nodes", static_cast<unsigned>(e.aux16));
       break;
-    case EventKind::PointBegin:
-    case EventKind::PointEnd: break;
   }
   w.end_object();
 }
 
 }  // namespace
 
-void Tracer::write_chrome_trace(std::ostream& out) const {
-  const std::vector<TraceEvent> events = snapshot();
-  std::vector<std::pair<std::uint32_t, std::string>> labels;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    labels = point_labels_;
-  }
-  std::sort(labels.begin(), labels.end());
-
+void write_chrome_trace(std::ostream& out,
+                        const std::vector<TraceProcess>& processes) {
+  // Copied one process at a time, so the export holds one extra ring.
+  const auto events_of = [&](std::size_t pid) {
+    const Tracer* t = processes[pid].tracer;
+    return t ? t->events() : std::vector<TraceEvent>{};
+  };
   util::JsonWriter w(out);
+  const auto metadata = [&](const char* name, std::uint64_t pid, int tid,
+                            std::string_view value) {
+    w.begin_object();
+    w.field("ph", "M");
+    w.field("name", name);
+    w.field("pid", pid);
+    w.field("tid", tid);
+    w.key("args");
+    w.begin_object();
+    w.field("name", value);
+    w.end_object();
+    w.end_object();
+  };
+
   w.begin_object();
   w.key("traceEvents");
   w.begin_array();
-
-  // Process/lane naming metadata. Every labelled sweep point becomes a
-  // named trace process; lanes are named once per pid on first use.
-  for (const auto& [pid, label] : labels) {
-    w.begin_object();
-    w.field("ph", "M");
-    w.field("name", "process_name");
-    w.field("pid", pid);
-    w.field("tid", 0);
-    w.key("args");
-    w.begin_object();
-    w.field("name", label);
-    w.end_object();
-    w.end_object();
+  for (std::size_t pid = 0; pid < processes.size(); ++pid) {
+    metadata("process_name", pid, 0, processes[pid].label);
   }
-  std::vector<std::pair<std::uint32_t, int>> named_lanes;
-  for (const TraceEvent& e : events) {
-    const Lane lane = lane_of(e.kind);
-    const std::pair<std::uint32_t, int> key{e.pid, lane.tid};
-    if (std::find(named_lanes.begin(), named_lanes.end(), key) !=
-        named_lanes.end()) {
-      continue;
+  // Each process's lanes are named in order of first use, the span's
+  // lane first.
+  for (std::size_t pid = 0; pid < processes.size(); ++pid) {
+    std::vector<int> named{kPointLane.tid};
+    metadata("thread_name", pid, kPointLane.tid, kPointLane.name);
+    for (const TraceEvent& e : events_of(pid)) {
+      const Lane lane = lane_of(e.kind);
+      if (std::find(named.begin(), named.end(), lane.tid) != named.end()) {
+        continue;
+      }
+      named.push_back(lane.tid);
+      metadata("thread_name", pid, lane.tid, lane.name);
     }
-    named_lanes.push_back(key);
-    w.begin_object();
-    w.field("ph", "M");
-    w.field("name", "thread_name");
-    w.field("pid", e.pid);
-    w.field("tid", lane.tid);
-    w.key("args");
-    w.begin_object();
-    w.field("name", lane.name);
-    w.end_object();
-    w.end_object();
   }
-
-  for (const TraceEvent& e : events) {
-    const Lane lane = lane_of(e.kind);
-    if (e.kind == EventKind::PointBegin) continue;  // folded into the X event
-    w.begin_object();
-    if (e.kind == EventKind::PointEnd) {
-      // One "complete" span covering the whole sweep point.
-      w.field("name", "simulate");
-      w.field("cat", lane.category);
-      w.field("ph", "X");
-      w.field("ts", std::uint64_t{0});
-      w.field("dur", e.cycle);
-    } else {
+  std::uint64_t recorded = 0;
+  std::uint64_t dropped = 0;
+  for (std::size_t pid = 0; pid < processes.size(); ++pid) {
+    if (const Tracer* t = processes[pid].tracer) {
+      recorded += t->events_recorded();
+      dropped += t->events_dropped();
+    }
+    for (const TraceEvent& e : events_of(pid)) {
+      const Lane lane = lane_of(e.kind);
+      w.begin_object();
       w.field("name", event_kind_name(e.kind));
       w.field("cat", lane.category);
       w.field("ph", "i");
       w.field("s", "t");
       w.field("ts", e.cycle);
+      w.field("pid", pid);
+      w.field("tid", lane.tid);
+      emit_args(w, e);
+      w.end_object();
     }
-    w.field("pid", e.pid);
-    w.field("tid", lane.tid);
-    emit_args(w, e);
+    // One "complete" span covering the whole simulation.
+    w.begin_object();
+    w.field("name", "simulate");
+    w.field("cat", kPointLane.category);
+    w.field("ph", "X");
+    w.field("ts", std::uint64_t{0});
+    w.field("dur", processes[pid].total_cycles);
+    w.field("pid", pid);
+    w.field("tid", kPointLane.tid);
+    w.key("args");
+    w.begin_object();
+    w.end_object();
     w.end_object();
   }
   w.end_array();
   w.field("displayTimeUnit", "ms");
   w.key("otherData");
   w.begin_object();
-  w.field("schema", "wormsim.trace/1");
+  w.field("schema", "wormsim.trace/2");
   w.field("timestamp_unit", "simulated cycles (shown as us)");
-  w.field("events_recorded", events_recorded());
-  w.field("events_dropped", events_dropped());
+  w.field("events_recorded", recorded);
+  w.field("events_dropped", dropped);
   w.end_object();
   w.end_object();
   out << "\n";

@@ -1,5 +1,5 @@
-// Low-overhead structured event tracing for the simulator and the sweep
-// harness, with a Chrome trace-event (Perfetto-loadable) JSON exporter.
+// Low-overhead structured event tracing for one simulation, with a
+// Chrome trace-event (Perfetto-loadable) JSON exporter.
 //
 // Design constraints (the core-equivalence guarantees depend on them):
 //   * Observation only — recording never touches simulation state, so
@@ -7,27 +7,24 @@
 //   * Zero cost when disabled — every hook in the simulator is a
 //     branch-on-null pointer check; no Tracer exists unless a harness
 //     attaches one (gated by bench/micro_mechanism --obs-overhead-json).
-//   * Thread-safe recording without locks on the hot path — each thread
-//     registers a private fixed-capacity ring buffer on first record;
-//     when a ring wraps, the oldest events are overwritten and counted
-//     as dropped (keep-latest is the right policy for post-mortems of a
-//     saturation collapse).
+//   * One ring per simulation — a Tracer is a fixed-capacity ring
+//     recorded by the one thread that runs its simulation, so it needs
+//     no lock. When the ring wraps, the oldest events are overwritten
+//     and counted as dropped (keep-latest is the right policy for
+//     post-mortems of a saturation collapse).
 //
-// Sweep integration: the harness brackets every sweep point with
-// begin_point()/end_point(). Each point becomes one trace "process"
-// (pid = sweep-point index, named after its mechanism/load), with
-// category lanes (gate / queue / vc / deadlock) as threads underneath,
-// so a whole sweep opens as a navigable timeline in chrome://tracing or
-// https://ui.perfetto.dev. Timestamps are simulated cycles expressed as
-// microseconds. Because one point runs entirely on one worker thread,
-// the export (sorted by point, then per-thread sequence number) is
-// byte-identical for any --jobs count as long as no events were
-// dropped.
+// Sweep integration: the harness gives every sweep point its own
+// Tracer. The exporter writes each point as one trace "process" (pid =
+// sweep-point index, named after its mechanism/load) with a `simulate`
+// span over its cycles and category lanes (gate / queue / vc /
+// deadlock / fault) as threads underneath, so a whole sweep opens as a
+// navigable timeline in chrome://tracing or https://ui.perfetto.dev.
+// Timestamps are simulated cycles expressed as microseconds. Nothing in
+// the export depends on which worker ran a point, so it is
+// byte-identical for any --jobs count.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -45,8 +42,6 @@ enum class EventKind : std::uint8_t {
   RecoveryReinject,  // absorbed message re-entered an injection channel
   QueueEnqueue,      // message generated into a source queue
   QueueDequeue,      // message left a source queue for the network
-  PointBegin,        // sweep point started (cycle 0)
-  PointEnd,          // sweep point finished (cycle = total cycles)
   FaultLinkKill,     // physical link failed (node, aux8 = channel)
   FaultLinkRestore,  // physical link repaired (node, aux8 = channel)
   FaultNodeKill,     // node failed
@@ -60,8 +55,6 @@ std::string_view event_kind_name(EventKind kind) noexcept;
 /// One recorded event; aux fields are kind-specific (see EventKind).
 struct TraceEvent {
   std::uint64_t cycle = 0;
-  std::uint64_t seq = 0;   // per-thread order, for deterministic export
-  std::uint32_t pid = 0;   // sweep-point index (0 outside a sweep)
   std::uint32_t node = 0;  // node id, or link id for VC events
   std::uint32_t aux32 = 0;
   std::uint16_t aux16 = 0;
@@ -69,53 +62,42 @@ struct TraceEvent {
   std::uint8_t aux8 = 0;
 };
 
+/// The keep-latest event ring of one simulation.
 class Tracer {
  public:
-  /// `capacity_per_thread` events are retained per recording thread
-  /// (newest win); must be >= 1.
-  explicit Tracer(std::size_t capacity_per_thread = std::size_t{1} << 16);
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-  ~Tracer();
+  /// Retains the newest `capacity` events (at least 1). Ring memory
+  /// grows with the events recorded, up to the capacity.
+  explicit Tracer(std::size_t capacity = std::size_t{1} << 16);
 
-  /// Record one event (lock-free after a thread's first record).
   void record(std::uint64_t cycle, EventKind kind, std::uint32_t node,
               std::uint8_t aux8 = 0, std::uint16_t aux16 = 0,
               std::uint32_t aux32 = 0);
 
-  /// Mark the start of sweep point `pid` on the calling thread: labels
-  /// the trace process and stamps subsequent events with this pid.
-  void begin_point(std::uint32_t pid, std::string label);
-  /// Mark the end of sweep point `pid` after `total_cycles` cycles.
-  void end_point(std::uint32_t pid, std::uint64_t total_cycles);
-
-  std::uint64_t events_recorded() const;
-  std::uint64_t events_dropped() const;
-
-  /// All retained events, oldest first per thread, sorted by
-  /// (pid, seq) — deterministic across worker schedules when each pid
-  /// is recorded by a single thread (the sweep engine's contract).
-  std::vector<TraceEvent> snapshot() const;
-
-  /// Emit the Chrome trace-event JSON document. Not thread-safe against
-  /// concurrent record(); call after the traced work has finished.
-  void write_chrome_trace(std::ostream& out) const;
+  /// The retained events, oldest first.
+  std::vector<TraceEvent> events() const;
+  std::uint64_t events_recorded() const noexcept { return recorded_; }
+  std::uint64_t events_dropped() const noexcept {
+    return recorded_ - ring_.size();
+  }
 
  private:
-  struct ThreadBuf {
-    std::vector<TraceEvent> ring;
-    std::uint64_t recorded = 0;  // total ever; ring holds min(recorded, cap)
-    std::uint64_t seq = 0;
-    std::uint32_t cur_pid = 0;
-  };
-
-  ThreadBuf& local();
-
-  const std::size_t cap_;
-  const std::uint64_t gen_;  // process-unique id for thread-local caching
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<ThreadBuf>> bufs_;
-  std::vector<std::pair<std::uint32_t, std::string>> point_labels_;
+  std::size_t cap_;
+  std::size_t oldest_ = 0;  // ring slot of the oldest event once full
+  std::uint64_t recorded_ = 0;
+  std::vector<TraceEvent> ring_;
 };
+
+/// One traced simulation as a trace process.
+struct TraceProcess {
+  std::string label;
+  std::uint64_t total_cycles = 0;  // length of the `simulate` span
+  const Tracer* tracer = nullptr;  // null: label and span only
+};
+
+/// Emit the Chrome trace-event JSON document, one process per entry
+/// (pid = index): every process name, then each process's lane names,
+/// then each process's events, oldest first, and its `simulate` span.
+void write_chrome_trace(std::ostream& out,
+                        const std::vector<TraceProcess>& processes);
 
 }  // namespace wormsim::obs

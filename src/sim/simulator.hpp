@@ -288,13 +288,6 @@ class Simulator {
   std::size_t recovery_pending() const noexcept {
     return recovery_.pending_total();
   }
-  std::uint64_t total_deadlock_detections() const noexcept {
-    return scan_.deadlocks;
-  }
-  std::uint64_t total_delivered() const noexcept { return scan_.delivered; }
-  /// Messages dropped by fault reconfiguration (destination dead or
-  /// unreachable); part of the conservation identity.
-  std::uint64_t total_lost() const noexcept { return scan_.lost; }
   /// Schedule events applied so far (kills + restores).
   std::uint64_t fault_events_applied() const noexcept { return fault_events_; }
   /// Routing-table reconfigurations triggered by fault events.

@@ -181,9 +181,9 @@ TEST(FaultFuzz, TrafficFlowsAfterFullRestore) {
   sim.step_cycles(600);
   ASSERT_EQ(sim.fault_events_applied(), 4u);
   EXPECT_EQ(sim.lut_rebuilds(), 2u);  // one per fault cycle
-  const std::uint64_t delivered_at_restore = sim.total_delivered();
+  const std::uint64_t delivered_at_restore = sim.scan_stats().delivered;
   sim.step_cycles(600);
-  EXPECT_GT(sim.total_delivered(), delivered_at_restore);
+  EXPECT_GT(sim.scan_stats().delivered, delivered_at_restore);
   EXPECT_TRUE(testing::check_all_invariants(sim));
 }
 

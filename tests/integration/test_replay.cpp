@@ -46,8 +46,7 @@ TEST(Replay, MatchesLiveWorkloadExactly) {
   EXPECT_EQ(rl.messages_generated, rr.messages_generated);
   EXPECT_EQ(rl.messages_delivered, rr.messages_delivered);
   EXPECT_DOUBLE_EQ(rl.latency_mean, rr.latency_mean);
-  EXPECT_EQ(live.total_deadlock_detections(),
-            replay.total_deadlock_detections());
+  EXPECT_EQ(live.scan_stats().deadlocks, replay.scan_stats().deadlocks);
   EXPECT_EQ(live.network().flits_in_network(),
             replay.network().flits_in_network());
 }
@@ -76,7 +75,7 @@ TEST(Replay, RunToCompletionDrains) {
   replayer.run_to_completion(sim, 20000);
   EXPECT_EQ(replayer.replayed(), trace.size());
   EXPECT_TRUE(sim.network().quiescent());
-  EXPECT_EQ(sim.total_delivered(), trace.size());
+  EXPECT_EQ(sim.scan_stats().delivered, trace.size());
 }
 
 TEST(Replay, UtilizationCountersMatchLiveRun) {

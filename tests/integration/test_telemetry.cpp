@@ -1,9 +1,10 @@
 // End-to-end validation of the machine-readable telemetry surface: a
-// FAST-sized sweep with a tracer attached must emit one schema-valid
-// JSONL record per sweep point plus a summary, the records must be
-// deterministic for a fixed seed across --jobs counts (modulo the
-// quarantined "perf"/"trace" sections), the Chrome trace export must be
-// valid JSON, and the spatial capture must produce parseable CSVs.
+// FAST-sized traced sweep must emit one schema-valid JSONL record per
+// sweep point plus a summary, the records must be deterministic for a
+// fixed seed across --jobs counts (modulo the quarantined "perf"
+// section), the Chrome trace export must be valid JSON and
+// byte-identical across --jobs counts, and the spatial capture must
+// produce parseable CSVs.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -19,7 +20,6 @@
 #include "config/presets.hpp"
 #include "harness/sweep.hpp"
 #include "harness/telemetry.hpp"
-#include "obs/tracer.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -35,13 +35,13 @@ config::SimConfig telemetry_base() {
   return cfg;
 }
 
-SweepSpec telemetry_spec(unsigned jobs, obs::Tracer* tracer) {
+SweepSpec telemetry_spec(unsigned jobs, std::size_t trace_capacity) {
   SweepSpec spec;
   spec.base = telemetry_base();
   spec.limiters = {core::LimiterKind::None, core::LimiterKind::ALO};
   spec.offered_loads = {0.1, 0.6, 1.2};
   spec.jobs = jobs;
-  spec.tracer = tracer;
+  spec.trace_capacity = trace_capacity;
   return spec;
 }
 
@@ -57,8 +57,7 @@ std::vector<std::string> lines_of(const std::string& text) {
 
 /// Telemetry text for one full sweep (runs the simulations).
 std::string run_and_serialize(unsigned jobs) {
-  obs::Tracer tracer(1u << 10);
-  SweepSpec spec = telemetry_spec(jobs, &tracer);
+  SweepSpec spec = telemetry_spec(jobs, 1u << 10);
   metrics::SweepStats stats;
   spec.stats = &stats;
   const auto points = run_sweep(spec);
@@ -68,8 +67,7 @@ std::string run_and_serialize(unsigned jobs) {
 }
 
 TEST(Telemetry, OneSchemaValidRecordPerPointPlusSummary) {
-  obs::Tracer tracer(1u << 12);
-  SweepSpec spec = telemetry_spec(1, &tracer);
+  SweepSpec spec = telemetry_spec(1, 1u << 12);
   metrics::SweepStats stats;
   spec.stats = &stats;
   const auto points = run_sweep(spec);
@@ -104,6 +102,12 @@ TEST(Telemetry, OneSchemaValidRecordPerPointPlusSummary) {
                      points[i].result.accepted_flits_per_node_cycle);
     EXPECT_EQ(rec->at_path("result.saturated")->boolean,
               points[i].result.saturated);
+    // The point was traced, so its ring's counts are present.
+    ASSERT_NE(points[i].trace, nullptr);
+    EXPECT_DOUBLE_EQ(rec->at_path("trace.events_recorded")->number,
+                     static_cast<double>(points[i].trace->events_recorded()));
+    EXPECT_DOUBLE_EQ(rec->at_path("trace.events_dropped")->number,
+                     static_cast<double>(points[i].trace->events_dropped()));
     // Wall-clock-dependent fields live only under "perf".
     ASSERT_NE(rec->find("perf"), nullptr);
     EXPECT_NE(rec->at_path("perf.cycles_per_second"), nullptr);
@@ -118,16 +122,13 @@ TEST(Telemetry, OneSchemaValidRecordPerPointPlusSummary) {
   EXPECT_DOUBLE_EQ(summary->find("points")->number, 6.0);
   EXPECT_DOUBLE_EQ(summary->find("simulations")->number, 6.0);
   EXPECT_GT(summary->find("sim_cycles")->number, 0.0);
-  // The tracer was attached, so drop accounting must be present.
-  ASSERT_NE(summary->find("trace"), nullptr);
-  EXPECT_GT(summary->at_path("trace.events_recorded")->number, 0.0);
+  EXPECT_EQ(summary->find("trace"), nullptr);
 }
 
 TEST(Telemetry, DeterministicAcrossJobCounts) {
   const auto strip_volatile = [](std::string line) {
-    // "perf" (and in the summary, the jobs-dependent "trace" block that
-    // follows it) is always the record's tail; everything before it is
-    // the reproducible part...
+    // "perf" is always the record's tail; everything before it, the
+    // points' "trace" sections included, is the reproducible part...
     const std::size_t pos = line.find(",\"perf\":");
     if (pos != std::string::npos) line.resize(pos);
     // ...except the summary's worker-count echo, which differs by
@@ -154,14 +155,17 @@ TEST(Telemetry, DeterministicAcrossJobCounts) {
 
 TEST(Telemetry, SweepCsvUnchangedByInstrumentation) {
   metrics::SweepStats stats;
-  SweepSpec plain = telemetry_spec(2, nullptr);
+  SweepSpec plain = telemetry_spec(2, 0);
   const auto base_points = run_sweep(plain);
+  for (const SweepPoint& p : base_points) EXPECT_EQ(p.trace, nullptr);
 
-  obs::Tracer tracer(1u << 10);
-  SweepSpec traced = telemetry_spec(2, &tracer);
+  SweepSpec traced = telemetry_spec(2, 1u << 10);
   traced.stats = &stats;
   const auto traced_points = run_sweep(traced);
-  EXPECT_GT(tracer.events_recorded(), 0u);
+  for (const SweepPoint& p : traced_points) {
+    ASSERT_NE(p.trace, nullptr);
+    EXPECT_GT(p.trace->events_recorded(), 0u);
+  }
 
   std::ostringstream plain_csv;
   write_sweep_csv(plain_csv, base_points);
@@ -171,19 +175,54 @@ TEST(Telemetry, SweepCsvUnchangedByInstrumentation) {
 }
 
 TEST(Telemetry, ChromeTraceFromSweepIsValidJson) {
-  obs::Tracer tracer(1u << 12);
-  SweepSpec spec = telemetry_spec(1, &tracer);
-  run_sweep(spec);
+  const SweepSpec spec = telemetry_spec(1, 1u << 12);
+  const auto points = run_sweep(spec);
 
   std::ostringstream os;
-  tracer.write_chrome_trace(os);
+  write_sweep_trace(os, points);
   std::string err;
   const auto doc = util::json_parse(os.str(), &err);
   ASSERT_TRUE(doc.has_value()) << err;
   const util::JsonValue* events = doc->find("traceEvents");
   ASSERT_TRUE(events && events->is_array());
   EXPECT_FALSE(events->array.empty());
-  EXPECT_EQ(doc->at_path("otherData.schema")->str, "wormsim.trace/1");
+  EXPECT_EQ(doc->at_path("otherData.schema")->str, "wormsim.trace/2");
+}
+
+/// Each point owns its ring, so a ring too small for its point drops
+/// only that point's oldest events, whichever worker ran it: the trace
+/// is the same file at any --jobs count, and every point keeps its
+/// label and `simulate` span.
+TEST(Telemetry, ChromeTraceIdenticalAcrossJobCounts) {
+  constexpr std::size_t kCapacity = 256;
+  const auto trace_at = [&](unsigned jobs) {
+    const auto points = run_sweep(telemetry_spec(jobs, kCapacity));
+    std::uint64_t dropped = 0;
+    for (const SweepPoint& p : points) dropped += p.trace->events_dropped();
+    EXPECT_GT(dropped, 0u) << "the ring must be small enough to drop";
+    std::ostringstream os;
+    write_sweep_trace(os, points);
+    return std::make_pair(os.str(), points);
+  };
+  const auto [serial, points] = trace_at(1);
+  ASSERT_GE(points.size(), 6u);
+  EXPECT_EQ(trace_at(2).first, serial);
+  EXPECT_EQ(trace_at(4).first, serial);
+
+  std::string err;
+  const auto doc = util::json_parse(serial, &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  std::vector<double> spans(points.size(), -1.0);
+  for (const util::JsonValue& e : doc->find("traceEvents")->array) {
+    if (e.find("ph")->str != "X") continue;
+    EXPECT_EQ(e.find("name")->str, "simulate");
+    spans.at(static_cast<std::size_t>(e.find("pid")->number)) =
+        e.find("dur")->number;
+  }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(spans[i], static_cast<double>(points[i].result.total_cycles))
+        << "point " << i;
+  }
 }
 
 TEST(Telemetry, CaptureSpatialWritesParseableCsvs) {
@@ -249,6 +288,7 @@ TEST(Telemetry, ObsSessionRejectsBadFlagsByName) {
       {{"prog", "--spatial-load", "nan"}, "--spatial-load"},
       {{"prog", "--spatial-load", "inf"}, "--spatial-load"},
       {{"prog", "--spatial-load", "-0.5"}, "--spatial-load"},
+      {{"prog", "--trace-capacity", "0"}, "--trace-capacity"},
   };
   for (const auto& [argv, flag] : bad) {
     SCOPED_TRACE(std::string(argv[1]) + " " + argv[2]);
@@ -260,6 +300,23 @@ TEST(Telemetry, ObsSessionRejectsBadFlagsByName) {
           << e.what();
     }
   }
+}
+
+/// Only --trace builds trace rings; --metrics-out alone writes no
+/// trace, so it attaches none.
+TEST(Telemetry, ObsSessionTracesOnlyForTrace) {
+  const auto capacity = [](std::vector<const char*> argv) {
+    const util::ArgParser args(static_cast<int>(argv.size()), argv.data());
+    ObsSession session(args);
+    SweepSpec spec;
+    session.attach(spec);
+    return spec.trace_capacity;
+  };
+  EXPECT_EQ(capacity({"prog", "--metrics-out", "x"}), 0u);
+  EXPECT_EQ(capacity({"prog", "--metrics-out", "x", "--trace-capacity", "8"}),
+            0u);
+  EXPECT_EQ(capacity({"prog", "--trace", "x"}), std::size_t{1} << 16);
+  EXPECT_EQ(capacity({"prog", "--trace", "x", "--trace-capacity", "8"}), 8u);
 }
 
 TEST(Telemetry, ObsSessionProfileFlagForms) {

@@ -135,7 +135,7 @@ TracedRun traced_run(sim::Simulator& sim, const sim::RunProtocol& p) {
   out.r = sim.run(p);
   sim.set_tracer(nullptr);
   EXPECT_EQ(tracer.events_dropped(), 0u);
-  out.events = tracer.snapshot();
+  out.events = tracer.events();
   return out;
 }
 

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "../support/json_parse.hpp"
@@ -21,7 +20,7 @@ TEST(Tracer, RecordsInOrder) {
   EXPECT_EQ(t.events_recorded(), 3u);
   EXPECT_EQ(t.events_dropped(), 0u);
 
-  const auto evs = t.snapshot();
+  const auto evs = t.events();
   ASSERT_EQ(evs.size(), 3u);
   EXPECT_EQ(evs[0].cycle, 5u);
   EXPECT_EQ(evs[0].kind, EventKind::QueueEnqueue);
@@ -31,9 +30,6 @@ TEST(Tracer, RecordsInOrder) {
   EXPECT_EQ(evs[0].aux32, 99u);
   EXPECT_EQ(evs[1].kind, EventKind::GateAllow);
   EXPECT_EQ(evs[2].kind, EventKind::VcAlloc);
-  // Per-thread sequence numbers are strictly increasing.
-  EXPECT_LT(evs[0].seq, evs[1].seq);
-  EXPECT_LT(evs[1].seq, evs[2].seq);
 }
 
 TEST(Tracer, RingWrapKeepsNewestAndCountsDrops) {
@@ -44,7 +40,7 @@ TEST(Tracer, RingWrapKeepsNewestAndCountsDrops) {
   EXPECT_EQ(t.events_recorded(), 10u);
   EXPECT_EQ(t.events_dropped(), 6u);
 
-  const auto evs = t.snapshot();
+  const auto evs = t.events();
   ASSERT_EQ(evs.size(), 4u);
   // Keep-latest policy: the last four records survive, oldest first.
   for (std::size_t i = 0; i < evs.size(); ++i) {
@@ -53,57 +49,48 @@ TEST(Tracer, RingWrapKeepsNewestAndCountsDrops) {
   }
 }
 
-TEST(Tracer, PointBracketingStampsPid) {
-  Tracer t(64);
-  t.begin_point(0, "none @ 0.1");
-  t.record(1, EventKind::GateAllow, 0);
-  t.end_point(0, 100);
-  t.begin_point(1, "alo @ 0.2");
-  t.record(2, EventKind::GateBlock, 0);
-  t.end_point(1, 200);
-
-  const auto evs = t.snapshot();
-  ASSERT_EQ(evs.size(), 6u);  // 2 events + 2 begin + 2 end markers
-  for (const TraceEvent& e : evs) {
-    if (e.kind == EventKind::GateAllow) {
-      EXPECT_EQ(e.pid, 0u);
-    } else if (e.kind == EventKind::GateBlock) {
-      EXPECT_EQ(e.pid, 1u);
-    }
-  }
-  // Snapshot is sorted by pid first.
-  for (std::size_t i = 1; i < evs.size(); ++i) {
-    EXPECT_LE(evs[i - 1].pid, evs[i].pid);
-  }
+/// Parse a Chrome trace document, failing the test if it is not JSON.
+util::JsonValue parse_trace(const std::vector<TraceProcess>& processes) {
+  std::ostringstream os;
+  write_chrome_trace(os, processes);
+  std::string err;
+  auto doc = util::json_parse(os.str(), &err);
+  EXPECT_TRUE(doc.has_value()) << err;
+  return doc ? *std::move(doc) : util::JsonValue{};
 }
 
-TEST(Tracer, ConcurrentRecordingLosesNothing) {
-  Tracer t(std::size_t{1} << 12);
-  constexpr int kThreads = 4;
-  constexpr std::uint32_t kPerThread = 1000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&t, w] {
-      t.begin_point(static_cast<std::uint32_t>(w), "pt");
-      for (std::uint32_t i = 0; i < kPerThread; ++i) {
-        t.record(i, EventKind::QueueDequeue, static_cast<std::uint32_t>(w));
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
+TEST(Tracer, ChromeTraceLabelsEachProcessAndSpansItsCycles) {
+  Tracer a(64);
+  a.record(1, EventKind::GateAllow, 0);
+  Tracer b(64);
+  b.record(2, EventKind::GateBlock, 0);
+  const util::JsonValue doc =
+      parse_trace({{"none @ 0.1", 100, &a}, {"alo @ 0.2", 200, &b}});
+  const util::JsonValue* events = doc.find("traceEvents");
+  ASSERT_TRUE(events && events->is_array());
 
-  EXPECT_EQ(t.events_recorded(), kThreads * (kPerThread + 1u));
-  EXPECT_EQ(t.events_dropped(), 0u);
-  const auto evs = t.snapshot();
-  ASSERT_EQ(evs.size(), kThreads * (kPerThread + 1u));
-  // Within each pid (one recording thread each), order is by seq.
-  for (std::size_t i = 1; i < evs.size(); ++i) {
-    ASSERT_LE(evs[i - 1].pid, evs[i].pid);
-    if (evs[i - 1].pid == evs[i].pid) {
-      ASSERT_LT(evs[i - 1].seq, evs[i].seq);
+  std::vector<std::string> labels(2);
+  std::vector<double> spans(2, -1.0);
+  std::vector<std::string> instants(2);
+  for (const util::JsonValue& e : events->array) {
+    const auto pid = static_cast<std::size_t>(e.find("pid")->number);
+    ASSERT_LT(pid, 2u);
+    const std::string& ph = e.find("ph")->str;
+    const std::string& name = e.find("name")->str;
+    if (ph == "M" && name == "process_name") {
+      labels[pid] = e.at_path("args.name")->str;
+    } else if (ph == "X") {
+      EXPECT_EQ(name, "simulate");
+      EXPECT_EQ(e.find("ts")->number, 0.0);
+      spans[pid] = e.find("dur")->number;
+    } else if (ph == "i") {
+      instants[pid] += name;
     }
   }
+  EXPECT_EQ(labels, (std::vector<std::string>{"none @ 0.1", "alo @ 0.2"}));
+  EXPECT_EQ(spans, (std::vector<double>{100.0, 200.0}));
+  // Each process carries its own ring's events only.
+  EXPECT_EQ(instants, (std::vector<std::string>{"gate_allow", "gate_block"}));
 }
 
 TEST(Tracer, EventKindNamesAreUnique) {
@@ -112,8 +99,9 @@ TEST(Tracer, EventKindNamesAreUnique) {
       EventKind::AloProbe,        EventKind::VcAlloc,
       EventKind::VcRelease,       EventKind::DeadlockDetect,
       EventKind::RecoveryReinject, EventKind::QueueEnqueue,
-      EventKind::QueueDequeue,    EventKind::PointBegin,
-      EventKind::PointEnd,
+      EventKind::QueueDequeue,    EventKind::FaultLinkKill,
+      EventKind::FaultLinkRestore, EventKind::FaultNodeKill,
+      EventKind::FaultNodeRestore, EventKind::FaultLutRebuild,
   };
   std::vector<std::string> names;
   for (const EventKind k : all) {
@@ -129,19 +117,12 @@ TEST(Tracer, EventKindNamesAreUnique) {
 
 TEST(Tracer, ChromeTraceIsValidJson) {
   Tracer t(64);
-  t.begin_point(0, "none @ 0.4");
   t.record(10, EventKind::GateBlock, 7, 0, 16, 120);
   t.record(11, EventKind::VcAlloc, 21, 1, 0, 5);
   t.record(12, EventKind::DeadlockDetect, 7, 0, 16, 5);
-  t.end_point(0, 500);
+  const util::JsonValue doc = parse_trace({{"none @ 0.4", 500, &t}});
 
-  std::ostringstream os;
-  t.write_chrome_trace(os);
-  std::string err;
-  const auto doc = util::json_parse(os.str(), &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-
-  const util::JsonValue* events = doc->find("traceEvents");
+  const util::JsonValue* events = doc.find("traceEvents");
   ASSERT_TRUE(events && events->is_array());
   bool saw_process_name = false;
   bool saw_point_span = false;
@@ -159,23 +140,20 @@ TEST(Tracer, ChromeTraceIsValidJson) {
   EXPECT_TRUE(saw_process_name);
   EXPECT_TRUE(saw_point_span);
   EXPECT_TRUE(saw_instant);
+  EXPECT_EQ(doc.at_path("otherData.schema")->str, "wormsim.trace/2");
 }
 
 TEST(Tracer, ChromeTraceReportsDrops) {
   Tracer t(2);
-  t.begin_point(0, "p");
   for (int i = 0; i < 50; ++i) {
     t.record(static_cast<std::uint64_t>(i), EventKind::GateAllow, 0);
   }
-  t.end_point(0, 50);
-  EXPECT_GT(t.events_dropped(), 0u);
+  EXPECT_EQ(t.events_dropped(), 48u);
 
-  std::ostringstream os;
-  t.write_chrome_trace(os);
-  std::string err;
-  const auto doc = util::json_parse(os.str(), &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-  ASSERT_TRUE(doc->find("traceEvents")->is_array());
+  const util::JsonValue doc = parse_trace({{"p", 50, &t}});
+  ASSERT_TRUE(doc.find("traceEvents")->is_array());
+  EXPECT_EQ(doc.at_path("otherData.events_recorded")->number, 50.0);
+  EXPECT_EQ(doc.at_path("otherData.events_dropped")->number, 48.0);
 }
 
 }  // namespace

@@ -53,10 +53,10 @@ inline std::unique_ptr<Simulator> make_traffic_sim(
 inline bool run_until_delivered(Simulator& sim, std::uint64_t count,
                                 std::uint64_t limit = 100000) {
   const std::uint64_t deadline = sim.cycle() + limit;
-  while (sim.total_delivered() < count && sim.cycle() < deadline) {
+  while (sim.scan_stats().delivered < count && sim.cycle() < deadline) {
     sim.step();
   }
-  return sim.total_delivered() >= count;
+  return sim.scan_stats().delivered >= count;
 }
 
 /// Expected no-contention latency of one message in this codebase's

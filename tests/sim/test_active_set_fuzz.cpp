@@ -135,7 +135,7 @@ TEST(ActiveSetFuzz, RetiredComponentsReactivateOnNextEvent) {
   ASSERT_TRUE(sim.check_active_sets(&why)) << why;
   ASSERT_TRUE(sim.check_conservation(&why)) << why;
 
-  const std::uint64_t delivered_before = sim.total_delivered();
+  const std::uint64_t delivered_before = sim.scan_stats().delivered;
   ASSERT_TRUE(sim.push_message(0, 15, 16));
   ASSERT_TRUE(testing::run_until_delivered(sim, delivered_before + 1, 2000));
   ASSERT_TRUE(sim.check_active_sets(&why)) << why;
@@ -162,11 +162,11 @@ TEST(ActiveSetFuzz, RateZeroThenRampGeneratesAgain) {
 
   sim.step_cycles(500);
   EXPECT_EQ(sim.totals().messages_generated + sim.source_queue_total() +
-                sim.messages_in_flight() + sim.total_delivered(),
+                sim.messages_in_flight() + sim.scan_stats().delivered,
             0u);
   sim.workload()->set_offered_load(0.5);
   sim.step_cycles(1000);
-  EXPECT_GT(sim.total_delivered(), 0u);
+  EXPECT_GT(sim.scan_stats().delivered, 0u);
   std::string why;
   EXPECT_TRUE(sim.check_active_sets(&why)) << why;
   EXPECT_TRUE(sim.check_conservation(&why)) << why;

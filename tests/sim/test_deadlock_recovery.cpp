@@ -37,16 +37,16 @@ TEST(DeadlockRecovery, RingDeadlockIsRealWithoutDetection) {
   auto sim = make_sim(5, 1, ring_config(/*detection=*/false));
   inject_ring_deadlock(*sim);
   sim->step_cycles(5000);
-  EXPECT_EQ(sim->total_delivered(), 0u);
+  EXPECT_EQ(sim->scan_stats().delivered, 0u);
   EXPECT_EQ(sim->messages_in_flight(), 5u);
-  EXPECT_EQ(sim->total_deadlock_detections(), 0u);
+  EXPECT_EQ(sim->scan_stats().deadlocks, 0u);
 }
 
 TEST(DeadlockRecovery, DetectionBreaksRingDeadlock) {
   auto sim = make_sim(5, 1, ring_config(/*detection=*/true));
   inject_ring_deadlock(*sim);
   EXPECT_TRUE(run_until_delivered(*sim, 5, 20000));
-  EXPECT_GE(sim->total_deadlock_detections(), 1u);
+  EXPECT_GE(sim->scan_stats().deadlocks, 1u);
   EXPECT_TRUE(sim->network().quiescent());
   EXPECT_EQ(sim->recovery_pending(), 0u);
 }
@@ -56,9 +56,9 @@ TEST(DeadlockRecovery, DetectionLatencyRespectsThreshold) {
   auto sim = make_sim(5, 1, ring_config(true));
   inject_ring_deadlock(*sim);
   sim->step_cycles(32);  // threshold cycles from t=0
-  EXPECT_EQ(sim->total_deadlock_detections(), 0u);
+  EXPECT_EQ(sim->scan_stats().deadlocks, 0u);
   sim->step_cycles(200);
-  EXPECT_GE(sim->total_deadlock_detections(), 1u);
+  EXPECT_GE(sim->scan_stats().deadlocks, 1u);
 }
 
 /// FC3D fires exactly `threshold` cycles after the last flit of the worm
@@ -89,7 +89,7 @@ TEST(DeadlockRecovery, DetectionFiresThresholdAfterLastFlitMoved) {
   ASSERT_TRUE(sim->push_message(0, 3, 8));
   Cycle tail_left = 0;
   bool inj_was_busy = false;  // during the previous cycle
-  while (sim->total_deadlock_detections() == 0 && sim->cycle() < 500) {
+  while (sim->scan_stats().deadlocks == 0 && sim->cycle() < 500) {
     const Cycle t = sim->cycle();
     sim->step();
     const bool busy = !net.vc(inj).free();
@@ -102,12 +102,12 @@ TEST(DeadlockRecovery, DetectionFiresThresholdAfterLastFlitMoved) {
       EXPECT_EQ(net.worm_progress(head), t);
     }
     inj_was_busy = busy;
-    if (sim->total_deadlock_detections() != 0) {
+    if (sim->scan_stats().deadlocks != 0) {
       ASSERT_GT(tail_left, 0u);
       EXPECT_EQ(t, tail_left + 32);
     }
   }
-  EXPECT_EQ(sim->total_deadlock_detections(), 1u);
+  EXPECT_EQ(sim->scan_stats().deadlocks, 1u);
 }
 
 TEST(DeadlockRecovery, RecoveredLatencyIncludesStallTime) {
@@ -143,7 +143,7 @@ TEST(DeadlockRecovery, BlockedButAliveWormIsNotFalselyDetected) {
   sim->push_message(0, 2, 256);  // long worm holding 1->2 for ~256 cycles
   sim->push_message(1, 3, 16);   // blocked behind it well beyond threshold
   ASSERT_TRUE(run_until_delivered(*sim, 2, 5000));
-  EXPECT_EQ(sim->total_deadlock_detections(), 0u);
+  EXPECT_EQ(sim->scan_stats().deadlocks, 0u);
 }
 
 TEST(DeadlockRecovery, HeaderInInjectionChannelIsExempt)
@@ -172,9 +172,9 @@ TEST(DeadlockRecovery, DeadlockFreeAlgorithmsNeverDetect) {
     cfg.detection.enabled = true;
     auto sim = make_traffic_sim(4, 2, /*offered=*/0.3, /*len=*/16, cfg);
     sim->step_cycles(20000);
-    EXPECT_EQ(sim->total_deadlock_detections(), 0u)
+    EXPECT_EQ(sim->scan_stats().deadlocks, 0u)
         << routing::algorithm_name(algo);
-    EXPECT_GT(sim->total_delivered(), 1000u);
+    EXPECT_GT(sim->scan_stats().delivered, 1000u);
   }
 }
 
@@ -199,8 +199,8 @@ TEST(DeadlockRecovery, RepeatedDeadlocksEventuallyResolve) {
   auto cfg = ring_config(true);
   auto sim = make_traffic_sim(5, 1, /*offered=*/0.5, /*len=*/16, cfg);
   sim->step_cycles(30000);
-  EXPECT_GT(sim->total_delivered(), 500u);
-  EXPECT_GT(sim->total_deadlock_detections(), 0u);
+  EXPECT_GT(sim->scan_stats().delivered, 500u);
+  EXPECT_GT(sim->scan_stats().deadlocks, 0u);
 }
 
 }  // namespace

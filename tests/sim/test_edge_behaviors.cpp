@@ -43,8 +43,8 @@ TEST(EdgeBehavior, DorCrossesDatelineWithoutDeadlockDetectionArmed) {
   cfg.detection.enabled = true;
   auto sim = make_traffic_sim(8, 1, 0.25, 16, cfg);
   sim->step_cycles(10000);
-  EXPECT_EQ(sim->total_deadlock_detections(), 0u);
-  EXPECT_GT(sim->total_delivered(), 1000u);
+  EXPECT_EQ(sim->scan_stats().deadlocks, 0u);
+  EXPECT_GT(sim->scan_stats().delivered, 1000u);
 }
 
 TEST(EdgeBehavior, TfarRoutesAroundOccupiedChannel) {
@@ -64,7 +64,7 @@ TEST(EdgeBehavior, TfarRoutesAroundOccupiedChannel) {
   // Delivered while the blocker is still transferring -> it adapted.
   const Cycle elapsed = sim->cycle() - start;
   EXPECT_LT(elapsed, 60u);
-  EXPECT_EQ(sim->total_delivered(), 1u);
+  EXPECT_EQ(sim->scan_stats().delivered, 1u);
 }
 
 TEST(EdgeBehavior, RecoveredMessagesBypassTheLimiter) {
@@ -81,7 +81,7 @@ TEST(EdgeBehavior, RecoveredMessagesBypassTheLimiter) {
     ASSERT_TRUE(sim->push_message(i, (i + 2) % 5, 16));
   }
   EXPECT_TRUE(run_until_delivered(*sim, 5, 30000));
-  EXPECT_GE(sim->total_deadlock_detections(), 1u);
+  EXPECT_GE(sim->scan_stats().deadlocks, 1u);
 }
 
 TEST(EdgeBehavior, MidRunLoadChangeTakesEffect) {
@@ -119,8 +119,8 @@ TEST(EdgeBehavior, EightAryThreeCubeSmoke) {
   cfg.limiter.kind = core::LimiterKind::ALO;
   auto sim = make_traffic_sim(8, 3, 0.3, 16, cfg);
   sim->step_cycles(2000);
-  EXPECT_GT(sim->total_delivered(), 10000u);
-  EXPECT_EQ(sim->total_deadlock_detections(), 0u);
+  EXPECT_GT(sim->scan_stats().delivered, 10000u);
+  EXPECT_EQ(sim->scan_stats().deadlocks, 0u);
 }
 
 }  // namespace

@@ -94,7 +94,7 @@ TEST(Invariants, DeterministicGivenSeed) {
     sim->step_cycles(8000);
     const auto r = sim->totals();
     return std::make_tuple(r.messages_generated, r.messages_delivered,
-                           sim->total_deadlock_detections(),
+                           sim->scan_stats().deadlocks,
                            r.latency_mean);
   };
   EXPECT_EQ(run_once(42), run_once(42));

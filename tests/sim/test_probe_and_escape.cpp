@@ -69,8 +69,8 @@ TEST(DuatoEscape, EscapeLayerCarriesTrafficUnderContention) {
   }
   EXPECT_GT(adaptive_busy, 0u);
   EXPECT_GT(escape_busy, 0u);
-  EXPECT_GT(sim->total_delivered(), 2000u);
-  EXPECT_EQ(sim->total_deadlock_detections(), 0u);
+  EXPECT_GT(sim->scan_stats().delivered, 2000u);
+  EXPECT_EQ(sim->scan_stats().deadlocks, 0u);
 }
 
 TEST(DuatoEscape, LowLoadPrefersAdaptiveVcs) {

@@ -160,7 +160,7 @@ TEST(SingleMessage, ManySequentialMessagesAllDelivered) {
       ASSERT_TRUE(run_until_delivered(*sim, count, 2000));
     }
   }
-  EXPECT_EQ(sim->total_delivered(), count);
+  EXPECT_EQ(sim->scan_stats().delivered, count);
   EXPECT_TRUE(sim->network().quiescent());
 }
 

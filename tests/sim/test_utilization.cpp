@@ -172,11 +172,11 @@ TEST(OnlineWindows, CaptureBurstDynamics) {
     flits += windows[i].accepted_flits;
     delivered += windows[i].delivered;
   }
-  EXPECT_EQ(delivered, sim->total_delivered());
+  EXPECT_EQ(delivered, sim->scan_stats().delivered);
   // Every delivered message ejected 16 flits; messages still mid-ejection
   // at the cutoff may add a partial worm each.
-  EXPECT_GE(flits, sim->total_delivered() * 16);
-  EXPECT_LT(flits, sim->total_delivered() * 16 + 16 * 64);
+  EXPECT_GE(flits, sim->scan_stats().delivered * 16);
+  EXPECT_LT(flits, sim->scan_stats().delivered * 16 + 16 * 64);
   // Steady state: later windows all show nonzero throughput.
   for (std::size_t i = 4; i < windows.size(); ++i) {
     EXPECT_GT(windows[i].accepted_flits, 0u) << "window " << i;

@@ -144,7 +144,7 @@ TEST(Wormhole, ManyParallelWormsAllComplete) {
   }
   ASSERT_TRUE(run_until_delivered(*sim, count, 10000));
   EXPECT_TRUE(sim->network().quiescent());
-  EXPECT_EQ(sim->total_deadlock_detections(), 0u);
+  EXPECT_EQ(sim->scan_stats().deadlocks, 0u);
 }
 
 TEST(Wormhole, HeaderWaitsForRoutingDelay) {

@@ -45,15 +45,15 @@ inline ::testing::AssertionResult check_all_invariants(const Simulator& sim) {
 inline ::testing::AssertionResult check_aggregate_conservation(
     const Simulator& sim) {
   const auto r = sim.totals();
-  const std::uint64_t accounted = r.messages_delivered +
-                                  sim.messages_in_flight() +
-                                  sim.source_queue_total() + sim.total_lost();
+  const std::uint64_t accounted =
+      r.messages_delivered + sim.messages_in_flight() +
+      sim.source_queue_total() + sim.scan_stats().lost;
   if (r.messages_generated != accounted) {
     return ::testing::AssertionFailure()
            << "generated " << r.messages_generated << " != delivered "
            << r.messages_delivered << " + in-flight "
            << sim.messages_in_flight() << " + queued "
-           << sim.source_queue_total() << " + lost " << sim.total_lost();
+           << sim.source_queue_total() << " + lost " << sim.scan_stats().lost;
   }
   return ::testing::AssertionSuccess();
 }

@@ -234,7 +234,8 @@ TEST(ParserFuzz, ObsSessionFlags) {
                         bool any = false;
                         for (const char* flag :
                              {"--spatial-load=", "--spatial-limiter=",
-                              "--online-window=", "--profile="}) {
+                              "--online-window=", "--profile=",
+                              "--trace-capacity="}) {
                           const std::string arg = flag + value;
                           const char* argv[] = {"prog", arg.c_str()};
                           try {
